@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .adversarial import local_train_step
-from .datasets import poison, stack
+from .datasets import poison
 from .evidential import evidence_batch
 from .federation import ByzantineSpec, FederationConfig, run_experiment
 from .metrics import confusion_by_group, eod
@@ -28,8 +28,7 @@ class AttackReport:
 
 def _confidences(params: ParameterSet, samples) -> np.ndarray:
     """Max Dirichlet-mean probability per sample."""
-    X, _, _ = stack(samples)
-    _, _, _, Zt, _ = forward_batch(params, X)
+    _, _, _, Zt, _ = forward_batch(params, samples.X)
     A = evidence_batch(Zt)
     return (A / A.sum(axis=1, keepdims=True)).max(axis=1)
 
@@ -39,10 +38,10 @@ def train_centralized(samples, network: NetworkSpec, steps: int, batch_size: int
     """Plain centralized evidential SGD (no adversary), for shadow/overfit models."""
     rng = np.random.default_rng([int(seed), 0xCE27])
     params = init_params(network, rng)
-    X, y, s = stack(samples)
     for _ in range(steps):
         idx = rng.choice(len(samples), size=min(batch_size, len(samples)), replace=False)
-        params, _ = local_train_step(params, X[idx], y[idx], s[idx],
+        batch = samples[idx]
+        params, _ = local_train_step(params, batch.X, batch.y, batch.s,
                                      eta, None, lambda1, 0.0)
     return params
 
@@ -78,10 +77,9 @@ def mia_run(target_params: ParameterSet, member_pool, nonmember_pool,
     if shadow_size is None:
         shadow_size = min(len(member_pool), len(shadow_pool) // 2)
     rng = np.random.default_rng([int(seed), 0x314])
-    shadow = list(shadow_pool)
-    order = rng.permutation(len(shadow))
-    shadow_members = [shadow[i] for i in order[:shadow_size]]
-    shadow_nonmembers = [shadow[i] for i in order[shadow_size:]]
+    order = rng.permutation(len(shadow_pool))
+    shadow_members = shadow_pool[order[:shadow_size]]
+    shadow_nonmembers = shadow_pool[order[shadow_size:]]
     shadow_model = train_centralized(
         shadow_members, target_params.spec, steps=shadow_steps,
         batch_size=min(32, len(shadow_members)), eta=shadow_eta, seed=seed)
@@ -108,21 +106,20 @@ def aia_run(global_params: ParameterSet, dataset, num_groups: int, seed: int,
     batches, then classifies fresh group-pure updates by nearest
     signature in L2. Score is the fraction of correct inferences.
     """
-    by_group = {g: [sm for sm in dataset if sm.s == g] for g in range(num_groups)}
+    by_group = {g: dataset[dataset.s == g] for g in range(num_groups)}
     if any(not v for v in by_group.values()):
         raise ValueError("every group needs probe samples")
     rng = np.random.default_rng([int(seed), 0xA1A])
 
     def one_step_delta(batch):
-        X, y, s = stack(batch)
-        new, _ = local_train_step(global_params, X, y, s, eta, None, lambda1, 0.0)
+        new, _ = local_train_step(global_params, batch.X, batch.y, batch.s,
+                                  eta, None, lambda1, 0.0)
         return np.concatenate([new.theta_f - global_params.theta_f,
                                new.theta_e - global_params.theta_e])
 
     def pure_batch(g):
         pool = by_group[g]
-        idx = rng.integers(0, len(pool), size=min(probe_size, len(pool)))
-        return [pool[i] for i in idx]
+        return pool[rng.integers(0, len(pool), size=min(probe_size, len(pool)))]
 
     signatures = {g: one_step_delta(pure_batch(g)) for g in range(num_groups)}
     correct = 0
@@ -180,18 +177,17 @@ def poisoning_run(config: FederationConfig, shards, eval_samples,
     if rate == 0.0:
         poisoned_shards = shards
     else:
-        victim = max(range(len(shards)),
-                     key=lambda k: sum(sm.s == target_group for sm in shards[k]))
+        victim = int(np.argmax([np.count_nonzero(sh.s == target_group)
+                                for sh in shards]))
         poisoned_shards = list(shards)
         poisoned_shards[victim] = poison(shards[victim], target_group, rate,
                                          seed=config.seed)
     params_poisoned, _ = run_experiment(config, poisoned_shards, eval_samples)
 
     def eod_of(params):
-        X, _, _ = stack(eval_samples)
-        _, _, _, Zt, _ = forward_batch(params, X)
+        _, _, _, Zt, _ = forward_batch(params, eval_samples.X)
         preds = np.argmax(evidence_batch(Zt), axis=1)
-        return eod(confusion_by_group(preds, eval_samples))
+        return eod(confusion_by_group(preds, eval_samples.y, eval_samples.s))
 
     eod_clean = eod_of(params_clean)
     eod_poisoned = eod_of(params_poisoned)

@@ -34,20 +34,20 @@ ATTACK_KINDS = ("mia", "aia", "byzantine", "poisoning")
 
 def build_data(cfg: ExperimentConfig):
     """Train/test split sharing one signal draw: per group, scale the
-    sample counts up, then hold out the tail fraction of each group."""
+    sample counts up, then hold out the tail fraction of each group.
+
+    The draw uses the config file's first seed, so a ``--seed`` override
+    trains on the same data as the full run."""
     scale = 1.0 / (1.0 - cfg.test_fraction)
     spg = tuple(max(int(round(n * scale)), n + 1 if n else 0)
                 for n in cfg.synth.samples_per_group)
-    full_spec = replace(cfg.synth, samples_per_group=spg)
-    base_seed = cfg.seeds[0]
-    full = generate_dataset(full_spec, seed=base_seed)
-    train, test = [], []
-    for g, n_total in enumerate(spg):
-        members = [sm for sm in full if sm.s == g]
-        n_train = cfg.synth.samples_per_group[g]
-        train.extend(members[:n_train])
-        test.extend(members[n_train:])
-    return train, test
+    full = generate_dataset(replace(cfg.synth, samples_per_group=spg),
+                            seed=cfg.data_seed)
+    # each group is one contiguous block; train on its head, test on its tail
+    starts = np.cumsum(spg) - spg
+    rank = np.arange(len(full)) - starts[full.s]
+    is_train = rank < np.asarray(cfg.synth.samples_per_group)[full.s]
+    return full[is_train], full[~is_train]
 
 
 def network_for(cfg: ExperimentConfig) -> NetworkSpec:
@@ -66,7 +66,9 @@ def _single_run(cfg: ExperimentConfig, algo: str, seed: int, train, test):
             algo=algo, seed=seed, round=r.round, accuracy=r.accuracy,
             acc_by_group=r.acc_by_group, di_dev=r.di_dev,
             delta_eop=r.delta_eop, eod=r.eod,
-            ufm_mean=float(np.mean(list(r.ufm_by_client.values()))),
+            # a frozen round has no client reports
+            ufm_mean=float(np.mean(list(r.ufm_by_client.values())))
+            if r.ufm_by_client else float("nan"),
             unc_var=r.uncertainty_var,
         )
         for r in records
@@ -102,10 +104,11 @@ def cmd_run(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
     rows = [row for cell in cells for row in results[cell]]
     write_metrics(rows, out / "metrics.csv", num_groups=cfg.synth.num_groups)
 
+    # a cell's final row is its last record, also when it stopped early
     summary = {}
-    last_round = cfg.rounds - 1
     for algo in cfg.algorithms:
-        finals = [r for r in rows if r.algo == algo and r.round == last_round]
+        finals = [results[(algo, seed)][-1] for seed in cfg.seeds
+                  if results[(algo, seed)]]
         if not finals:
             continue
         summary[algo] = {
@@ -126,9 +129,8 @@ def cmd_run(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
 def _mia_against(cfg: ExperimentConfig, params, train, test, seed: int) -> float:
     rng = np.random.default_rng([seed, 0x517A])
     order = rng.permutation(len(train))
-    members = [train[i] for i in order[:cfg.mia_overfit_size]]
-    shadow = [train[i] for i in order[cfg.mia_overfit_size:
-                                      cfg.mia_overfit_size + 400]]
+    members = train[order[:cfg.mia_overfit_size]]
+    shadow = train[order[cfg.mia_overfit_size:cfg.mia_overfit_size + 400]]
     nonmembers = test[:len(members)]
     return mia_run(params, members, nonmembers, shadow, seed=seed,
                    shadow_steps=cfg.mia_overfit_steps).score
@@ -179,9 +181,8 @@ def cmd_attack(cfg: ExperimentConfig, out: Path, kind: str | None) -> int:
             raise ConfigError(f"unknown attack kind {k!r}")
         for seed in cfg.seeds:
             if k == "mia":
-                members = [train[i] for i in
-                           np.random.default_rng([seed, 0x517A])
-                           .permutation(len(train))[:cfg.mia_overfit_size]]
+                members = train[np.random.default_rng([seed, 0x517A])
+                                .permutation(len(train))[:cfg.mia_overfit_size]]
                 target = train_centralized(members, net,
                                            steps=cfg.mia_overfit_steps,
                                            batch_size=32, eta=0.1, seed=seed)

@@ -91,6 +91,9 @@ DEFAULT_SWEEP_ROWS = (
 @dataclass
 class ExperimentConfig:
     seeds: tuple[int, ...]
+    # the dataset's seed: the first of ``seeds`` as loaded, kept when a
+    # --seed override replaces ``seeds``
+    data_seed: int | None = None
     algorithms: tuple[str, ...] = ("fedavg", "resfl")
     out_dir: str | None = None
     raw: dict[str, dict[str, object]] = field(default_factory=dict)
@@ -122,6 +125,10 @@ class ExperimentConfig:
     poison_rate: float = 0.2
 
     sweep_rows: tuple[tuple[float, float], ...] = DEFAULT_SWEEP_ROWS
+
+    def __post_init__(self):
+        if self.data_seed is None:
+            self.data_seed = self.seeds[0]
 
     def federation_config(self, algorithm: str, seed: int) -> FederationConfig:
         if algorithm not in AGGREGATORS:
@@ -201,50 +208,23 @@ def load_config(path) -> ExperimentConfig:
         if algo not in AGGREGATORS:
             raise ConfigError(f"unknown algorithm {algo!r} in [experiment]")
 
+    # only the keys in the file; ExperimentConfig's fields hold the defaults
+    kwargs = {**exp, **fed,
+              **{k: v for k, v in data.items() if k not in synth_kwargs},
+              **{("attack_kinds" if k == "kinds" else k): v for k, v in atk.items()}}
     if "rows" in sweep:
         rows = sweep["rows"]
         if any(len(r) != 2 for r in rows):
             raise ConfigError("[sweep] rows entries must be 'lambda1,lambda_adv' pairs")
-        sweep_rows = tuple((r[0], r[1]) for r in rows)
+        kwargs["sweep_rows"] = tuple((r[0], r[1]) for r in rows)
     elif "lambda1_grid" in sweep or "lambda_adv_grid" in sweep:
         g1 = sweep.get("lambda1_grid", (0.1,))
         g2 = sweep.get("lambda_adv_grid", (0.01,))
         if any(v < 0 for v in g1 + g2):
             raise ConfigError("[sweep] grid values must be >= 0")
-        sweep_rows = tuple((a, b) for a in g1 for b in g2)
-    else:
-        sweep_rows = DEFAULT_SWEEP_ROWS
+        kwargs["sweep_rows"] = tuple((a, b) for a in g1 for b in g2)
 
-    cfg = ExperimentConfig(
-        seeds=exp["seeds"],
-        algorithms=exp.get("algorithms", ("fedavg", "resfl")),
-        out_dir=exp.get("out_dir"),
-        raw=raw,
-        synth=synth,
-        partition_beta=data.get("partition_beta", 0.5),
-        test_fraction=data.get("test_fraction", 0.2),
-        hidden_dims=fed.get("hidden_dims", (32, 32)),
-        rounds=fed.get("rounds", 100),
-        local_iterations=fed.get("local_iterations", 5),
-        batch_size=fed.get("batch_size", 64),
-        num_clients=fed.get("num_clients", 4),
-        eta=fed.get("eta", 0.001),
-        eta_phi=fed.get("eta_phi"),
-        lambda1=fed.get("lambda1", 0.1),
-        lambda_adv=fed.get("lambda_adv", 0.01),
-        dp_epsilon=fed.get("dp_epsilon", 0.1),
-        dp_clip=fed.get("dp_clip", 1.0),
-        server_lr=fed.get("server_lr"),
-        attack_kinds=atk.get("kinds", ("mia", "aia", "byzantine", "poisoning")),
-        mia_overfit_size=atk.get("mia_overfit_size", 30),
-        mia_overfit_steps=atk.get("mia_overfit_steps", 3000),
-        aia_trials=atk.get("aia_trials", 100),
-        byzantine_fraction=atk.get("byzantine_fraction", 0.25),
-        byzantine_scale=atk.get("byzantine_scale", 10.0),
-        poison_group=atk.get("poison_group"),
-        poison_rate=atk.get("poison_rate", 0.2),
-        sweep_rows=sweep_rows,
-    )
+    cfg = ExperimentConfig(raw=raw, synth=synth, **kwargs)
     if not 0.0 < cfg.test_fraction < 1.0:
         raise ConfigError("test_fraction must be in (0, 1)")
     return cfg

@@ -15,16 +15,25 @@ poisoning transform targeting one group.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Sample:
-    x: np.ndarray
-    y: int  # class index, 0-based
-    s: int  # group index, 0-based
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Rows of features ``X``, 0-based class labels ``y`` and 0-based
+    group ids ``s``; indexing by a slice, mask or index array selects
+    rows into a new Dataset."""
+    X: np.ndarray
+    y: np.ndarray
+    s: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def __getitem__(self, rows) -> "Dataset":
+        return Dataset(self.X[rows], self.y[rows], self.s[rows])
 
 
 @dataclass(frozen=True)
@@ -91,66 +100,68 @@ def _signal_directions(spec: SynthSpec, rng: np.random.Generator):
     return dirs, leak_idx, codes
 
 
-def generate_dataset(spec: SynthSpec, seed: int) -> list[Sample]:
+def generate_dataset(spec: SynthSpec, seed: int) -> Dataset:
+    """Groups in order, each a contiguous block of rows.
+
+    Each row draws its noise, then (with label noise) its flip, from one
+    stream, so the per-row loop fixes the draw order.
+    """
     rng = np.random.default_rng([int(seed), 0x5EED])
     dirs, leak_idx, codes = _signal_directions(spec, rng)
-    d = spec.input_dim
-    samples = []
-    for g in range(spec.num_groups):
-        n_g = spec.samples_per_group[g]
-        ys = rng.integers(0, spec.num_classes, size=n_g)
-        for y in ys:
-            amp = 2.0 * (1.0 + spec.group_means[g][y])
-            x = amp * dirs[y] + spec.noise_std * rng.standard_normal(d)
-            if len(leak_idx):
-                x = x.copy()
-                x[leak_idx] += codes[g]
-            label = int(y)
-            if spec.label_flip_noise[g] > 0 and rng.random() < spec.label_flip_noise[g]:
-                label = int((label + 1 + rng.integers(0, spec.num_classes - 1))
-                            % spec.num_classes)
-            samples.append(Sample(x=x, y=label, s=g))
-    return samples
+    n = sum(spec.samples_per_group)
+    s = np.repeat(np.arange(spec.num_groups), spec.samples_per_group)
+    y = np.empty(n, dtype=int)
+    flip_shift = np.zeros(n, dtype=int)  # label = (y + shift) % C
+    X = np.empty((n, spec.input_dim))  # the noise draws, then the features
+    start = 0
+    for g, n_g in enumerate(spec.samples_per_group):
+        y[start:start + n_g] = rng.integers(0, spec.num_classes, size=n_g)
+        flip = spec.label_flip_noise[g]
+        for i in range(start, start + n_g):
+            X[i] = rng.standard_normal(spec.input_dim)
+            if flip > 0 and rng.random() < flip:
+                flip_shift[i] = 1 + rng.integers(0, spec.num_classes - 1)
+        start += n_g
+    # in place, to hold one temporary: noise_std * z + amp * direction
+    X *= spec.noise_std
+    signal = dirs[y]
+    signal *= (2.0 * (1.0 + np.asarray(spec.group_means)[s, y]))[:, None]
+    X += signal
+    X[:, leak_idx] += codes[s]
+    return Dataset(X, (y + flip_shift) % spec.num_classes, s)
 
 
-def stack(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(X, y, s) arrays from a list of samples."""
-    X = np.stack([sm.x for sm in samples])
-    y = np.array([sm.y for sm in samples], dtype=int)
-    s = np.array([sm.s for sm in samples], dtype=int)
-    return X, y, s
-
-
-def partition(dataset, num_clients: int, beta: float, seed: int,
-              max_retries: int = 10) -> list[list[Sample]]:
+def partition(dataset: Dataset, num_clients: int, beta: float, seed: int,
+              max_retries: int = 10) -> list[Dataset]:
     """Non-IID split: per-group client proportions ~ Dirichlet(beta).
 
-    Every sample lands on exactly one client. Empty shards trigger a
-    resample, up to ``max_retries`` times.
+    Every sample lands on exactly one client; a shard holds its rows
+    group by group, in dataset order within a group. Empty shards
+    trigger a resample, up to ``max_retries`` times.
     """
     if num_clients < 1:
         raise ValueError("num_clients must be >= 1")
     if beta <= 0:
         raise ValueError("beta must be > 0")
     if num_clients == 1:
-        return [list(dataset)]
+        return [dataset]
     rng = np.random.default_rng([int(seed), 0xD17])
-    groups = sorted({sm.s for sm in dataset})
     for _ in range(max_retries):
-        shards: list[list[Sample]] = [[] for _ in range(num_clients)]
-        for g in groups:
-            members = [sm for sm in dataset if sm.s == g]
+        rows: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
+        for g in np.unique(dataset.s):
+            members = np.flatnonzero(dataset.s == g)
             props = rng.dirichlet(np.full(num_clients, beta))
             assignment = rng.choice(num_clients, size=len(members), p=props)
-            for sm, c in zip(members, assignment):
-                shards[c].append(sm)
+            for c in range(num_clients):
+                rows[c].append(members[assignment == c])
+        shards = [dataset[np.concatenate(r)] for r in rows]
         if all(shards):
             return shards
     raise RuntimeError(f"could not produce non-empty shards in {max_retries} tries")
 
 
-def poison(shard, target_group: int, rate: float, seed: int,
-           favorable_class: int = 1) -> list[Sample]:
+def poison(shard: Dataset, target_group: int, rate: float, seed: int,
+           favorable_class: int = 1) -> Dataset:
     """Append label-flipped clones of target-group samples.
 
     The injected set has size round(rate * len(shard)), drawn with
@@ -161,43 +172,22 @@ def poison(shard, target_group: int, rate: float, seed: int,
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must be in [0, 1]")
-    shard = list(shard)
     if rate == 0.0:
         return shard
-    pool = [sm for sm in shard if sm.s == target_group]
-    if not pool:
+    pool = np.flatnonzero(shard.s == target_group)
+    if not len(pool):
         raise ValueError(f"shard has no samples of group {target_group}")
-    favored = [sm for sm in pool if sm.y == favorable_class] or pool
+    favored = pool[shard.y[pool] == favorable_class]
+    if not len(favored):
+        favored = pool
     rng = np.random.default_rng([int(seed), 0xB1A5])
     n_inject = int(round(rate * len(shard)))
-    num_classes = max(max(sm.y for sm in shard) + 1, 2)
-    injected = []
-    for i in rng.integers(0, len(favored), size=n_inject):
-        src = favored[i]
-        wrong = int((src.y + 1 + rng.integers(0, num_classes - 1)) % num_classes)
-        injected.append(Sample(x=src.x.copy(), y=wrong, s=src.s))
-    return shard + injected
-
-
-def write_dataset(samples, spec: SynthSpec, path) -> None:
-    """One sample per line: x coords, y, s; floats at 9 significant digits."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"# resfl-sim dataset spec={spec.spec_hash()} n={len(samples)}\n")
-        for sm in samples:
-            coords = " ".join(f"{v:.9g}" for v in sm.x)
-            f.write(f"{coords} {sm.y} {sm.s}\n")
-
-
-def read_dataset(path) -> list[Sample]:
-    samples = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.startswith("#"):
-                continue
-            parts = line.split()
-            samples.append(Sample(
-                x=np.array([float(v) for v in parts[:-2]]),
-                y=int(parts[-2]),
-                s=int(parts[-1]),
-            ))
-    return samples
+    num_classes = max(int(shard.y.max()) + 1, 2)
+    clones = shard[favored[rng.integers(0, len(favored), size=n_inject)]]
+    # one scalar draw per clone, in clone order: one array draw would
+    # consume the stream differently and change every clone's label
+    wrong = np.array([(label + 1 + rng.integers(0, num_classes - 1)) % num_classes
+                      for label in clones.y], dtype=int)
+    return Dataset(np.concatenate([shard.X, clones.X]),
+                   np.concatenate([shard.y, wrong]),
+                   np.concatenate([shard.s, clones.s]))

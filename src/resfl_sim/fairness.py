@@ -40,28 +40,25 @@ class FairnessSignal:
         return aggregation_weight(self.ufm)
 
 
-def group_uncertainties(per_sample_alpha0, num_groups: int) -> list[GroupUncertainty]:
+def group_uncertainties(alpha0, groups, num_groups: int) -> list[GroupUncertainty]:
     """Mean per-sample total evidence by group.
 
-    ``per_sample_alpha0`` is a sequence of (alpha0, group_id) pairs with
-    0-based group ids. Groups with no samples are omitted.
+    ``alpha0[i]`` is sample i's total evidence and ``groups[i]`` its
+    0-based group id. Each group's evidence is a running sum in sample
+    order. Groups with no samples are omitted.
     """
     if num_groups < 1:
         raise ValueError("num_groups must be >= 1")
-    pairs = list(per_sample_alpha0)
-    if not pairs:
+    groups = np.asarray(groups, dtype=int)
+    if not groups.size:
         raise ValueError("no samples")
-    sums = np.zeros(num_groups)
-    counts = np.zeros(num_groups, dtype=int)
-    for a0, g in pairs:
-        if not 0 <= g < num_groups:
-            raise ValueError(f"group id {g} out of range [0, {num_groups})")
-        sums[g] += a0
-        counts[g] += 1
+    if groups.min() < 0 or groups.max() >= num_groups:
+        raise ValueError(f"group ids out of range [0, {num_groups})")
+    counts = np.bincount(groups, minlength=num_groups)
+    sums = np.bincount(groups, weights=alpha0, minlength=num_groups)
     return [
-        GroupUncertainty(g, sums[g] / counts[g], int(counts[g]))
-        for g in range(num_groups)
-        if counts[g] > 0
+        GroupUncertainty(int(g), sums[g] / counts[g], int(counts[g]))
+        for g in np.flatnonzero(counts)
     ]
 
 

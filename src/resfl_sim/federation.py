@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .adversarial import local_train_step
-from .datasets import stack
 from .evidential import evidence_batch
 from .fairness import DEFAULT_EPS, aggregation_weight, group_uncertainties, \
     ufm as ufm_metric, uncertainty_variance
@@ -129,15 +128,15 @@ def client_round(global_params: ParameterSet, phi: np.ndarray, shard,
     """
     if not shard:
         raise ValueError("empty shard")
-    X, y, s = stack(shard)
     params = ParameterSet(global_params.spec, global_params.theta_f.copy(),
                           global_params.theta_e.copy(), phi.copy())
     task = unc = adv = 0.0
     for _ in range(config.local_iterations):
         idx = rng.choice(len(shard), size=min(config.batch_size, len(shard)),
                          replace=False)
+        batch = shard[idx]
         params, terms = local_train_step(
-            params, X[idx], y[idx], s[idx],
+            params, batch.X, batch.y, batch.s,
             config.eta, config.eta_phi, config.lambda1, config.lambda_adv)
         task += terms.task
         unc += terms.uncertainty
@@ -161,14 +160,13 @@ def shard_ufm(params: ParameterSet, shard, eps: float = DEFAULT_EPS) -> float:
     Non-finite evaluations (a degenerate model) report the UFM upper
     bound, i.e. maximal group disparity.
     """
-    X, _, s = stack(shard)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, _, _, Zt, _ = forward_batch(params, X)
+        _, _, _, Zt, _ = forward_batch(params, shard.X)
         alpha0 = evidence_batch(Zt).sum(axis=1)
     if not np.all(np.isfinite(alpha0)):
         alpha0 = np.where(np.isfinite(alpha0), alpha0, np.finfo(float).max)
     with np.errstate(over="ignore", invalid="ignore"):
-        gus = group_uncertainties(zip(alpha0, s), params.spec.num_groups)
+        gus = group_uncertainties(alpha0, shard.s, params.spec.num_groups)
         value = ufm_metric([gu.uncertainty for gu in gus], eps)
     return value if math.isfinite(value) else float(params.spec.num_groups)
 
@@ -187,7 +185,7 @@ def _weighted_delta_sum(updates, weights):
 
 
 def aggregate_fedavg(updates) -> tuple[np.ndarray, np.ndarray]:
-    """Sample-count-weighted global delta."""
+    """Global delta weighted by each client's sample count."""
     if not updates:
         raise ValueError("no updates")
     total = sum(u.sample_count for u in updates)
@@ -222,13 +220,13 @@ def apply_dp(update: ClientUpdate, clip: float, noise_scale: float,
 
 
 def _evaluate(params: ParameterSet, eval_samples):
-    X, _, s = stack(eval_samples)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, _, _, Zt, _ = forward_batch(params, X)
+        _, _, _, Zt, _ = forward_batch(params, eval_samples.X)
         alpha = evidence_batch(Zt)
     preds = np.argmax(alpha, axis=1)
-    acc, acc_g = accuracy_by_group(preds, eval_samples, params.spec.num_groups)
-    conf = confusion_by_group(preds, eval_samples)
+    acc, acc_g = accuracy_by_group(preds, eval_samples.y, eval_samples.s,
+                                   params.spec.num_groups)
+    conf = confusion_by_group(preds, eval_samples.y, eval_samples.s)
     try:
         dd, _ = di_deviation(conf)
     except ValueError:
@@ -241,7 +239,7 @@ def _evaluate(params: ParameterSet, eval_samples):
         eo = eod(conf)
     except ValueError:
         eo = float("nan")
-    gus = group_uncertainties(zip(alpha.sum(axis=1), s), params.spec.num_groups)
+    gus = group_uncertainties(alpha.sum(axis=1), eval_samples.s, params.spec.num_groups)
     us = [gu.uncertainty for gu in gus]
     return acc, tuple(acc_g), dd, de, eo, float(np.mean(us)), uncertainty_variance(us)
 
@@ -254,11 +252,9 @@ def run_experiment(config: FederationConfig, shards, eval_samples=None,
     if len(shards) != config.num_clients:
         raise ValueError("shards must match num_clients")
     if network is None:
-        input_dim = len(shards[0][0].x)
-        num_classes = max(sm.y for sh in shards for sm in sh) + 1
-        num_groups = max(sm.s for sh in shards for sm in sh) + 1
-        network = NetworkSpec(input_dim=input_dim, num_classes=num_classes,
-                              num_groups=num_groups)
+        network = NetworkSpec(input_dim=shards[0].X.shape[1],
+                              num_classes=max(int(sh.y.max()) for sh in shards) + 1,
+                              num_groups=max(int(sh.s.max()) for sh in shards) + 1)
     global_params = init_params(network, np.random.default_rng([config.seed, 0x1217]))
     phis = [global_params.phi.copy() for _ in range(config.num_clients)]
 

@@ -52,27 +52,21 @@ class GroupConfusion:
     favorable_class: int = 1
 
 
-def confusion_by_group(predictions, eval_samples, favorable_class: int = 1) -> GroupConfusion:
+def confusion_by_group(predictions, labels, groups,
+                       favorable_class: int = 1) -> GroupConfusion:
     """Per-group confusion counts; 'positive' = the favorable class."""
-    predictions = list(predictions)
-    eval_samples = list(eval_samples)
-    if len(predictions) != len(eval_samples):
+    pred_pos = np.asarray(predictions) == favorable_class
+    actual_pos = np.asarray(labels) == favorable_class
+    groups = np.asarray(groups, dtype=int)
+    if not len(pred_pos) == len(actual_pos) == len(groups):
         raise ValueError("predictions and eval set are misaligned")
-    counts: dict[int, list[int]] = {}
-    for pred, sm in zip(predictions, eval_samples):
-        c = counts.setdefault(sm.s, [0, 0, 0, 0])
-        actual_pos = sm.y == favorable_class
-        pred_pos = pred == favorable_class
-        if pred_pos and actual_pos:
-            c[0] += 1
-        elif pred_pos:
-            c[1] += 1
-        elif actual_pos:
-            c[3] += 1
-        else:
-            c[2] += 1
+    # cell 0, 1, 2, 3 = tp, fp, tn, fn
+    cell = 2 * ~pred_pos + (pred_pos != actual_pos)
+    size = 4 * (groups.max() + 1) if groups.size else 0
+    counts = np.bincount(4 * groups + cell, minlength=size).reshape(-1, 4)
     return GroupConfusion(
-        by_group={g: GroupCounts(*c) for g, c in sorted(counts.items())},
+        by_group={g: GroupCounts(*(int(v) for v in c))
+                  for g, c in enumerate(counts) if c.any()},
         favorable_class=favorable_class,
     )
 
@@ -115,17 +109,14 @@ def eod(conf: GroupConfusion) -> float:
     return worst
 
 
-def accuracy_by_group(predictions, eval_samples, num_groups: int):
+def accuracy_by_group(predictions, labels, groups, num_groups: int):
     """(overall accuracy, per-group accuracy array; NaN for empty groups)."""
-    preds = np.asarray(list(predictions), dtype=int)
-    ys = np.array([sm.y for sm in eval_samples], dtype=int)
-    ss = np.array([sm.s for sm in eval_samples], dtype=int)
-    hit = preds == ys
-    per_group = np.full(num_groups, np.nan)
-    for g in range(num_groups):
-        mask = ss == g
-        if mask.any():
-            per_group[g] = hit[mask].mean()
+    hit = np.asarray(predictions, dtype=int) == np.asarray(labels, dtype=int)
+    groups = np.asarray(groups, dtype=int)
+    counts = np.bincount(groups, minlength=num_groups)
+    hits = np.bincount(groups, weights=hit, minlength=num_groups)
+    with np.errstate(invalid="ignore"):
+        per_group = hits / counts
     return float(hit.mean()), per_group
 
 

@@ -17,7 +17,7 @@ import pytest
 from resfl_sim.adversarial import composite_gradients
 from resfl_sim.attacks import byzantine_run, mia_run, poisoning_run, train_centralized
 from resfl_sim.cli import main as cli_main
-from resfl_sim.datasets import SynthSpec, generate_dataset, partition, stack
+from resfl_sim.datasets import SynthSpec, generate_dataset, partition
 from resfl_sim.evidential import EvidentialOutput, evidence_from_logits, \
     evidential_nll, evidential_reg
 from resfl_sim.fairness import aggregation_weight, group_uncertainties, ufm, \
@@ -45,12 +45,10 @@ def build_data(spec: SynthSpec, seed: int):
     full = replace(spec, samples_per_group=tuple(
         int(n * 1.25) for n in spec.samples_per_group))
     data = generate_dataset(full, seed=seed)
-    train, test = [], []
-    for g, n in enumerate(spec.samples_per_group):
-        members = [sm for sm in data if sm.s == g]
-        train.extend(members[:n])
-        test.extend(members[n:])
-    return train, test
+    members = [np.flatnonzero(data.s == g) for g in range(spec.num_groups)]
+    train = np.concatenate([m[:n] for m, n in zip(members, spec.samples_per_group)])
+    test = np.concatenate([m[n:] for m, n in zip(members, spec.samples_per_group)])
+    return data[train], data[test]
 
 
 def fed_config(algo: str, seed: int, **overrides) -> FederationConfig:
@@ -181,7 +179,7 @@ class TestCriterion4HandValues:
         checks.append(abs(evidential_reg(
             np.array([1.0, 0.0]), EvidentialOutput(alpha=np.array([9.0, 1.0])))
             - 4.2) < 1e-9)
-        gus = group_uncertainties([(4.0, 0), (4.0, 0), (2.0, 1)], 2)
+        gus = group_uncertainties([4.0, 4.0, 2.0], [0, 0, 1], 2)
         us = [g.uncertainty for g in gus]
         checks.append(abs(us[0] - 0.25) < 1e-9 and abs(us[1] - 0.5) < 1e-9)
         checks.append(abs(uncertainty_variance(us) - 0.015625) < 1e-9)
@@ -203,15 +201,14 @@ class TestCriterion5AttributeLeakage:
         for seed in SEEDS:
             train, test = build_data(spec, seed)
             shards = partition(train, 4, beta=0.5, seed=seed)
-            _, _, s_test = stack(test)
+            s_test = test.s
             share = np.bincount(s_test, minlength=4) / len(s_test)
             chance = float(share.max())
             for algo, sink in (("fedavg", fed_probe), ("resfl", res_probe)):
                 cfg = fed_config(algo, seed, local_iterations=100,
                                  lambda_adv=0.0 if algo == "fedavg" else 2.0)
                 params, _ = run_experiment(cfg, shards, test)
-                X_tr, _, s_tr = stack(train)
-                X_te, _, _ = stack(test)
+                X_tr, s_tr, X_te = train.X, train.s, test.X
                 H_tr = forward_batch(params, X_tr)[2]
                 H_te = forward_batch(params, X_te)[2]
                 sink.append(probe_accuracy(H_tr, s_tr, H_te, s_test, 4))
@@ -252,8 +249,8 @@ class TestCriterion7Membership:
             train, test = disparity_data(seed)
             rng = np.random.default_rng([seed, 0x517A])
             order = rng.permutation(len(train))
-            members = [train[i] for i in order[:30]]
-            shadow = [train[i] for i in order[30:430]]
+            members = train[order[:30]]
+            shadow = train[order[30:430]]
             nonmembers = test[:30]
             target = train_centralized(members, net, steps=3000, batch_size=32,
                                        eta=0.1, seed=seed)

@@ -67,12 +67,10 @@ class TestTrainCentralized:
         data = small_dataset(noise_std=0.3)
         params = train_centralized(data, net8(), steps=300, batch_size=32,
                                    eta=0.1, seed=0)
-        from resfl_sim.datasets import stack
         from resfl_sim.evidential import evidence_batch
         from resfl_sim.network import forward_batch
-        X, y, _ = stack(data)
-        preds = np.argmax(evidence_batch(forward_batch(params, X)[3]), axis=1)
-        assert np.mean(preds == y) > 0.9
+        preds = np.argmax(evidence_batch(forward_batch(params, data.X)[3]), axis=1)
+        assert np.mean(preds == data.y) > 0.9
 
 
 class TestMia:
@@ -80,9 +78,9 @@ class TestMia:
         data = small_dataset(per_group=200)
         rng = np.random.default_rng([0, 0x517A])
         order = rng.permutation(len(data))
-        members = [data[i] for i in order[:30]]
-        nonmembers = [data[i] for i in order[30:60]]
-        shadow = [data[i] for i in order[60:460]]
+        members = data[order[:30]]
+        nonmembers = data[order[30:60]]
+        shadow = data[order[60:460]]
         target = train_centralized(members, net8(), steps=3000, batch_size=32,
                                    eta=0.1, seed=0)
         report = mia_run(target, members, nonmembers, shadow, seed=0)
@@ -93,7 +91,7 @@ class TestMia:
         target = train_centralized(data[:10], net8(), steps=1, batch_size=4,
                                    eta=0.01, seed=0)
         with pytest.raises(ValueError):
-            mia_run(target, [], data[:5], data[5:20], seed=0)
+            mia_run(target, data[:0], data[:5], data[5:20], seed=0)
 
 
 class TestAia:
@@ -112,7 +110,8 @@ class TestAia:
         assert report.score == pytest.approx(0.25, abs=0.15)
 
     def test_missing_group_rejected(self):
-        data = [sm for sm in small_dataset() if sm.s != 2]
+        data = small_dataset()
+        data = data[data.s != 2]
         params = train_centralized(data, net8(), steps=1, batch_size=8,
                                    eta=0.01, seed=0)
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """CLI smoke tests: subcommands, outputs, exit codes, determinism."""
 
 import json
+import math
+import warnings
 
 import pytest
 
@@ -73,6 +75,36 @@ class TestRun:
         csv = (out / "metrics.csv").read_text()
         seeds = {line.split(",")[1] for line in csv.strip().splitlines()[1:]}
         assert seeds == {"9"}
+
+    def test_seed_override_reproduces_its_row_of_the_full_run(self, tmp_path):
+        cfg = tmp_path / "three.cfg"
+        cfg.write_text(TINY.replace("seeds = 1, 2", "seeds = 1, 2, 3"))
+        full, single = tmp_path / "full", tmp_path / "single"
+        assert main(["run", "--config", str(cfg), "--out", str(full)]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(single),
+                     "--seed", "2"]) == 0
+        full_rows = (full / "metrics.csv").read_text().splitlines()
+        single_rows = (single / "metrics.csv").read_text().splitlines()
+        assert single_rows[0] == full_rows[0]
+        assert single_rows[1:] == [r for r in full_rows[1:] if r.split(",")[1] == "2"]
+
+    def test_early_stop_kept_in_summary(self, tmp_path):
+        # an absurd step size makes every client's second local step
+        # non-finite, so round 0 drops every client and the run stops
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(TINY.replace("eta = 0.01", "eta = 1e300"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert not [w for w in caught if "empty slice" in str(w.message)]
+        rounds = {line.split(",")[2] for line in
+                  (out / "metrics.csv").read_text().strip().splitlines()[1:]}
+        assert rounds == {"0"}
+        summary = json.loads((out / "summary").read_text())
+        assert set(summary) == {"fedavg", "resfl"}
+        assert math.isnan(summary["resfl"]["ufm_mean"])
+        assert 0.0 <= summary["resfl"]["accuracy"] <= 1.0
 
     def test_env_var_out_dir(self, cfg_path, tmp_path, monkeypatch):
         env_out = tmp_path / "env_out"

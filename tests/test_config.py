@@ -5,6 +5,7 @@ import pytest
 from resfl_sim.config import (
     DEFAULT_SWEEP_ROWS,
     ConfigError,
+    ExperimentConfig,
     load_config,
     normalized_text,
     parse_config_text,
@@ -49,6 +50,12 @@ class TestParsing:
         # untouched knobs keep their defaults
         assert cfg.batch_size == 64
         assert cfg.byzantine_fraction == 0.25
+
+    def test_absent_keys_take_the_field_defaults(self, tmp_path):
+        text = "[experiment]\nseeds = 7\n[attack]\nkinds = mia\n"
+        cfg = load_config(write_cfg(tmp_path, text))
+        assert cfg == ExperimentConfig(seeds=(7,), attack_kinds=("mia",),
+                                       raw=parse_config_text(text))
 
     def test_comments_and_blank_lines_ignored(self):
         parsed = parse_config_text(

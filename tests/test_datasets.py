@@ -1,19 +1,10 @@
-"""Synthetic data generation, partitioning, poisoning, serialization."""
+"""Synthetic data generation, partitioning, poisoning."""
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from resfl_sim.datasets import (
-    Sample,
-    SynthSpec,
-    generate_dataset,
-    partition,
-    poison,
-    read_dataset,
-    stack,
-    write_dataset,
-)
+from resfl_sim.datasets import SynthSpec, generate_dataset, partition, poison
 from resfl_sim.probe import probe_accuracy
 
 
@@ -21,10 +12,16 @@ def probe_on(samples, train_frac=0.7, seed=0, target="s"):
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(samples))
     cut = int(train_frac * len(samples))
-    X, y, s = stack([samples[i] for i in order])
+    shuffled = samples[order]
+    X, y, s = shuffled.X, shuffled.y, shuffled.s
     t = s if target == "s" else y
     k = int(t.max()) + 1
     return probe_accuracy(X[:cut], t[:cut], X[cut:], t[cut:], k)
+
+
+def same_rows(a, b):
+    return (np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
+            and np.array_equal(a.s, b.s))
 
 
 class TestGeneration:
@@ -33,27 +30,26 @@ class TestGeneration:
         a = generate_dataset(spec, seed=3)
         b = generate_dataset(spec, seed=3)
         assert len(a) == len(b) == 200
-        for sa, sb in zip(a, b):
-            assert np.array_equal(sa.x, sb.x)
-            assert (sa.y, sa.s) == (sb.y, sb.s)
+        assert np.array_equal(a.X, b.X)
+        assert np.array_equal(a.y, b.y) and np.array_equal(a.s, b.s)
 
     def test_different_seeds_differ(self):
         spec = SynthSpec(samples_per_group=(50, 50, 50, 50))
         a = generate_dataset(spec, seed=3)
         b = generate_dataset(spec, seed=4)
-        assert not np.array_equal(a[0].x, b[0].x)
+        assert not np.array_equal(a.X[0], b.X[0])
 
     def test_exact_group_counts(self):
         spec = SynthSpec(samples_per_group=(2000, 1500, 1000, 500))
         data = generate_dataset(spec, seed=0)
-        counts = np.bincount([sm.s for sm in data], minlength=4)
+        counts = np.bincount(data.s, minlength=4)
         np.testing.assert_array_equal(counts, [2000, 1500, 1000, 500])
 
     def test_labels_and_groups_in_range(self):
         spec = SynthSpec(samples_per_group=(100, 100, 100, 100))
         data = generate_dataset(spec, seed=1)
-        assert all(0 <= sm.y < spec.num_classes for sm in data)
-        assert all(0 <= sm.s < spec.num_groups for sm in data)
+        assert np.all((0 <= data.y) & (data.y < spec.num_classes))
+        assert np.all((0 <= data.s) & (data.s < spec.num_groups))
 
     def test_noiseless_data_linearly_separable(self):
         spec = SynthSpec(samples_per_group=(200, 200, 200, 200), noise_std=0.0,
@@ -126,25 +122,24 @@ class TestPartition:
     def test_union_and_disjointness(self):
         shards = partition(self.data, 5, beta=0.5, seed=0)
         assert sum(len(s) for s in shards) == len(self.data)
-        seen = set()
-        for shard in shards:
-            for sm in shard:
-                assert id(sm) not in seen
-                seen.add(id(sm))
+        # every sample has a distinct feature row, so rows identify samples
+        rows = np.concatenate([shard.X for shard in shards])
+        assert len(np.unique(rows, axis=0)) == len(rows)
+        assert len(np.unique(np.concatenate([rows, self.data.X]), axis=0)) == len(rows)
         assert all(shards)
 
     def test_deterministic(self):
         a = partition(self.data, 4, beta=0.5, seed=9)
         b = partition(self.data, 4, beta=0.5, seed=9)
-        assert [[id(sm) for sm in sh] for sh in a] == \
-               [[id(sm) for sm in sh] for sh in b]
+        assert len(a) == len(b)
+        assert all(same_rows(sa, sb) for sa, sb in zip(a, b))
 
     def test_low_beta_is_skewed(self):
         # chi-squared against a uniform client assignment per group: at
         # beta = 0.1 the split must be decisively non-uniform
         shards = partition(self.data, 4, beta=0.1, seed=1)
         for g in range(4):
-            counts = np.array([sum(sm.s == g for sm in sh) for sh in shards])
+            counts = np.array([np.count_nonzero(sh.s == g) for sh in shards])
             _, p = stats.chisquare(counts)
             assert p < 1e-6
 
@@ -167,58 +162,36 @@ class TestPoison:
 
     def test_rate_zero_is_identity(self):
         out = poison(self.shard, target_group=1, rate=0.0, seed=0)
-        assert out == self.shard
+        assert same_rows(out, self.shard)
 
     def test_injection_count(self):
         out = poison(self.shard, target_group=1, rate=0.1, seed=0)
         assert len(out) == 110
-        assert out[:100] == self.shard
+        assert same_rows(out[:100], self.shard)
 
     def test_injected_samples_target_group_wrong_label(self):
         out = poison(self.shard, target_group=2, rate=0.2, seed=0)
-        originals = {id(sm) for sm in self.shard}
-        injected = [sm for sm in out if id(sm) not in originals]
+        injected = out[len(self.shard):]
         assert len(injected) == 20
-        for sm in injected:
-            assert sm.s == 2
-            assert 0 <= sm.y < 2
+        for x, y, s in zip(injected.X, injected.y, injected.s):
+            assert s == 2
+            assert 0 <= y < 2
             # each clone duplicates some target-group feature vector but
             # carries a different label
-            twins = [o for o in self.shard if o.s == 2 and np.array_equal(o.x, sm.x)]
-            assert twins and all(t.y != sm.y for t in twins)
+            twins = self.shard[(self.shard.s == 2) & np.all(self.shard.X == x, axis=1)]
+            assert twins and all(t != y for t in twins.y)
 
     def test_deterministic(self):
         a = poison(self.shard, 1, 0.3, seed=5)
         b = poison(self.shard, 1, 0.3, seed=5)
         assert len(a) == len(b)
-        assert all(np.array_equal(x.x, y.x) and x.y == y.y for x, y in zip(a, b))
+        assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
 
     def test_missing_target_group_raises(self):
-        pure = [sm for sm in self.shard if sm.s == 0]
+        pure = self.shard[self.shard.s == 0]
         with pytest.raises(ValueError):
             poison(pure, target_group=3, rate=0.1, seed=0)
 
     def test_bad_rate(self):
         with pytest.raises(ValueError):
             poison(self.shard, 1, 1.5, seed=0)
-
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path):
-        spec = SynthSpec(samples_per_group=(20, 20, 20, 20))
-        data = generate_dataset(spec, seed=7)
-        path = tmp_path / "data.txt"
-        write_dataset(data, spec, path)
-        back = read_dataset(path)
-        assert len(back) == len(data)
-        for a, b in zip(data, back):
-            np.testing.assert_allclose(b.x, a.x, rtol=1e-8)
-            assert (b.y, b.s) == (a.y, a.s)
-
-    def test_byte_identical_rewrites(self, tmp_path):
-        spec = SynthSpec(samples_per_group=(20, 20, 20, 20))
-        data = generate_dataset(spec, seed=7)
-        p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-        write_dataset(data, spec, p1)
-        write_dataset(generate_dataset(spec, seed=7), spec, p2)
-        assert p1.read_bytes() == p2.read_bytes()

@@ -20,8 +20,7 @@ positive_us = st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=8)
 
 class TestGroupUncertainties:
     def test_hand_values(self):
-        pairs = [(4.0, 0), (4.0, 0), (2.0, 1)]
-        gus = group_uncertainties(pairs, num_groups=2)
+        gus = group_uncertainties([4.0, 4.0, 2.0], [0, 0, 1], num_groups=2)
         assert [g.group_id for g in gus] == [0, 1]
         assert [g.sample_count for g in gus] == [2, 1]
         assert gus[0].total_evidence == pytest.approx(4.0)
@@ -30,19 +29,46 @@ class TestGroupUncertainties:
         assert gus[1].uncertainty == pytest.approx(0.5)
 
     def test_empty_groups_omitted(self):
-        gus = group_uncertainties([(3.0, 2)], num_groups=4)
+        gus = group_uncertainties([3.0], [2], num_groups=4)
         assert len(gus) == 1
         assert gus[0].group_id == 2
 
     def test_out_of_range_group_rejected(self):
         with pytest.raises(ValueError):
-            group_uncertainties([(2.0, 5)], num_groups=2)
+            group_uncertainties([2.0], [5], num_groups=2)
         with pytest.raises(ValueError):
-            group_uncertainties([(2.0, -1)], num_groups=2)
+            group_uncertainties([2.0], [-1], num_groups=2)
 
     def test_no_samples_rejected(self):
         with pytest.raises(ValueError):
-            group_uncertainties([], num_groups=2)
+            group_uncertainties([], [], num_groups=2)
+
+
+def running_sum_oracle(alpha0, groups, num_groups):
+    """(group id, mean evidence, count) per non-empty group, summing each
+    group's evidence one sample at a time in sample order."""
+    sums = [0.0] * num_groups
+    counts = [0] * num_groups
+    for a0, g in zip(alpha0, groups):
+        sums[g] += float(a0)
+        counts[g] += 1
+    return [(g, sums[g] / counts[g], counts[g])
+            for g in range(num_groups) if counts[g]]
+
+
+class TestGroupUncertaintiesOracle:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bitwise_equal_to_running_sum(self, seed):
+        # evidence spanning several orders of magnitude, so any change in
+        # summation order shows up in the last bits
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2000, 6000))
+        num_groups = int(rng.integers(2, 9))
+        alpha0 = 2.0 + rng.lognormal(0.0, 3.0, size=n)
+        groups = rng.integers(0, num_groups - 1, size=n)  # last group empty
+        got = [(gu.group_id, gu.total_evidence, gu.sample_count)
+               for gu in group_uncertainties(alpha0, groups, num_groups)]
+        assert got == running_sum_oracle(alpha0, groups, num_groups)
 
 
 class TestUfmHandValues:

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from resfl_sim.datasets import SynthSpec, generate_dataset, partition, stack
+from resfl_sim.datasets import SynthSpec, generate_dataset, partition
 from resfl_sim.adversarial import local_train_step
 from resfl_sim.federation import (
     ByzantineSpec,
@@ -96,8 +96,8 @@ class TestClientRound:
         rng = client_rng(0, 0, 0)
         idx = rng.choice(len(shard), size=min(cfg.batch_size, len(shard)),
                          replace=False)
-        X, y, s = stack(shard)
-        manual, _ = local_train_step(self.params, X[idx], y[idx], s[idx],
+        batch = shard[idx]
+        manual, _ = local_train_step(self.params, batch.X, batch.y, batch.s,
                                      cfg.eta, cfg.eta_phi, cfg.lambda1,
                                      cfg.lambda_adv)
         np.testing.assert_array_equal(u.delta_theta_f,
@@ -105,8 +105,8 @@ class TestClientRound:
 
     def test_empty_shard_rejected(self):
         with pytest.raises(ValueError):
-            client_round(self.params, self.params.phi, [], tiny_config(),
-                         client_rng(0, 0, 0))
+            client_round(self.params, self.params.phi, self.shards[0][:0],
+                         tiny_config(), client_rng(0, 0, 0))
 
     def test_shard_ufm_finite_on_garbage_params(self):
         bad = ParameterSet(self.params.spec,

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resfl_sim.datasets import Sample
 from resfl_sim.metrics import (
     DI_CAP,
     GroupConfusion,
@@ -26,16 +25,17 @@ def conf(*groups):
         g: GroupCounts(*c) for g, c in enumerate(groups)})
 
 
-def sample(y, s):
-    return Sample(x=np.zeros(1), y=y, s=s)
+def labels_groups(*samples):
+    """(labels, groups) arrays from (y, s) pairs."""
+    y, s = zip(*samples)
+    return np.array(y), np.array(s)
 
 
 class TestConfusion:
     def test_hand_counts(self):
-        samples = [sample(1, 0), sample(1, 0), sample(0, 0),
-                   sample(1, 1), sample(0, 1)]
+        y, s = labels_groups((1, 0), (1, 0), (0, 0), (1, 1), (0, 1))
         preds = [1, 0, 1, 1, 0]
-        c = confusion_by_group(preds, samples)
+        c = confusion_by_group(preds, y, s)
         assert c.by_group[0] == GroupCounts(tp=1, fp=1, tn=0, fn=1)
         assert c.by_group[1] == GroupCounts(tp=1, fp=0, tn=1, fn=0)
 
@@ -48,7 +48,7 @@ class TestConfusion:
 
     def test_misaligned_rejected(self):
         with pytest.raises(ValueError):
-            confusion_by_group([1], [sample(1, 0), sample(0, 0)])
+            confusion_by_group([1], *labels_groups((1, 0), (0, 0)))
 
 
 class TestDiDeviation:
@@ -126,8 +126,8 @@ class TestEopAndEod:
 
 class TestAccuracyByGroup:
     def test_hand_values_and_nan(self):
-        samples = [sample(1, 0), sample(0, 0), sample(1, 2)]
-        overall, per_group = accuracy_by_group([1, 1, 1], samples, num_groups=3)
+        y, s = labels_groups((1, 0), (0, 0), (1, 2))
+        overall, per_group = accuracy_by_group([1, 1, 1], y, s, num_groups=3)
         assert overall == pytest.approx(2 / 3)
         assert per_group[0] == pytest.approx(0.5)
         assert np.isnan(per_group[1])
