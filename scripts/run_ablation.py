@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Sweep the loss coefficients (lambda1, lambda_adv) and print sweep.csv.
 
-Usage: python3 scripts/run_ablation.py [--config PATH] [--out DIR] [--jobs N]
+Usage: python3 scripts/run_ablation.py [--config PATH] [--out DIR]
 """
 
 import argparse
@@ -17,11 +17,9 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", default=str(ROOT / "configs" / "default.cfg"))
     ap.add_argument("--out", default="out/ablation")
-    ap.add_argument("--jobs", type=int, default=4)
     args = ap.parse_args()
 
-    rc = cli_main(["sweep", "--config", args.config, "--out", args.out,
-                   "--jobs", str(args.jobs)])
+    rc = cli_main(["sweep", "--config", args.config, "--out", args.out])
     if rc != 0:
         return rc
     print((pathlib.Path(args.out) / "sweep.csv").read_text(), end="")

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the default FedAvg-vs-RESFL comparison and print the summary.
 
-Usage: python3 scripts/run_baselines.py [--config PATH] [--out DIR] [--jobs N]
+Usage: python3 scripts/run_baselines.py [--config PATH] [--out DIR]
 """
 
 import argparse
@@ -18,11 +18,9 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", default=str(ROOT / "configs" / "default.cfg"))
     ap.add_argument("--out", default="out/baselines")
-    ap.add_argument("--jobs", type=int, default=4)
     args = ap.parse_args()
 
-    rc = cli_main(["run", "--config", args.config, "--out", args.out,
-                   "--jobs", str(args.jobs)])
+    rc = cli_main(["run", "--config", args.config, "--out", args.out])
     if rc != 0:
         return rc
     summary = json.loads((pathlib.Path(args.out) / "summary").read_text())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evidential import evidential_terms_batch
-from .network import GradientSet, ParameterSet, backward_batch, forward_batch, sgd_step
+from .network import ParameterSet, backward_batch, forward_batch, sgd_step
 
 PROB_FLOOR = 1e-12
 
@@ -39,23 +39,6 @@ def softmax(Z: np.ndarray) -> np.ndarray:
     return E / E.sum(axis=1, keepdims=True)
 
 
-def adversary_forward(params: ParameterSet, h: np.ndarray) -> np.ndarray:
-    """Group probabilities from a latent vector via the linear adversary."""
-    Wa, ba = params.adversary_head()
-    h = np.asarray(h, dtype=float)
-    if not np.all(np.isfinite(h)):
-        raise ValueError("non-finite latent")
-    return softmax(h @ Wa.T + ba)[0]
-
-
-def adversary_loss(probs: np.ndarray, s: int) -> float:
-    """-log P(s), with a probability floor for numerical safety."""
-    probs = np.asarray(probs, dtype=float)
-    if not 0 <= s < probs.shape[-1]:
-        raise ValueError(f"group index {s} out of range")
-    return float(-np.log(max(probs[s], PROB_FLOOR)))
-
-
 def one_hot(idx: np.ndarray, width: int) -> np.ndarray:
     out = np.zeros((len(idx), width))
     out[np.arange(len(idx)), idx] = 1.0
@@ -69,7 +52,7 @@ def composite_gradients(
     s: np.ndarray,
     lambda1: float,
     lambda_adv: float,
-) -> tuple[GradientSet, CompositeLossTerms]:
+) -> tuple[ParameterSet, CompositeLossTerms]:
     """Batch-mean gradients of the composite local loss.
 
     theta_f receives the task+uncertainty backprop plus the reversed

@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-    resfl-sim run    --config PATH [--out DIR] [--jobs N] [--seed S]
-    resfl-sim sweep  --config PATH [--out DIR] [--jobs N] [--seed S]
+    resfl-sim run    --config PATH [--out DIR] [--seed S]
+    resfl-sim sweep  --config PATH [--out DIR] [--seed S]
     resfl-sim attack --config PATH [--kind NAME] [--out DIR] [--seed S]
-    resfl-sim report --config PATH [--out DIR]
+    resfl-sim report --config PATH [--out DIR] [--seed S]
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error. The
 RESFL_SIM_OUT environment variable overrides the default output
@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from .attacks import aia_run, byzantine_run, mia_run, poisoning_run, train_centr
 from .config import ConfigError, ExperimentConfig, load_config, normalized_text
 from .datasets import generate_dataset, partition
 from .federation import FederationConfig, run_experiment
-from .metrics import MetricsRow, write_metrics
+from .metrics import SCALAR_COLUMNS, MetricsRow, read_metrics, write_metrics
 from .network import NetworkSpec, init_params
 
 ATTACK_KINDS = ("mia", "aia", "byzantine", "poisoning")
@@ -87,41 +86,30 @@ def _apply_seed_override(cfg: ExperimentConfig, seed: int | None) -> ExperimentC
     return cfg if seed is None else replace(cfg, seeds=(seed,))
 
 
-def cmd_run(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
-    train, test = build_data(cfg)
-    cells = [(algo, seed) for algo in cfg.algorithms for seed in cfg.seeds]
-
-    def work(cell):
-        algo, seed = cell
-        return cell, _single_run(cfg, algo, seed, train, test)[1]
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(work, cells))
-    else:
-        results = dict(work(c) for c in cells)
-
-    rows = [row for cell in cells for row in results[cell]]
-    write_metrics(rows, out / "metrics.csv", num_groups=cfg.synth.num_groups)
-
-    # a cell's final row is its last record, also when it stopped early
+def write_summary(rows, seeds, out: Path) -> None:
+    """Write ``summary``: per algorithm, the mean over ``seeds`` of each
+    (algo, seed) cell's last row, so a cell that stopped early counts with
+    its last round. ``rows`` lists each cell's rows in round order."""
+    last = {(r.algo, r.seed): r for r in rows}
     summary = {}
-    for algo in cfg.algorithms:
-        finals = [results[(algo, seed)][-1] for seed in cfg.seeds
-                  if results[(algo, seed)]]
-        if not finals:
+    for algo in dict.fromkeys(r.algo for r in rows):
+        ran = [s for s in seeds if (algo, s) in last]
+        if not ran:
             continue
-        summary[algo] = {
-            "accuracy": float(np.mean([r.accuracy for r in finals])),
-            "di_dev": float(np.mean([r.di_dev for r in finals])),
-            "delta_eop": float(np.mean([r.delta_eop for r in finals])),
-            "eod": float(np.mean([r.eod for r in finals])),
-            "ufm_mean": float(np.mean([r.ufm_mean for r in finals])),
-            "unc_var": float(np.mean([r.unc_var for r in finals])),
-            "seeds": list(cfg.seeds),
-        }
+        finals = [last[algo, s] for s in ran]
+        summary[algo] = {col: float(np.mean([getattr(r, col) for r in finals]))
+                         for col in SCALAR_COLUMNS}
+        summary[algo]["seeds"] = ran
     (out / "summary").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
                                  encoding="utf-8")
+
+
+def cmd_run(cfg: ExperimentConfig, out: Path) -> int:
+    train, test = build_data(cfg)
+    rows = [row for algo in cfg.algorithms for seed in cfg.seeds
+            for row in _single_run(cfg, algo, seed, train, test)[1]]
+    write_metrics(rows, out / "metrics.csv", num_groups=cfg.synth.num_groups)
+    write_summary(rows, cfg.seeds, out)
     (out / "config.cfg").write_text(normalized_text(cfg), encoding="utf-8")
     return 0
 
@@ -136,7 +124,7 @@ def _mia_against(cfg: ExperimentConfig, params, train, test, seed: int) -> float
                    shadow_steps=cfg.mia_overfit_steps).score
 
 
-def cmd_sweep(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
+def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     train, test = build_data(cfg)
     rows_sorted = sorted(cfg.sweep_rows)
 
@@ -153,18 +141,12 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, jobs: int) -> int:
             mias.append(_mia_against(cell_cfg, params, train, test, seed))
             aias.append(aia_run(params, train, cfg.synth.num_groups, seed=seed,
                                 trials=cfg.aia_trials).score)
-        return cell, tuple(float(np.mean(v)) for v in (accs, dds, eops, mias, aias))
+        return tuple(float(np.mean(v)) for v in (accs, dds, eops, mias, aias))
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(work, rows_sorted))
-    else:
-        results = dict(work(c) for c in rows_sorted)
-
+    results = [work(cell) for cell in rows_sorted]
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as f:
         f.write("lambda1,lambda_adv,accuracy,di_dev,delta_eop,mia_sr,aia_sr\n")
-        for cell in rows_sorted:
-            acc, dd, eop, mia, aia = results[cell]
+        for cell, (acc, dd, eop, mia, aia) in zip(rows_sorted, results):
             f.write(f"{cell[0]:g},{cell[1]:g},"
                     + ",".join(f"{v:.6f}" for v in (acc, dd, eop, mia, aia)) + "\n")
     (out / "config.cfg").write_text(normalized_text(cfg), encoding="utf-8")
@@ -239,21 +221,7 @@ def cmd_report(cfg: ExperimentConfig, out: Path) -> int:
         print(f"error: {metrics_path} not found; run 'resfl-sim run' first",
               file=sys.stderr)
         return 1
-    with open(metrics_path, encoding="utf-8") as f:
-        header = f.readline().strip().split(",")
-        rows = [dict(zip(header, line.strip().split(","))) for line in f]
-    summary: dict[str, dict] = {}
-    for row in rows:
-        algo = row["algo"]
-        entry = summary.setdefault(algo, {"rounds": 0, "final": {}})
-        entry["rounds"] = max(entry["rounds"], int(row["round"]) + 1)
-    for algo, entry in summary.items():
-        last = entry["rounds"] - 1
-        finals = [r for r in rows if r["algo"] == algo and int(r["round"]) == last]
-        for col in ("accuracy", "di_dev", "delta_eop", "eod", "ufm_mean", "unc_var"):
-            entry["final"][col] = float(np.mean([float(r[col]) for r in finals]))
-    (out / "summary").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
-                                 encoding="utf-8")
+    write_summary(read_metrics(metrics_path), cfg.seeds, out)
     return 0
 
 
@@ -265,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--seed", type=int, default=None)
         if name == "attack":
             p.add_argument("--kind", choices=ATTACK_KINDS, default=None)
@@ -278,9 +245,9 @@ def main(argv=None) -> int:
         cfg = _apply_seed_override(load_config(args.config), args.seed)
         out = _resolve_out(cfg, args.out)
         if args.command == "run":
-            return cmd_run(cfg, out, args.jobs)
+            return cmd_run(cfg, out)
         if args.command == "sweep":
-            return cmd_sweep(cfg, out, args.jobs)
+            return cmd_sweep(cfg, out)
         if args.command == "attack":
             return cmd_attack(cfg, out, args.kind)
         return cmd_report(cfg, out)

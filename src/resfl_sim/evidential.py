@@ -19,56 +19,17 @@ import numpy as np
 from scipy.special import expit, gammaln
 
 
-@dataclass(frozen=True)
-class EvidentialOutput:
-    alpha: np.ndarray
-
-    @property
-    def total_evidence(self) -> float:
-        return float(np.sum(self.alpha))
-
-    @property
-    def p_hat(self) -> np.ndarray:
-        return self.alpha / self.total_evidence
-
-    @property
-    def epistemic_uncertainty(self) -> float:
-        return 1.0 / self.total_evidence
-
-
-def evidence_from_logits(z: np.ndarray) -> EvidentialOutput:
-    """alpha_c = 1 + softplus(z_c), stable for |z| up to ~1e3."""
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("non-finite logits")
-    return EvidentialOutput(alpha=1.0 + np.logaddexp(0.0, z))
-
-
 def evidence_batch(Z: np.ndarray) -> np.ndarray:
     """Batched alpha from logits, shape preserved."""
     return 1.0 + np.logaddexp(0.0, np.asarray(Z, dtype=float))
 
 
-def evidential_nll(y: np.ndarray, out: EvidentialOutput) -> float:
-    """Brier-style NLL: sum_c (y_c - p_hat_c)^2 + y_c(1-y_c)/(alpha0+1).
-
-    The second term is identically zero for hard one-hot labels; it only
-    activates under label smoothing.
-    """
-    y = np.asarray(y, dtype=float)
-    p = out.p_hat
-    a0 = out.total_evidence
-    return float(np.sum((y - p) ** 2) + np.sum(y * (1.0 - y)) / (a0 + 1.0))
-
-
-def evidential_reg(y: np.ndarray, out: EvidentialOutput) -> float:
-    """Overconfidence penalty: sum_c |y_c - p_hat_c| * (2*alpha0 + 1)."""
-    y = np.asarray(y, dtype=float)
-    return float(np.sum(np.abs(y - out.p_hat)) * (2.0 * out.total_evidence + 1.0))
-
-
 def evidential_terms_batch(Z: np.ndarray, Y: np.ndarray):
     """Per-sample NLL and regularizer values plus their logit gradients.
+
+    nll = sum_c (y_c - p_hat_c)^2 + y_c(1-y_c)/(alpha0+1), a Brier-style
+    loss whose second term vanishes for hard one-hot labels;
+    reg = sum_c |y_c - p_hat_c| * (2*alpha0 + 1), an overconfidence penalty.
 
     Z: (n, C) logits; Y: (n, C) one-hot (or soft) labels.
     Returns (nll, reg, dnll_dZ, dreg_dZ) with nll/reg shaped (n,).

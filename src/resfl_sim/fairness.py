@@ -29,17 +29,6 @@ class GroupUncertainty:
         return 1.0 / self.total_evidence
 
 
-@dataclass(frozen=True)
-class FairnessSignal:
-    ufm: float
-    mean_uncertainty: float
-    uncertainty_variance: float
-
-    @property
-    def weight(self) -> float:
-        return aggregation_weight(self.ufm)
-
-
 def group_uncertainties(alpha0, groups, num_groups: int) -> list[GroupUncertainty]:
     """Mean per-sample total evidence by group.
 
@@ -83,20 +72,3 @@ def aggregation_weight(ufm_value: float) -> float:
     if ufm_value < 0:
         raise ValueError("ufm must be >= 0")
     return 1.0 / (1.0 + ufm_value)
-
-
-def fairness_signal(us, eps: float = DEFAULT_EPS) -> FairnessSignal:
-    us = list(us)
-    return FairnessSignal(
-        ufm=ufm(us, eps),
-        mean_uncertainty=float(np.mean(us)),
-        uncertainty_variance=uncertainty_variance(us),
-    )
-
-
-def bias_gap(predicted_positive_rate_by_group) -> float:
-    """Max pairwise absolute gap in predicted-positive rates."""
-    rates = np.asarray(list(predicted_positive_rate_by_group), dtype=float)
-    if rates.size < 2:
-        raise ValueError("need at least 2 groups")
-    return float(rates.max() - rates.min())

@@ -131,16 +131,19 @@ def client_round(global_params: ParameterSet, phi: np.ndarray, shard,
     params = ParameterSet(global_params.spec, global_params.theta_f.copy(),
                           global_params.theta_e.copy(), phi.copy())
     task = unc = adv = 0.0
-    for _ in range(config.local_iterations):
-        idx = rng.choice(len(shard), size=min(config.batch_size, len(shard)),
-                         replace=False)
-        batch = shard[idx]
-        params, terms = local_train_step(
-            params, batch.X, batch.y, batch.s,
-            config.eta, config.eta_phi, config.lambda1, config.lambda_adv)
-        task += terms.task
-        unc += terms.uncertainty
-        adv += terms.adversary
+    # a diverging client overflows on its way to the FloatingPointError
+    # that drops it; the explicit finiteness checks report it, not NumPy
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(config.local_iterations):
+            idx = rng.choice(len(shard), size=min(config.batch_size, len(shard)),
+                             replace=False)
+            batch = shard[idx]
+            params, terms = local_train_step(
+                params, batch.X, batch.y, batch.s,
+                config.eta, config.eta_phi, config.lambda1, config.lambda_adv)
+            task += terms.task
+            unc += terms.uncertainty
+            adv += terms.adversary
     n_iter = max(config.local_iterations, 1)
     local_ufm = shard_ufm(params, shard, config.ufm_eps)
 

@@ -134,6 +134,22 @@ class MetricsRow:
     unc_var: float
 
 
+# MetricsRow's per-round scalars, in CSV column order
+SCALAR_COLUMNS = ("accuracy", "di_dev", "delta_eop", "eod", "ufm_mean", "unc_var")
+
+
+def read_metrics(path) -> list[MetricsRow]:
+    """The rows of a ``write_metrics`` CSV, at its 6-decimal precision."""
+    with open(path, encoding="utf-8") as f:
+        header = f.readline().strip().split(",")
+        records = [dict(zip(header, line.strip().split(","))) for line in f]
+    return [MetricsRow(
+        algo=r["algo"], seed=int(r["seed"]), round=int(r["round"]),
+        acc_by_group=tuple(float(v) for k, v in r.items() if k.startswith("acc_g")),
+        **{k: float(r[k]) for k in SCALAR_COLUMNS})
+        for r in records]
+
+
 def write_metrics(rows, path, num_groups: int | None = None) -> None:
     """Fixed-schema CSV: 6-decimal floats, rows sorted, trailing newline."""
     rows = sorted(rows, key=lambda r: (r.algo, r.seed, r.round))

@@ -57,7 +57,9 @@ class NetworkSpec:
 
 @dataclass
 class ParameterSet:
-    """Flat parameter vectors: feature extractor, task head, adversary."""
+    """Flat parameter vectors: feature extractor, task head, adversary.
+
+    Gradients share this layout."""
 
     spec: NetworkSpec
     theta_f: np.ndarray
@@ -95,19 +97,6 @@ class ParameterSet:
 
     def adversary_head(self) -> tuple[np.ndarray, np.ndarray]:
         return self._head(self.phi, self.spec.num_groups)
-
-
-# Gradients share the flat layout of ParameterSet.
-GradientSet = ParameterSet
-
-
-def zeros_like_params(params: ParameterSet) -> GradientSet:
-    return ParameterSet(
-        params.spec,
-        np.zeros_like(params.theta_f),
-        np.zeros_like(params.theta_e),
-        np.zeros_like(params.phi),
-    )
 
 
 def init_params(spec: NetworkSpec, rng: np.random.Generator) -> ParameterSet:
@@ -154,19 +143,13 @@ def forward_batch(params: ParameterSet, X: np.ndarray):
     return acts, pres, a, a @ We.T + be, a @ Wa.T + ba
 
 
-def forward(params: ParameterSet, x: np.ndarray):
-    """Single-sample forward: (latent h, task logits, adversary logits)."""
-    _, _, H, Zt, Za = forward_batch(params, np.asarray(x, dtype=float)[None, :])
-    return H[0], Zt[0], Za[0]
-
-
 def backward_batch(
     params: ParameterSet,
     X: np.ndarray,
     upstream_task: np.ndarray,
     upstream_adv: np.ndarray,
     lambda_adv: float,
-) -> GradientSet:
+) -> ParameterSet:
     """Summed-over-batch gradients under the gradient-reversal convention.
 
     ``upstream_task`` / ``upstream_adv`` are dL/d(logits) per sample. The
@@ -201,25 +184,7 @@ def backward_batch(
     return ParameterSet(params.spec, np.concatenate(grads_f), g_theta_e, g_phi)
 
 
-def backward(params, x, upstream_task, upstream_adv, lambda_adv: float) -> GradientSet:
-    """Single-sample gradients; see backward_batch."""
-    return backward_batch(
-        params,
-        np.asarray(x, dtype=float)[None, :],
-        np.asarray(upstream_task, dtype=float)[None, :],
-        np.asarray(upstream_adv, dtype=float)[None, :],
-        lambda_adv,
-    )
-
-
-def grl_backward(upstream: np.ndarray, lambda_adv: float) -> np.ndarray:
-    """Gradient reversal: backward Jacobian is -lambda_adv * I."""
-    if lambda_adv < 0:
-        raise ValueError("lambda_adv must be >= 0")
-    return -lambda_adv * np.asarray(upstream, dtype=float)
-
-
-def sgd_step(params: ParameterSet, grads: GradientSet, eta: float,
+def sgd_step(params: ParameterSet, grads: ParameterSet, eta: float,
              eta_phi: float | None = None) -> ParameterSet:
     """params - eta * grads, with a separate rate for the adversary head."""
     if eta <= 0:

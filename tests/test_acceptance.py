@@ -18,8 +18,8 @@ from resfl_sim.adversarial import composite_gradients
 from resfl_sim.attacks import byzantine_run, mia_run, poisoning_run, train_centralized
 from resfl_sim.cli import main as cli_main
 from resfl_sim.datasets import SynthSpec, generate_dataset, partition
-from resfl_sim.evidential import EvidentialOutput, evidence_from_logits, \
-    evidential_nll, evidential_reg
+from oracles import logits_for
+from resfl_sim.evidential import evidence_batch, evidential_terms_batch
 from resfl_sim.fairness import aggregation_weight, group_uncertainties, ufm, \
     uncertainty_variance
 from resfl_sim.federation import ClientUpdate, FederationConfig, aggregate_fedavg, \
@@ -165,20 +165,16 @@ class TestCriterion3AggregatorIdentity:
 class TestCriterion4HandValues:
     def test_4_closed_form_examples(self):
         checks = []
-        out = evidence_from_logits(np.array([0.0, 0.0]))
-        checks.append(abs(out.alpha[0] - (1 + math.log(2))) < 1e-9)
-        checks.append(abs(evidential_nll(
-            np.array([1.0, 0.0]), EvidentialOutput(alpha=np.array([2.0, 2.0])))
-            - 0.5) < 1e-9)
-        checks.append(abs(evidential_nll(
-            np.array([0.0, 1.0]), EvidentialOutput(alpha=np.array([3.0, 1.0])))
-            - 1.125) < 1e-9)
-        checks.append(abs(evidential_reg(
-            np.array([1.0, 0.0]), EvidentialOutput(alpha=np.array([2.0, 2.0])))
-            - 9.0) < 1e-9)
-        checks.append(abs(evidential_reg(
-            np.array([1.0, 0.0]), EvidentialOutput(alpha=np.array([9.0, 1.0])))
-            - 4.2) < 1e-9)
+        alpha = evidence_batch(np.array([0.0, 0.0]))
+        checks.append(abs(alpha[0] - (1 + math.log(2))) < 1e-9)
+        # rows: the logits whose alphas are (2, 2), (3, 1) and (9, 1)
+        nll, reg, _, _ = evidential_terms_batch(
+            logits_for([[2.0, 2.0], [3.0, 1.0], [9.0, 1.0]]),
+            np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
+        checks.append(abs(nll[0] - 0.5) < 1e-9)
+        checks.append(abs(nll[1] - 1.125) < 1e-9)
+        checks.append(abs(reg[0] - 9.0) < 1e-9)
+        checks.append(abs(reg[2] - 4.2) < 1e-9)
         gus = group_uncertainties([4.0, 4.0, 2.0], [0, 0, 1], 2)
         us = [g.uncertainty for g in gus]
         checks.append(abs(us[0] - 0.25) < 1e-9 and abs(us[1] - 0.5) < 1e-9)

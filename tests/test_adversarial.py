@@ -5,15 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from oracles import adversary_forward, adversary_loss, zero_params
 from resfl_sim.adversarial import (
     PROB_FLOOR,
-    adversary_forward,
-    adversary_loss,
     composite_gradients,
     local_train_step,
     softmax,
 )
-from resfl_sim.network import NetworkSpec, init_params, zeros_like_params
+from resfl_sim.network import NetworkSpec, forward_batch, init_params
 
 
 def spec4():
@@ -32,26 +31,46 @@ def batch(seed=1, n=8):
     return X, y, s
 
 
+def saturated_params():
+    """Latent H = 1 for every input, adversary logits (600, 0, 0, 0)."""
+    params = zero_params(spec4())
+    params.feature_layers()[0][1][:] = 1.0
+    params.adversary_head()[0][0, :] = 100.0
+    return params
+
+
 class TestAdversaryForward:
     def test_zero_params_uniform(self):
-        params = zeros_like_params(params4())
-        probs = adversary_forward(params, np.zeros(6))
+        params = zero_params(spec4())
+        X, y, _ = batch()
+        probs = softmax(forward_batch(params, X)[4])
         np.testing.assert_allclose(probs, 0.25, rtol=1e-12)
-        assert adversary_loss(probs, 0) == pytest.approx(math.log(4.0), abs=1e-12)
+        _, terms = composite_gradients(params, X, y, np.zeros(len(y), dtype=int),
+                                       0.1, 0.5)
+        assert terms.adversary == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_two_group_uniform(self):
         spec = NetworkSpec(input_dim=2, hidden_dims=(3,), num_classes=2, num_groups=2)
-        params = zeros_like_params(init_params(spec, np.random.default_rng(0)))
-        probs = adversary_forward(params, np.zeros(3))
-        assert adversary_loss(probs, 1) == pytest.approx(math.log(2.0), abs=1e-12)
+        X = np.random.default_rng(0).standard_normal((5, 2))
+        _, terms = composite_gradients(zero_params(spec), X, np.zeros(5, dtype=int),
+                                       np.ones(5, dtype=int), 0.1, 0.5)
+        assert terms.adversary == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_saturated_probabilities(self):
-        params = zeros_like_params(params4())
-        Wa, _ = params.adversary_head()
-        Wa[0, :] = 100.0
-        probs = adversary_forward(params, np.ones(6))
-        assert probs[0] == pytest.approx(1.0, abs=1e-12)
-        assert adversary_loss(probs, 0) == pytest.approx(0.0, abs=1e-12)
+        params = saturated_params()
+        X, y, _ = batch()
+        probs = softmax(forward_batch(params, X)[4])
+        np.testing.assert_allclose(probs[:, 0], 1.0, rtol=0, atol=1e-12)
+        _, terms = composite_gradients(params, X, y, np.zeros(len(y), dtype=int),
+                                       0.1, 0.5)
+        assert terms.adversary == pytest.approx(0.0, abs=1e-12)
+
+    def test_saturated_wrong_group_hits_probability_floor(self):
+        # P(s = 1) is about exp(-600), far below the floor
+        X, y, _ = batch()
+        _, terms = composite_gradients(saturated_params(), X, y,
+                                       np.ones(len(y), dtype=int), 0.1, 0.5)
+        assert terms.adversary == pytest.approx(-math.log(PROB_FLOOR), abs=1e-12)
 
     def test_probability_floor_bounds_loss(self):
         # even a literally-zero probability yields a finite loss
@@ -65,6 +84,15 @@ class TestAdversaryForward:
     def test_softmax_shift_invariance(self):
         z = np.array([[1.0, 2.0, -3.0]])
         np.testing.assert_allclose(softmax(z), softmax(z + 1000.0), rtol=1e-12)
+
+    def test_batch_adversary_loss_is_mean_of_oracle(self):
+        params = params4()
+        X, y, s = batch()
+        H = forward_batch(params, X)[2]
+        _, terms = composite_gradients(params, X, y, s, 0.1, 0.5)
+        expect = np.mean([adversary_loss(adversary_forward(params, H[i]), s[i])
+                          for i in range(len(s))])
+        assert terms.adversary == pytest.approx(expect, rel=0, abs=1e-12)
 
 
 class TestCompositeGradients:

@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from resfl_sim.evidential import (
+from oracles import (
     EvidentialOutput,
-    NIGParams,
-    evidence_batch,
     evidence_from_logits,
     evidential_nll,
     evidential_reg,
+    logits_for,
+)
+from resfl_sim.evidential import (
+    NIGParams,
+    evidence_batch,
     evidential_terms_batch,
     nig_epistemic_variance,
     nig_nll,
@@ -24,29 +27,37 @@ from resfl_sim.evidential import (
 LN2 = math.log(2.0)
 
 
+def terms_at(alpha, y):
+    """evidential_terms_batch for one sample given by its alphas."""
+    nll, reg, _, _ = evidential_terms_batch(logits_for(alpha)[None, :],
+                                            np.asarray(y, dtype=float)[None, :])
+    return nll[0], reg[0]
+
+
 class TestEvidenceFromLogits:
     def test_zero_logits(self):
-        out = evidence_from_logits(np.array([0.0, 0.0]))
-        np.testing.assert_allclose(out.alpha, [1 + LN2, 1 + LN2], rtol=1e-12)
-        assert abs(out.total_evidence - 2 * (1 + LN2)) < 1e-12
-        np.testing.assert_allclose(out.p_hat, [0.5, 0.5], rtol=1e-12)
+        alpha = evidence_batch(np.array([0.0, 0.0]))
+        np.testing.assert_allclose(alpha, [1 + LN2, 1 + LN2], rtol=1e-12)
+        assert abs(alpha.sum() - 2 * (1 + LN2)) < 1e-12
+        np.testing.assert_allclose(alpha / alpha.sum(), [0.5, 0.5], rtol=1e-12)
 
     def test_negative_saturation_floor(self):
-        out = evidence_from_logits(np.array([-50.0, -800.0]))
-        assert out.alpha[0] == pytest.approx(1.0, abs=1e-12)
-        assert out.alpha[1] == pytest.approx(1.0, abs=1e-12)
+        alpha = evidence_batch(np.array([-50.0, -800.0]))
+        assert alpha[0] == pytest.approx(1.0, abs=1e-12)
+        assert alpha[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_branch(self):
-        out = evidence_from_logits(np.array([100.0, 0.0]))
-        assert abs(out.alpha[0] - 101.0) < 1e-10
-        assert abs(out.alpha[1] - (1 + LN2)) < 1e-12
+        alpha = evidence_batch(np.array([100.0, 0.0]))
+        assert abs(alpha[0] - 101.0) < 1e-10
+        assert abs(alpha[1] - (1 + LN2)) < 1e-12
 
     def test_stable_at_extreme_magnitudes(self):
-        out = evidence_from_logits(np.array([1e3, -1e3]))
-        assert np.all(np.isfinite(out.alpha))
-        assert out.alpha[0] == pytest.approx(1001.0, rel=1e-12)
+        alpha = evidence_batch(np.array([1e3, -1e3]))
+        assert np.all(np.isfinite(alpha))
+        assert alpha[0] == pytest.approx(1001.0, rel=1e-12)
 
     def test_non_finite_rejected(self):
+        # the oracle's input guard; the package checks inputs in forward_batch
         with pytest.raises(ValueError):
             evidence_from_logits(np.array([np.inf, 0.0]))
 
@@ -59,28 +70,29 @@ class TestEvidenceFromLogits:
 
 class TestEvidentialLosses:
     def test_nll_hand_value(self):
-        out = EvidentialOutput(alpha=np.array([2.0, 2.0]))
-        assert evidential_nll(np.array([1.0, 0.0]), out) == pytest.approx(0.5, abs=1e-12)
+        nll, _ = terms_at([2.0, 2.0], [1.0, 0.0])
+        assert nll == pytest.approx(0.5, abs=1e-12)
 
     def test_nll_second_hand_value(self):
-        out = EvidentialOutput(alpha=np.array([3.0, 1.0]))
-        assert evidential_nll(np.array([0.0, 1.0]), out) == pytest.approx(1.125, abs=1e-12)
+        nll, _ = terms_at([3.0, 1.0], [0.0, 1.0])
+        assert nll == pytest.approx(1.125, abs=1e-12)
 
     def test_nll_perfect_prediction_limit(self):
-        out = EvidentialOutput(alpha=np.array([1e12, 1.0]))
-        assert evidential_nll(np.array([1.0, 0.0]), out) < 1e-10
+        nll, _ = terms_at([1e12, 1.0], [1.0, 0.0])
+        assert nll < 1e-10
 
     def test_reg_hand_value(self):
-        out = EvidentialOutput(alpha=np.array([2.0, 2.0]))
-        assert evidential_reg(np.array([1.0, 0.0]), out) == pytest.approx(9.0, abs=1e-12)
+        _, reg = terms_at([2.0, 2.0], [1.0, 0.0])
+        assert reg == pytest.approx(9.0, abs=1e-12)
 
     def test_reg_exact_prediction_is_zero(self):
-        out = EvidentialOutput(alpha=np.array([3.0, 1.0]))
-        assert evidential_reg(out.p_hat, out) == 0.0
+        alpha = evidence_batch(logits_for([3.0, 1.0]))
+        _, reg = terms_at([3.0, 1.0], alpha / alpha.sum())
+        assert reg == 0.0
 
     def test_reg_second_hand_value(self):
-        out = EvidentialOutput(alpha=np.array([9.0, 1.0]))
-        assert evidential_reg(np.array([1.0, 0.0]), out) == pytest.approx(4.2, abs=1e-12)
+        _, reg = terms_at([9.0, 1.0], [1.0, 0.0])
+        assert reg == pytest.approx(4.2, abs=1e-12)
 
 
 class TestEvidentialProperties:

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from resfl_sim.fairness import (
     DEFAULT_EPS,
     aggregation_weight,
-    bias_gap,
-    fairness_signal,
     group_uncertainties,
     ufm,
     uncertainty_variance,
@@ -95,13 +93,6 @@ class TestUfmHandValues:
         with pytest.raises(ValueError):
             ufm([0.1, 0.2], eps=0.0)
 
-    def test_signal_bundle(self):
-        sig = fairness_signal([0.25, 0.5])
-        assert sig.ufm == pytest.approx(ufm([0.25, 0.5]))
-        assert sig.mean_uncertainty == pytest.approx(0.375)
-        assert sig.uncertainty_variance == pytest.approx(0.015625)
-        assert sig.weight == pytest.approx(1.0 / (1.0 + sig.ufm))
-
 
 class TestUfmProperties:
     @given(positive_us)
@@ -144,16 +135,3 @@ class TestUfmProperties:
             check = np.array([ufm(row) for row in us[:50]])
             np.testing.assert_allclose(check, vals[:50], rtol=1e-12)
             assert np.all(vals >= 0.0) and np.all(vals < g)
-
-
-class TestBiasGap:
-    def test_hand_values(self):
-        assert bias_gap([0.5, 0.7]) == pytest.approx(0.2, abs=1e-12)
-        assert bias_gap([0.2, 0.6, 0.5]) == pytest.approx(0.4, abs=1e-12)
-
-    def test_equal_rates_zero(self):
-        assert bias_gap([0.4, 0.4, 0.4]) == 0.0
-
-    def test_single_group_rejected(self):
-        with pytest.raises(ValueError):
-            bias_gap([0.5])

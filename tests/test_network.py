@@ -1,19 +1,16 @@
-"""Forward/backward correctness of the MLP and the reversal node."""
+"""Forward/backward correctness of the MLP and its gradient reversal."""
 
 import numpy as np
 import pytest
 
+from oracles import zero_params
 from resfl_sim.network import (
     NetworkSpec,
     ParameterSet,
-    backward,
     backward_batch,
-    forward,
     forward_batch,
-    grl_backward,
     init_params,
     sgd_step,
-    zeros_like_params,
 )
 
 
@@ -70,26 +67,32 @@ class TestSpecAndParams:
         assert np.array_equal(a.phi, b.phi)
 
 
+def forward_one(params, x):
+    """(latent h, task logits, adversary logits) of one input row."""
+    _, _, H, Zt, Za = forward_batch(params, np.asarray(x, dtype=float)[None, :])
+    return H[0], Zt[0], Za[0]
+
+
 class TestForward:
     def test_zero_weights_expose_biases(self):
         spec = small_spec()
-        params = zeros_like_params(random_params(spec))
+        params = zero_params(spec)
         # plant known biases in every segment
         layers = params.feature_layers()
         layers[-1][1][:] = [0.5, -1.0, 2.0]
         params.task_head()[1][:] = [3.0, -4.0]
         params.adversary_head()[1][:] = [1.0, 2.0, 3.0]
-        h, z_task, z_adv = forward(params, np.array([9.0, -9.0, 1.0]))
+        h, z_task, z_adv = forward_one(params, np.array([9.0, -9.0, 1.0]))
         np.testing.assert_allclose(h, [0.5, 0.0, 2.0])
         np.testing.assert_allclose(z_task, [3.0, -4.0])
         np.testing.assert_allclose(z_adv, [1.0, 2.0, 3.0])
 
     def test_identity_layer_relu(self):
         spec = NetworkSpec(input_dim=2, hidden_dims=(2,), num_classes=2, num_groups=2)
-        params = zeros_like_params(random_params(spec))
+        params = zero_params(spec)
         W, _ = params.feature_layers()[0]
         W[:] = np.eye(2)
-        h, _, _ = forward(params, np.array([1.0, -1.0]))
+        h, _, _ = forward_one(params, np.array([1.0, -1.0]))
         np.testing.assert_array_equal(h, [1.0, 0.0])
 
     def test_matches_straight_line_reimplementation(self):
@@ -102,7 +105,7 @@ class TestForward:
             a = np.maximum(W @ a + b, 0.0)
         We, be = params.task_head()
         Wa, ba = params.adversary_head()
-        h, z_task, z_adv = forward(params, x)
+        h, z_task, z_adv = forward_one(params, x)
         np.testing.assert_allclose(h, a, rtol=1e-12)
         np.testing.assert_allclose(z_task, We @ a + be, rtol=1e-12)
         np.testing.assert_allclose(z_adv, Wa @ a + ba, rtol=1e-12)
@@ -110,12 +113,12 @@ class TestForward:
     def test_dimension_mismatch_raises(self):
         params = random_params(small_spec())
         with pytest.raises(ValueError):
-            forward(params, np.zeros(5))
+            forward_one(params, np.zeros(5))
 
     def test_non_finite_input_raises(self):
         params = random_params(small_spec())
         with pytest.raises(ValueError):
-            forward(params, np.array([np.nan, 0.0, 0.0]))
+            forward_one(params, np.array([np.nan, 0.0, 0.0]))
 
 
 def fd_segment(params, segment, scalar_fn, step=1e-5):
@@ -196,11 +199,6 @@ class TestBackward:
             fd = fd_segment(self.params, segment, fn)
             np.testing.assert_allclose(getattr(g, segment), fd, rtol=1e-4, atol=1e-7)
 
-    def test_single_sample_wrapper_matches_batch(self):
-        g1 = backward(self.params, self.X[0], self.ut[0], self.ua[0], 0.3)
-        g2 = backward_batch(self.params, self.X[:1], self.ut[:1], self.ua[:1], 0.3)
-        np.testing.assert_array_equal(g1.theta_f, g2.theta_f)
-
     def test_non_finite_upstream_raises(self):
         bad = self.ut.copy()
         bad[0, 0] = np.inf
@@ -212,30 +210,17 @@ class TestBackward:
             backward_batch(self.params, self.X, self.ut, self.ua, -0.1)
 
 
-class TestGrlBackward:
-    def test_sign_flip(self):
-        np.testing.assert_array_equal(
-            grl_backward(np.array([1.0, -2.0]), 1.0), [-1.0, 2.0])
-
-    def test_disabled(self):
-        np.testing.assert_array_equal(
-            grl_backward(np.array([5.0, -3.0]), 0.0), [0.0, 0.0])
-
-    def test_scaling(self):
-        np.testing.assert_array_equal(grl_backward(np.array([3.0]), 0.5), [-1.5])
-
-
 class TestSgdStep:
     def test_zero_grads_unchanged(self):
         params = random_params(small_spec())
-        new = sgd_step(params, zeros_like_params(params), 0.1)
+        new = sgd_step(params, zero_params(params.spec), 0.1)
         np.testing.assert_array_equal(new.theta_f, params.theta_f)
         np.testing.assert_array_equal(new.phi, params.phi)
 
     def test_one_step_arithmetic(self):
         params = random_params(small_spec())
         params.theta_f[:] = 1.0
-        grads = zeros_like_params(params)
+        grads = zero_params(params.spec)
         grads.theta_f[:] = 2.0
         new = sgd_step(params, grads, 0.1)
         np.testing.assert_allclose(new.theta_f, 0.8)
@@ -251,14 +236,14 @@ class TestSgdStep:
 
     def test_non_finite_grads_raise(self):
         params = random_params(small_spec())
-        grads = zeros_like_params(params)
+        grads = zero_params(params.spec)
         grads.theta_e[0] = np.nan
         with pytest.raises(FloatingPointError):
             sgd_step(params, grads, 0.1)
 
     def test_bad_rates_raise(self):
         params = random_params(small_spec())
-        grads = zeros_like_params(params)
+        grads = zero_params(params.spec)
         with pytest.raises(ValueError):
             sgd_step(params, grads, 0.0)
         with pytest.raises(ValueError):
