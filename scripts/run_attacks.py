@@ -8,6 +8,7 @@ import argparse
 import pathlib
 import sys
 
+from resfl_sim.attacks import ATTACK_KINDS
 from resfl_sim.cli import main as cli_main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -17,8 +18,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", default=str(ROOT / "configs" / "default.cfg"))
     ap.add_argument("--out", default="out/attacks")
-    ap.add_argument("--kind", choices=("mia", "aia", "byzantine", "poisoning"),
-                    default=None)
+    ap.add_argument("--kind", choices=ATTACK_KINDS, default=None)
     args = ap.parse_args()
 
     argv = ["attack", "--config", args.config, "--out", args.out]

@@ -1,22 +1,29 @@
 """Attack harnesses: membership inference, attribute inference,
 Byzantine perturbation, and fairness-targeted data poisoning.
 
-Each harness is a measurement: it runs the relevant (paired) training
-procedure and returns a report with the attack's headline score.
+Each harness is a measurement that returns a report with the attack's
+headline score. The paired harnesses (Byzantine, poisoning) take the
+clean run from the caller, so one clean run serves both; membership
+inference fits its shadow-model threshold once (``mia_threshold``) and
+scores any number of targets with it (``mia_run``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .adversarial import local_train_step
 from .datasets import poison
 from .evidential import evidence_batch
-from .federation import ByzantineSpec, FederationConfig, run_experiment
+from .federation import ByzantineSpec, FederationConfig, RoundRecord, run_experiment
 from .metrics import confusion_by_group, eod
 from .network import NetworkSpec, ParameterSet, forward_batch, init_params
+
+ATTACK_KINDS = ("mia", "aia", "byzantine", "poisoning")
+
+LAMBDA1 = 0.1  # evidential regulariser weight of the attacks' own SGD
 
 
 @dataclass(frozen=True)
@@ -34,7 +41,7 @@ def _confidences(params: ParameterSet, samples) -> np.ndarray:
 
 
 def train_centralized(samples, network: NetworkSpec, steps: int, batch_size: int,
-                      eta: float, seed: int, lambda1: float = 0.1) -> ParameterSet:
+                      eta: float, seed: int) -> ParameterSet:
     """Plain centralized evidential SGD (no adversary), for shadow/overfit models."""
     rng = np.random.default_rng([int(seed), 0xCE27])
     params = init_params(network, rng)
@@ -42,7 +49,7 @@ def train_centralized(samples, network: NetworkSpec, steps: int, batch_size: int
         idx = rng.choice(len(samples), size=min(batch_size, len(samples)), replace=False)
         batch = samples[idx]
         params, _ = local_train_step(params, batch.X, batch.y, batch.s,
-                                     eta, None, lambda1, 0.0)
+                                     eta, None, LAMBDA1, 0.0)
     return params
 
 
@@ -61,45 +68,47 @@ def _best_threshold(member_conf: np.ndarray, nonmember_conf: np.ndarray) -> floa
     return best_tau
 
 
-def mia_run(target_params: ParameterSet, member_pool, nonmember_pool,
-            shadow_pool, seed: int, shadow_size: int | None = None,
-            shadow_steps: int = 3000, shadow_eta: float = 0.1) -> AttackReport:
-    """Shadow-model membership inference.
+def mia_threshold(network: NetworkSpec, member_count: int, shadow_pool,
+                  seed: int, shadow_steps: int = 3000) -> float:
+    """Confidence threshold of shadow-model membership inference.
 
-    A shadow model is trained on a slice of the shadow pool, by default
-    matching the target's training-set size so its member/non-member
-    confidence gap mimics the target's. The confidence threshold is fit
-    on the shadow model's confidences only, then applied to the target's
-    confidences on the true pools.
+    A shadow model is trained on a slice of the shadow pool matching the
+    target's training-set size (capped at half the pool), so its
+    member/non-member confidence gap mimics the target's. The threshold
+    sees only the shadow model, so it serves every such target.
     """
-    if not member_pool or not nonmember_pool or len(shadow_pool) < 4:
-        raise ValueError("pools must be non-empty (shadow pool >= 4 samples)")
-    if shadow_size is None:
-        shadow_size = min(len(member_pool), len(shadow_pool) // 2)
-    rng = np.random.default_rng([int(seed), 0x314])
-    order = rng.permutation(len(shadow_pool))
+    if member_count < 1 or len(shadow_pool) < 4:
+        raise ValueError("member_count must be >= 1 and the shadow pool >= 4 samples")
+    shadow_size = min(member_count, len(shadow_pool) // 2)
+    order = np.random.default_rng([int(seed), 0x314]).permutation(len(shadow_pool))
     shadow_members = shadow_pool[order[:shadow_size]]
     shadow_nonmembers = shadow_pool[order[shadow_size:]]
     shadow_model = train_centralized(
-        shadow_members, target_params.spec, steps=shadow_steps,
-        batch_size=min(32, len(shadow_members)), eta=shadow_eta, seed=seed)
-    tau = _best_threshold(_confidences(shadow_model, shadow_members),
-                          _confidences(shadow_model, shadow_nonmembers))
+        shadow_members, network, steps=shadow_steps,
+        batch_size=min(32, len(shadow_members)), eta=0.1, seed=seed)
+    return _best_threshold(_confidences(shadow_model, shadow_members),
+                           _confidences(shadow_model, shadow_nonmembers))
 
+
+def mia_run(target_params: ParameterSet, member_pool, nonmember_pool,
+            threshold: float) -> AttackReport:
+    """Membership inference by the rule confidence >= ``threshold`` (from
+    :func:`mia_threshold`), applied to the target's confidences on the
+    true pools; the score is the rule's accuracy."""
+    if not member_pool or not nonmember_pool:
+        raise ValueError("pools must be non-empty")
     m_conf = _confidences(target_params, member_pool)
     n_conf = _confidences(target_params, nonmember_pool)
-    tp = int(np.sum(m_conf >= tau))
+    tp = int(np.sum(m_conf >= threshold))
     fn = len(m_conf) - tp
-    tn = int(np.sum(n_conf < tau))
+    tn = int(np.sum(n_conf < threshold))
     fp = len(n_conf) - tn
-    score = (tp + tn) / (tp + tn + fp + fn)
-    return AttackReport("mia", float(score), {
-        "threshold": tau, "tp": tp, "tn": tn, "fp": fp, "fn": fn})
+    return AttackReport("mia", (tp + tn) / (tp + tn + fp + fn), {
+        "threshold": threshold, "tp": tp, "tn": tn, "fp": fp, "fn": fn})
 
 
 def aia_run(global_params: ParameterSet, dataset, num_groups: int, seed: int,
-            trials: int = 100, probe_size: int = 32, eta: float = 0.05,
-            lambda1: float = 0.1) -> AttackReport:
+            trials: int = 100) -> AttackReport:
     """Gradient-matching attribute inference.
 
     Builds a one-step update signature per group from group-pure probe
@@ -113,13 +122,13 @@ def aia_run(global_params: ParameterSet, dataset, num_groups: int, seed: int,
 
     def one_step_delta(batch):
         new, _ = local_train_step(global_params, batch.X, batch.y, batch.s,
-                                  eta, None, lambda1, 0.0)
+                                  0.05, None, LAMBDA1, 0.0)
         return np.concatenate([new.theta_f - global_params.theta_f,
                                new.theta_e - global_params.theta_e])
 
     def pure_batch(g):
         pool = by_group[g]
-        return pool[rng.integers(0, len(pool), size=min(probe_size, len(pool)))]
+        return pool[rng.integers(0, len(pool), size=min(32, len(pool)))]
 
     signatures = {g: one_step_delta(pure_batch(g)) for g in range(num_groups)}
     correct = 0
@@ -133,56 +142,51 @@ def aia_run(global_params: ParameterSet, dataset, num_groups: int, seed: int,
 
 
 def byzantine_run(config: FederationConfig, shards, eval_samples,
-                  malicious_fraction: float, perturb_scale: float = 10.0,
-                  relative: bool = True, seed: int | None = None) -> AttackReport:
+                  clean: tuple[ParameterSet, list[RoundRecord]],
+                  malicious_fraction: float,
+                  perturb_scale: float = 10.0) -> AttackReport:
     """Paired clean/attacked runs; score is the accuracy degradation.
 
-    The attacker compromises the most influential clients: the
+    ``clean`` is ``run_experiment(config, shards, eval_samples)``. The
+    attacker compromises the most influential clients: the
     ``ceil(fraction * K)`` largest shards.
     """
     if not 0.0 <= malicious_fraction < 1.0:
         raise ValueError("malicious_fraction must be in [0, 1)")
-    if seed is not None:
-        config = replace(config, seed=seed)
     n_bad = int(np.ceil(malicious_fraction * config.num_clients))
     by_size = sorted(range(len(shards)), key=lambda k: len(shards[k]), reverse=True)
-    byz = ByzantineSpec(
-        client_ids=tuple(sorted(by_size[:n_bad])),
-        scale=perturb_scale, relative=relative) if n_bad and perturb_scale > 0 else None
-    _, clean = run_experiment(config, shards, eval_samples)
-    if byz is None:
-        attacked = clean
-    else:
-        _, attacked = run_experiment(config, shards, eval_samples, byzantine=byz)
-    a_clean = clean[-1].accuracy
-    a_byz = attacked[-1].accuracy
+    attacked = clean
+    if n_bad and perturb_scale > 0:
+        byz = ByzantineSpec(client_ids=tuple(sorted(by_size[:n_bad])),
+                            scale=perturb_scale)
+        attacked = run_experiment(config, shards, eval_samples, byzantine=byz)
+    a_clean = clean[1][-1].accuracy
+    a_byz = attacked[1][-1].accuracy
     return AttackReport("byzantine", a_clean - a_byz, {
         "clean_accuracy": a_clean, "attacked_accuracy": a_byz,
         "num_malicious": float(n_bad)})
 
 
 def poisoning_run(config: FederationConfig, shards, eval_samples,
-                  target_group: int, rate: float,
-                  seed: int | None = None) -> AttackReport:
+                  clean: tuple[ParameterSet, list[RoundRecord]],
+                  target_group: int, rate: float) -> AttackReport:
     """Paired clean/poisoned runs; score is the shift in equalized-odds gap.
 
-    The compromised client is the shard holding the most target-group
+    ``clean`` is ``run_experiment(config, shards, eval_samples)``. The
+    compromised client is the shard holding the most target-group
     samples; its shard is poisoned per :func:`resfl_sim.datasets.poison`.
+    At ``rate = 0`` the clean model stands for the poisoned one.
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must be in [0, 1]")
-    if seed is not None:
-        config = replace(config, seed=seed)
-    params_clean, _ = run_experiment(config, shards, eval_samples)
-    if rate == 0.0:
-        poisoned_shards = shards
-    else:
+    params_clean = params_poisoned = clean[0]
+    if rate > 0.0:
         victim = int(np.argmax([np.count_nonzero(sh.s == target_group)
                                 for sh in shards]))
         poisoned_shards = list(shards)
         poisoned_shards[victim] = poison(shards[victim], target_group, rate,
                                          seed=config.seed)
-    params_poisoned, _ = run_experiment(config, poisoned_shards, eval_samples)
+        params_poisoned, _ = run_experiment(config, poisoned_shards, eval_samples)
 
     def eod_of(params):
         _, _, _, Zt, _ = forward_batch(params, eval_samples.X)

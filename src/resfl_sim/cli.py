@@ -21,14 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import aia_run, byzantine_run, mia_run, poisoning_run, train_centralized
+from .attacks import ATTACK_KINDS, aia_run, byzantine_run, mia_run, mia_threshold, \
+    poisoning_run, train_centralized
 from .config import ConfigError, ExperimentConfig, load_config, normalized_text
 from .datasets import generate_dataset, partition
 from .federation import FederationConfig, run_experiment
 from .metrics import SCALAR_COLUMNS, MetricsRow, read_metrics, write_metrics
 from .network import NetworkSpec, init_params
-
-ATTACK_KINDS = ("mia", "aia", "byzantine", "poisoning")
 
 
 def build_data(cfg: ExperimentConfig):
@@ -114,19 +113,22 @@ def cmd_run(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _mia_against(cfg: ExperimentConfig, params, train, test, seed: int) -> float:
-    rng = np.random.default_rng([seed, 0x517A])
-    order = rng.permutation(len(train))
+def _mia_setup(cfg: ExperimentConfig, train, test, seed: int):
+    """(members, non-members, shadow threshold) of the MIA on ``seed``; the
+    members are the overfit target's training set. The threshold depends
+    on neither target nor lambda, so one serves every target of the seed."""
+    order = np.random.default_rng([seed, 0x517A]).permutation(len(train))
     members = train[order[:cfg.mia_overfit_size]]
     shadow = train[order[cfg.mia_overfit_size:cfg.mia_overfit_size + 400]]
-    nonmembers = test[:len(members)]
-    return mia_run(params, members, nonmembers, shadow, seed=seed,
-                   shadow_steps=cfg.mia_overfit_steps).score
+    tau = mia_threshold(network_for(cfg), len(members), shadow, seed,
+                        shadow_steps=cfg.mia_overfit_steps)
+    return members, test[:len(members)], tau
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     train, test = build_data(cfg)
     rows_sorted = sorted(cfg.sweep_rows)
+    mia = {seed: _mia_setup(cfg, train, test, seed) for seed in cfg.seeds}
 
     def work(cell):
         lam1, lam_adv = cell
@@ -138,7 +140,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
             accs.append(final.accuracy)
             dds.append(final.di_dev)
             eops.append(final.delta_eop)
-            mias.append(_mia_against(cell_cfg, params, train, test, seed))
+            mias.append(mia_run(params, *mia[seed]).score)
             aias.append(aia_run(params, train, cfg.synth.num_groups, seed=seed,
                                 trials=cfg.aia_trials).score)
         return tuple(float(np.mean(v)) for v in (accs, dds, eops, mias, aias))
@@ -157,14 +159,12 @@ def cmd_attack(cfg: ExperimentConfig, out: Path, kind: str | None) -> int:
     kinds = (kind,) if kind else cfg.attack_kinds
     train, test = build_data(cfg)
     net = network_for(cfg)
+    clean = {}  # (algo, seed) -> (fed, shards, clean run), shared by the paired attacks
     lines = []
     for k in kinds:
-        if k not in ATTACK_KINDS:
-            raise ConfigError(f"unknown attack kind {k!r}")
         for seed in cfg.seeds:
             if k == "mia":
-                members = train[np.random.default_rng([seed, 0x517A])
-                                .permutation(len(train))[:cfg.mia_overfit_size]]
+                members, nonmembers, tau = _mia_setup(cfg, train, test, seed)
                 target = train_centralized(members, net,
                                            steps=cfg.mia_overfit_steps,
                                            batch_size=32, eta=0.1, seed=seed)
@@ -178,9 +178,9 @@ def cmd_attack(cfg: ExperimentConfig, out: Path, kind: str | None) -> int:
                                               network=net)
                 reports = [
                     ("mia", "overfit", seed,
-                     _mia_against(cfg, target, train, test, seed), {}),
+                     mia_run(target, members, nonmembers, tau).score, {}),
                     ("mia", "fedavg_dp", seed,
-                     _mia_against(cfg, dp_target, train, test, seed), {}),
+                     mia_run(dp_target, members, nonmembers, tau).score, {}),
                 ]
             elif k == "aia":
                 params = init_params(net, np.random.default_rng([seed, 0x1217]))
@@ -190,18 +190,22 @@ def cmd_attack(cfg: ExperimentConfig, out: Path, kind: str | None) -> int:
             else:
                 reports = []
                 for algo in cfg.algorithms:
-                    shards = partition(train, cfg.num_clients, cfg.partition_beta,
-                                       seed=seed)
-                    fed = cfg.federation_config(algo, seed)
+                    if (algo, seed) not in clean:
+                        shards = partition(train, cfg.num_clients,
+                                           cfg.partition_beta, seed=seed)
+                        fed = cfg.federation_config(algo, seed)
+                        clean[algo, seed] = fed, shards, run_experiment(
+                            fed, shards, test)
+                    fed, shards, run = clean[algo, seed]
                     if k == "byzantine":
-                        rep = byzantine_run(fed, shards, test,
+                        rep = byzantine_run(fed, shards, test, run,
                                             cfg.byzantine_fraction,
                                             cfg.byzantine_scale)
                     else:
                         group = cfg.poison_group
                         if group is None:
                             group = int(np.argmin(cfg.synth.samples_per_group))
-                        rep = poisoning_run(fed, shards, test, group,
+                        rep = poisoning_run(fed, shards, test, run, group,
                                             cfg.poison_rate)
                     reports.append((k, algo, seed, rep.score, rep.auxiliary))
             for name, algo, sd, score, aux in reports:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .attacks import ATTACK_KINDS
 from .datasets import SynthSpec
 from .federation import AGGREGATORS, FederationConfig
 
@@ -115,7 +116,7 @@ class ExperimentConfig:
     dp_clip: float = 1.0
     server_lr: float | None = None
 
-    attack_kinds: tuple[str, ...] = ("mia", "aia", "byzantine", "poisoning")
+    attack_kinds: tuple[str, ...] = ATTACK_KINDS
     mia_overfit_size: int = 30
     mia_overfit_steps: int = 3000
     aia_trials: int = 100
@@ -207,6 +208,9 @@ def load_config(path) -> ExperimentConfig:
     for algo in exp.get("algorithms", ()):
         if algo not in AGGREGATORS:
             raise ConfigError(f"unknown algorithm {algo!r} in [experiment]")
+    for kind in atk.get("kinds", ()):
+        if kind not in ATTACK_KINDS:
+            raise ConfigError(f"unknown attack kind {kind!r} in [attack]")
 
     # only the keys in the file; ExperimentConfig's fields hold the defaults
     kwargs = {**exp, **fed,

@@ -11,6 +11,11 @@ then aggregates:
 
 The resfl sum is unnormalized by design; eta_srv defaults to 1/K so
 that all-zero ufm reproduces FedAvg over equal shards exactly.
+
+A Byzantine client's delta is replaced by noise scaled to the
+first-round mean honest-update norm before aggregation. A round in
+which every client drops leaves the model frozen, is recorded like any
+other, and ends the run.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from .adversarial import local_train_step
 from .evidential import evidence_batch
-from .fairness import DEFAULT_EPS, aggregation_weight, group_uncertainties, \
+from .fairness import aggregation_weight, group_uncertainties, \
     ufm as ufm_metric, uncertainty_variance
 from .metrics import accuracy_by_group, confusion_by_group, delta_eop, di_deviation, eod
 from .network import NetworkSpec, ParameterSet, forward_batch, init_params
@@ -31,6 +36,7 @@ from .network import NetworkSpec, ParameterSet, forward_batch, init_params
 log = logging.getLogger(__name__)
 
 AGGREGATORS = ("fedavg", "fedavg_dp", "resfl")
+DP_DELTA = 1e-5  # the delta of fedavg_dp's (epsilon, delta) guarantee
 
 
 @dataclass(frozen=True)
@@ -46,9 +52,7 @@ class FederationConfig:
     aggregator: str = "resfl"
     dp_epsilon: float | None = None
     dp_clip: float | None = None
-    dp_delta: float = 1e-5
     server_lr: float | None = None  # defaults to 1/num_clients
-    ufm_eps: float = DEFAULT_EPS
     seed: int = 0
 
     def __post_init__(self):
@@ -71,7 +75,7 @@ class FederationConfig:
     @property
     def dp_noise_scale(self) -> float:
         """Gaussian-mechanism noise multiplier for (epsilon, delta)."""
-        return math.sqrt(2.0 * math.log(1.25 / self.dp_delta)) / self.dp_epsilon
+        return math.sqrt(2.0 * math.log(1.25 / DP_DELTA)) / self.dp_epsilon
 
 
 @dataclass
@@ -87,14 +91,12 @@ class ClientUpdate:
 class ByzantineSpec:
     """Malicious clients replace their reported deltas with Gaussian noise.
 
-    ``scale`` is the per-coordinate std; when ``relative`` the noise
-    vector's expected norm is instead ``scale`` times the first-round
-    mean honest-update norm (per-coordinate std spreads that magnitude
-    over the parameter dimension).
+    The noise vector's expected norm is ``scale`` times the first-round
+    mean honest-update norm (the per-coordinate std spreads that
+    magnitude over the parameter dimension).
     """
     client_ids: tuple[int, ...]
     scale: float = 10.0
-    relative: bool = True
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,7 @@ def client_round(global_params: ParameterSet, phi: np.ndarray, shard,
             unc += terms.uncertainty
             adv += terms.adversary
     n_iter = max(config.local_iterations, 1)
-    local_ufm = shard_ufm(params, shard, config.ufm_eps)
+    local_ufm = shard_ufm(params, shard)
 
     update = ClientUpdate(
         client_id=-1,
@@ -157,7 +159,7 @@ def client_round(global_params: ParameterSet, phi: np.ndarray, shard,
     return update, params.phi, (task / n_iter, unc / n_iter, adv / n_iter)
 
 
-def shard_ufm(params: ParameterSet, shard, eps: float = DEFAULT_EPS) -> float:
+def shard_ufm(params: ParameterSet, shard) -> float:
     """Uncertainty-fairness value of ``params`` evaluated on a shard.
 
     Non-finite evaluations (a degenerate model) report the UFM upper
@@ -170,7 +172,7 @@ def shard_ufm(params: ParameterSet, shard, eps: float = DEFAULT_EPS) -> float:
         alpha0 = np.where(np.isfinite(alpha0), alpha0, np.finfo(float).max)
     with np.errstate(over="ignore", invalid="ignore"):
         gus = group_uncertainties(alpha0, shard.s, params.spec.num_groups)
-        value = ufm_metric([gu.uncertainty for gu in gus], eps)
+        value = ufm_metric([gu.uncertainty for gu in gus])
     return value if math.isfinite(value) else float(params.spec.num_groups)
 
 
@@ -222,7 +224,19 @@ def apply_dp(update: ClientUpdate, clip: float, noise_scale: float,
     return replace(update, delta_theta_f=flat[:nf], delta_theta_e=flat[nf:])
 
 
+def _nan_if_undefined(metric, conf) -> float:
+    try:
+        return metric(conf)
+    except ValueError:
+        return float("nan")
+
+
 def _evaluate(params: ParameterSet, eval_samples):
+    """Accuracy, per-group accuracies, DI deviation, delta EOP, EOD, and the
+    mean and variance of group uncertainty; all NaN without eval samples."""
+    if eval_samples is None:
+        nan = float("nan")
+        return nan, (), nan, nan, nan, nan, nan
     with np.errstate(over="ignore", invalid="ignore"):
         _, _, _, Zt, _ = forward_batch(params, eval_samples.X)
         alpha = evidence_batch(Zt)
@@ -230,18 +244,9 @@ def _evaluate(params: ParameterSet, eval_samples):
     acc, acc_g = accuracy_by_group(preds, eval_samples.y, eval_samples.s,
                                    params.spec.num_groups)
     conf = confusion_by_group(preds, eval_samples.y, eval_samples.s)
-    try:
-        dd, _ = di_deviation(conf)
-    except ValueError:
-        dd = float("nan")
-    try:
-        de = delta_eop(conf)
-    except ValueError:
-        de = float("nan")
-    try:
-        eo = eod(conf)
-    except ValueError:
-        eo = float("nan")
+    dd = _nan_if_undefined(lambda c: di_deviation(c)[0], conf)
+    de = _nan_if_undefined(delta_eop, conf)
+    eo = _nan_if_undefined(eod, conf)
     gus = group_uncertainties(alpha.sum(axis=1), eval_samples.s, params.spec.num_groups)
     us = [gu.uncertainty for gu in gus]
     return acc, tuple(acc_g), dd, de, eo, float(np.mean(us)), uncertainty_variance(us)
@@ -261,7 +266,7 @@ def run_experiment(config: FederationConfig, shards, eval_samples=None,
     global_params = init_params(network, np.random.default_rng([config.seed, 0x1217]))
     phis = [global_params.phi.copy() for _ in range(config.num_clients)]
 
-    mean_update_norm = 0.0
+    ref_norm = 0.0
     records: list[RoundRecord] = []
     for t in range(config.rounds):
         updates: list[ClientUpdate] = []
@@ -279,37 +284,15 @@ def run_experiment(config: FederationConfig, shards, eval_samples=None,
             update.client_id = cid
             updates.append(update)
             losses.append(loss)
-        if not updates:
-            # nothing can move the global model anymore; freeze it and
-            # stop so a destroyed model reads as low accuracy, not a crash
-            log.warning("round %d: all clients failed; freezing global model", t)
-            if eval_samples is not None:
-                acc, acc_g, dd, dep, eo, mean_u, var_u = _evaluate(
-                    global_params, eval_samples)
-            else:
-                acc, acc_g, dd, dep, eo = float("nan"), (), float("nan"), \
-                    float("nan"), float("nan")
-                mean_u = var_u = float("nan")
-            records.append(RoundRecord(
-                round=t, accuracy=acc, acc_by_group=acc_g, di_dev=dd,
-                delta_eop=dep, eod=eo, ufm_by_client={}, omega_by_client={},
-                mean_uncertainty=mean_u, uncertainty_var=var_u,
-                loss_task=float("nan"), loss_uncertainty=float("nan"),
-                loss_adversary=float("nan"), dropped_clients=tuple(dropped)))
-            break
 
-        if t == 0:
-            # honest first-round norm, frozen as the reference magnitude
-            # for relative Byzantine perturbations
-            mean_update_norm = float(np.mean([np.linalg.norm(np.concatenate(
-                [u.delta_theta_f, u.delta_theta_e])) for u in updates]))
-
-        if byzantine is not None and byzantine.client_ids:
+        if updates and byzantine is not None and byzantine.client_ids:
+            if t == 0:
+                # honest first-round norm, frozen as the reference
+                # magnitude of the Byzantine noise
+                ref_norm = float(np.mean([np.linalg.norm(np.concatenate(
+                    [u.delta_theta_f, u.delta_theta_e])) for u in updates]))
             dim = len(updates[0].delta_theta_f) + len(updates[0].delta_theta_e)
-            if byzantine.relative:
-                std = byzantine.scale * max(mean_update_norm, 1e-12) / math.sqrt(dim)
-            else:
-                std = byzantine.scale
+            std = byzantine.scale * max(ref_norm, 1e-12) / math.sqrt(dim)
             for u in updates:
                 if u.client_id in byzantine.client_ids and std > 0:
                     arng = np.random.default_rng(
@@ -325,10 +308,13 @@ def run_experiment(config: FederationConfig, shards, eval_samples=None,
                         global_params.theta_f + u.delta_theta_f,
                         global_params.theta_e + u.delta_theta_e,
                         phis[u.client_id])
-                    u.ufm = shard_ufm(corrupted, shards[u.client_id],
-                                      config.ufm_eps)
+                    u.ufm = shard_ufm(corrupted, shards[u.client_id])
 
-        if config.aggregator == "resfl":
+        if not updates:
+            # nothing can move the global model anymore: record it frozen
+            # and stop, so a destroyed model reads as low accuracy, not a crash
+            log.warning("round %d: all clients failed; freezing global model", t)
+        elif config.aggregator == "resfl":
             global_params = aggregate_resfl(global_params, updates,
                                             config.effective_server_lr)
         else:
@@ -344,12 +330,8 @@ def run_experiment(config: FederationConfig, shards, eval_samples=None,
                 global_params.phi.copy())
 
         ufms = {u.client_id: u.ufm for u in updates}
-        if eval_samples is not None:
-            acc, acc_g, dd, dep, eo, mean_u, var_u = _evaluate(global_params, eval_samples)
-        else:
-            acc, acc_g, dd, dep, eo = float("nan"), (), float("nan"), float("nan"), float("nan")
-            mean_u = var_u = float("nan")
-        mean_losses = tuple(float(np.mean([l[i] for l in losses])) for i in range(3))
+        acc, acc_g, dd, dep, eo, mean_u, var_u = _evaluate(global_params, eval_samples)
+        mean_losses = [float(np.mean(col)) for col in zip(*losses)] or [float("nan")] * 3
         records.append(RoundRecord(
             round=t,
             accuracy=acc,
@@ -366,4 +348,6 @@ def run_experiment(config: FederationConfig, shards, eval_samples=None,
             loss_adversary=mean_losses[2],
             dropped_clients=tuple(dropped),
         ))
+        if not updates:
+            break
     return global_params, records

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from resfl_sim.adversarial import composite_gradients
-from resfl_sim.attacks import byzantine_run, mia_run, poisoning_run, train_centralized
+from resfl_sim.attacks import byzantine_run, mia_run, mia_threshold, poisoning_run, \
+    train_centralized
 from resfl_sim.cli import main as cli_main
 from resfl_sim.datasets import SynthSpec, generate_dataset, partition
 from oracles import logits_for
@@ -255,10 +256,9 @@ class TestCriterion7Membership:
                 eta=0.1, lambda1=0.1, lambda_adv=0.0, aggregator="fedavg_dp",
                 dp_epsilon=0.1, dp_clip=1.0, server_lr=1.0, seed=seed)
             dp_target, _ = run_experiment(dp_cfg, [members], None, network=net)
-            over_scores.append(mia_run(target, members, nonmembers, shadow,
-                                       seed=seed).score)
-            dp_scores.append(mia_run(dp_target, members, nonmembers, shadow,
-                                     seed=seed).score)
+            tau = mia_threshold(net, len(members), shadow, seed=seed)
+            over_scores.append(mia_run(target, members, nonmembers, tau).score)
+            dp_scores.append(mia_run(dp_target, members, nonmembers, tau).score)
         over, dp = float(np.mean(over_scores)), float(np.mean(dp_scores))
         ok = over > 0.6 and over - dp >= 0.05
         report(7, ok, f"overfit mia {over:.3f} > 0.6, dp reduces by {over - dp:.3f}")
@@ -272,9 +272,10 @@ class TestCriterion8Byzantine:
             train, test = disparity_data(seed)
             shards = partition(train, 4, beta=0.5, seed=seed)
             for algo in ("fedavg", "resfl"):
-                rep = byzantine_run(fed_config(algo, seed), shards, test,
-                                    malicious_fraction=0.25, perturb_scale=10.0,
-                                    seed=seed)
+                cfg = fed_config(algo, seed)
+                clean = run_experiment(cfg, shards, test)
+                rep = byzantine_run(cfg, shards, test, clean,
+                                    malicious_fraction=0.25, perturb_scale=10.0)
                 degr[algo].append(rep.score)
         wins = sum(r < f for f, r in zip(degr["fedavg"], degr["resfl"]))
         elapsed = time.monotonic() - t0
@@ -291,8 +292,9 @@ class TestCriterion9Poisoning:
         for seed in SEEDS:
             train, test = disparity_data(seed)
             shards = partition(train, 4, beta=0.5, seed=seed)
-            rep = poisoning_run(fed_config("fedavg", seed), shards, test,
-                                target_group=3, rate=0.2, seed=seed)
+            cfg = fed_config("fedavg", seed)
+            rep = poisoning_run(cfg, shards, test, run_experiment(cfg, shards, test),
+                                target_group=3, rate=0.2)
             shifts.append(rep.score)
         mean_shift = float(np.mean(shifts))
 
@@ -300,9 +302,11 @@ class TestCriterion9Poisoning:
         train, test = disparity_data(1)
         shards = partition(train, 4, beta=0.5, seed=1)
         cfg = fed_config("fedavg", 1, rounds=3)
-        zero_poison = poisoning_run(cfg, shards, test, target_group=3,
+        clean = run_experiment(cfg, shards, test)
+        zero_poison = poisoning_run(cfg, shards, test, clean, target_group=3,
                                     rate=0.0).score
-        zero_byz = byzantine_run(cfg, shards, test, malicious_fraction=0.0).score
+        zero_byz = byzantine_run(cfg, shards, test, clean,
+                                 malicious_fraction=0.0).score
         ok = mean_shift > 0 and zero_poison == 0.0 and zero_byz == 0.0
         report(9, ok,
                f"mean eod shift {mean_shift:.3f} > 0; rate=0 shift {zero_poison}, "

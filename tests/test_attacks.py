@@ -8,11 +8,12 @@ from resfl_sim.attacks import (
     aia_run,
     byzantine_run,
     mia_run,
+    mia_threshold,
     poisoning_run,
     train_centralized,
 )
 from resfl_sim.datasets import SynthSpec, generate_dataset, partition
-from resfl_sim.federation import FederationConfig
+from resfl_sim.federation import FederationConfig, run_experiment
 from resfl_sim.network import NetworkSpec
 from resfl_sim.probe import probe_accuracy
 
@@ -83,7 +84,8 @@ class TestMia:
         shadow = data[order[60:460]]
         target = train_centralized(members, net8(), steps=3000, batch_size=32,
                                    eta=0.1, seed=0)
-        report = mia_run(target, members, nonmembers, shadow, seed=0)
+        tau = mia_threshold(net8(), len(members), shadow, seed=0)
+        report = mia_run(target, members, nonmembers, tau)
         assert report.score > 0.6
 
     def test_empty_pools_rejected(self):
@@ -91,7 +93,16 @@ class TestMia:
         target = train_centralized(data[:10], net8(), steps=1, batch_size=4,
                                    eta=0.01, seed=0)
         with pytest.raises(ValueError):
-            mia_run(target, data[:0], data[:5], data[5:20], seed=0)
+            mia_run(target, data[:0], data[:5], 0.5)
+        with pytest.raises(ValueError):
+            mia_run(target, data[:5], data[:0], 0.5)
+
+    def test_small_shadow_pool_rejected(self):
+        data = small_dataset()
+        with pytest.raises(ValueError):
+            mia_threshold(net8(), 5, data[:3], seed=0)
+        with pytest.raises(ValueError):
+            mia_threshold(net8(), 0, data[:20], seed=0)
 
 
 class TestAia:
@@ -125,38 +136,41 @@ class TestByzantineAndPoisoning:
         self.cfg = FederationConfig(num_clients=2, rounds=2, local_iterations=3,
                                     batch_size=16, eta=0.01, aggregator="fedavg",
                                     seed=0)
+        self.clean = run_experiment(self.cfg, self.shards, self.data)
 
     def test_byzantine_zero_fraction_zero_degradation(self):
-        report = byzantine_run(self.cfg, self.shards, self.data,
+        report = byzantine_run(self.cfg, self.shards, self.data, self.clean,
                                malicious_fraction=0.0)
         assert report.score == 0.0
         assert report.auxiliary["num_malicious"] == 0.0
 
     def test_byzantine_zero_scale_zero_degradation(self):
-        report = byzantine_run(self.cfg, self.shards, self.data,
+        report = byzantine_run(self.cfg, self.shards, self.data, self.clean,
                                malicious_fraction=0.5, perturb_scale=0.0)
         assert report.score == 0.0
 
     def test_byzantine_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
-            byzantine_run(self.cfg, self.shards, self.data, malicious_fraction=1.0)
+            byzantine_run(self.cfg, self.shards, self.data, self.clean,
+                          malicious_fraction=1.0)
 
     def test_byzantine_targets_largest_shard(self):
-        report = byzantine_run(self.cfg, self.shards, self.data,
+        report = byzantine_run(self.cfg, self.shards, self.data, self.clean,
                                malicious_fraction=0.5, perturb_scale=5.0)
         assert report.auxiliary["num_malicious"] == 1.0
         assert report.auxiliary["clean_accuracy"] != report.auxiliary["attacked_accuracy"]
 
     def test_poisoning_zero_rate_zero_shift(self):
-        report = poisoning_run(self.cfg, self.shards, self.data,
+        report = poisoning_run(self.cfg, self.shards, self.data, self.clean,
                                target_group=3, rate=0.0)
         assert report.score == 0.0
 
     def test_poisoning_nonzero_rate_changes_model(self):
-        report = poisoning_run(self.cfg, self.shards, self.data,
+        report = poisoning_run(self.cfg, self.shards, self.data, self.clean,
                                target_group=3, rate=0.3)
         assert report.auxiliary["eod_clean"] != report.auxiliary["eod_poisoned"]
 
     def test_poisoning_bad_rate_rejected(self):
         with pytest.raises(ValueError):
-            poisoning_run(self.cfg, self.shards, self.data, target_group=0, rate=2.0)
+            poisoning_run(self.cfg, self.shards, self.data, self.clean,
+                          target_group=0, rate=2.0)

@@ -102,6 +102,23 @@ class TestRun:
         assert math.isnan(summary["resfl"]["ufm_mean"])
         assert 0.0 <= summary["resfl"]["accuracy"] <= 1.0
 
+    def test_round_after_a_huge_finite_update_is_recorded_frozen(self, tmp_path):
+        # one local step of an absurd size leaves a finite but huge model
+        # after round 0; round 1 drops every client and the run stops there.
+        # Nothing reads round 0's update norms without a Byzantine client,
+        # so they must not overflow (RuntimeWarnings are errors in Tier-1)
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(TINY.replace("seeds = 1, 2", "seeds = 1")
+                       .replace("algorithms = fedavg, resfl", "algorithms = fedavg")
+                       .replace("rounds = 2", "rounds = 3\nnum_clients = 2")
+                       .replace("local_iterations = 2", "local_iterations = 1")
+                       .replace("eta = 0.01", "eta = 1e300"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "metrics.csv").read_text().strip().splitlines()[1:]
+        assert [r.split(",")[:3] for r in rows] == [["fedavg", "1", "0"],
+                                                    ["fedavg", "1", "1"]]
+
     def test_env_var_out_dir(self, cfg_path, tmp_path, monkeypatch):
         env_out = tmp_path / "env_out"
         monkeypatch.setenv("RESFL_SIM_OUT", str(env_out))

@@ -105,6 +105,11 @@ class TestErrors:
         with pytest.raises(ConfigError, match="krum"):
             load_config(write_cfg(tmp_path, bad))
 
+    def test_unknown_attack_kind(self, tmp_path):
+        bad = "[experiment]\nseeds = 1\n[attack]\nkinds = mia, bogus\n"
+        with pytest.raises(ConfigError, match="bogus"):
+            load_config(write_cfg(tmp_path, bad))
+
     def test_invalid_data_section_surfaces(self, tmp_path):
         bad = "[experiment]\nseeds = 1\n[data]\nattr_leak = 2.0\n"
         with pytest.raises(ConfigError, match=r"\[data\]"):

@@ -255,6 +255,21 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(tiny_config(num_clients=3), shards, data)
 
+    def test_all_dropped_round_is_recorded_frozen_and_ends_the_run(self):
+        data, shards = tiny_data()
+        cfg = tiny_config(rounds=4, eta=1e300)
+        params, recs = run_experiment(cfg, shards, data)
+        assert len(recs) < cfg.rounds
+        last = recs[-1]
+        assert last.dropped_clients == (0, 1)
+        assert last.ufm_by_client == {} and last.omega_by_client == {}
+        assert math.isnan(last.loss_task) and math.isnan(last.loss_adversary)
+        assert 0.0 <= last.accuracy <= 1.0
+        assert np.all(np.isfinite(params.theta_f))
+        _, no_eval = run_experiment(cfg, shards, None)
+        assert [r.round for r in no_eval] == [r.round for r in recs]
+        assert math.isnan(no_eval[-1].accuracy) and no_eval[-1].acc_by_group == ()
+
     def test_byzantine_empty_or_zero_scale_is_clean(self):
         data, shards = tiny_data()
         cfg = tiny_config(rounds=2, aggregator="fedavg")

@@ -61,6 +61,9 @@ EXPECTED = {
     "attack": {
         "attacks.csv": "2477d4364735eb53e2cf30603e6117e1eba9d38e1c894dc302fa5634e13133f3",
     },
+    "sweep": {
+        "sweep.csv": "cedd48118076be9688be678c9a59f2d53f8748b9f990def4906742bee8ef4eb1",
+    },
 }
 
 
