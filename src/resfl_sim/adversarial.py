@@ -9,6 +9,7 @@ simultaneously descends the task objective and ascends the adversary's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +40,6 @@ def softmax(Z: np.ndarray) -> np.ndarray:
     return E / E.sum(axis=1, keepdims=True)
 
 
-def one_hot(idx: np.ndarray, width: int) -> np.ndarray:
-    out = np.zeros((len(idx), width))
-    out[np.arange(len(idx)), idx] = 1.0
-    return out
-
-
 def composite_gradients(
     params: ParameterSet,
     X: np.ndarray,
@@ -52,46 +47,47 @@ def composite_gradients(
     s: np.ndarray,
     lambda1: float,
     lambda_adv: float,
+    grads: ParameterSet | None = None,
 ) -> tuple[ParameterSet, CompositeLossTerms]:
-    """Batch-mean gradients of the composite local loss.
+    """Batch-mean gradients of the composite local loss, written into
+    ``grads`` (a new set by default).
 
     theta_f receives the task+uncertainty backprop plus the reversed
     adversary contribution; theta_e only task+uncertainty; phi only the
-    unreversed adversary cross-entropy gradient.
+    unreversed adversary cross-entropy gradient. Raises
+    FloatingPointError if a loss or a gradient is not finite.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
-    spec = params.spec
     _, _, H, Zt, Za = forward_batch(params, X)
-
-    Y = one_hot(np.asarray(y, dtype=int), spec.num_classes)
-    nll, reg, dnll, dreg = evidential_terms_batch(Zt, Y)
+    nll, reg, dnll, dreg = evidential_terms_batch(Zt, np.asarray(y, dtype=int))
 
     P = softmax(Za)
-    s = np.asarray(s, dtype=int)
-    adv = -np.log(np.maximum(P[np.arange(n), s], PROB_FLOOR))
-    dadv = P - one_hot(s, spec.num_groups)
+    rows, s = np.arange(n), np.asarray(s, dtype=int)
+    adv = -np.log(np.maximum(P[rows, s], PROB_FLOOR))
+    P[rows, s] -= 1.0  # P minus the one-hot group: the adversary's dL/dZ
 
     up_task = (dnll + lambda1 * dreg) / n
-    up_adv = dadv / n
-    grads = backward_batch(params, X, up_task, up_adv, lambda_adv)
+    up_adv = P / n
+    grads = backward_batch(params, X, up_task, up_adv, lambda_adv, grads)
 
-    terms = CompositeLossTerms(
-        task=float(nll.mean()),
-        uncertainty=float(reg.mean()),
-        adversary=float(adv.mean()),
+    terms = CompositeLossTerms(  # np.mean's sums and division, without its wrapper
+        task=float(np.add.reduce(nll) / n),
+        uncertainty=float(np.add.reduce(reg) / n),
+        adversary=float(np.add.reduce(adv) / n),
         lambda1=lambda1,
         lambda_adv=lambda_adv,
     )
-    for name, val in (("task", terms.task), ("uncertainty", terms.uncertainty),
-                      ("adversary", terms.adversary)):
-        if not np.isfinite(val):
-            raise FloatingPointError(f"non-finite {name} loss")
+    # one check for the step; a non-finite upstream shows in the bias sums
+    if not (math.isfinite(terms.task) and math.isfinite(terms.uncertainty)
+            and math.isfinite(terms.adversary) and np.isfinite(grads.flat).all()):
+        raise FloatingPointError("non-finite loss or gradient")
     return grads, terms
 
 
 def local_train_step(
     params: ParameterSet,
+    grads: ParameterSet,
     X: np.ndarray,
     y: np.ndarray,
     s: np.ndarray,
@@ -99,15 +95,18 @@ def local_train_step(
     eta_phi: float | None,
     lambda1: float,
     lambda_adv: float,
-) -> tuple[ParameterSet, CompositeLossTerms]:
-    """One SGD step on a batch: theta descends the composite loss under
-    the reversal convention while phi descends the adversary loss.
+) -> CompositeLossTerms:
+    """One SGD step on a batch, applied to ``params`` in place: theta
+    descends the composite loss under the reversal convention while phi
+    descends the adversary loss. ``grads`` receives the step's gradients,
+    so a caller stepping many times allocates it once.
 
     The theta update folds lambda_adv into the adversary upstream, so
     phi's effective rate for the cross-entropy is eta_phi (default eta).
+    On FloatingPointError ``params`` is left as it was before the step.
     """
-    grads, terms = composite_gradients(params, X, y, s, lambda1, lambda_adv)
+    _, terms = composite_gradients(params, X, y, s, lambda1, lambda_adv, grads)
     # backward_batch scales the phi gradient by 1, not lambda_adv; the
     # feature-extractor reversal already carries the lambda_adv factor.
-    new = sgd_step(params, grads, eta, eta_phi)
-    return new, terms
+    sgd_step(params, grads, eta, eta_phi)
+    return terms

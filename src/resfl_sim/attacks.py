@@ -45,11 +45,12 @@ def train_centralized(samples, network: NetworkSpec, steps: int, batch_size: int
     """Plain centralized evidential SGD (no adversary), for shadow/overfit models."""
     rng = np.random.default_rng([int(seed), 0xCE27])
     params = init_params(network, rng)
+    grads = ParameterSet.zeros(network)
     for _ in range(steps):
         idx = rng.choice(len(samples), size=min(batch_size, len(samples)), replace=False)
         batch = samples[idx]
-        params, _ = local_train_step(params, batch.X, batch.y, batch.s,
-                                     eta, None, LAMBDA1, 0.0)
+        local_train_step(params, grads, batch.X, batch.y, batch.s,
+                         eta, None, LAMBDA1, 0.0)
     return params
 
 
@@ -119,10 +120,12 @@ def aia_run(global_params: ParameterSet, dataset, num_groups: int, seed: int,
     if any(not v for v in by_group.values()):
         raise ValueError("every group needs probe samples")
     rng = np.random.default_rng([int(seed), 0xA1A])
+    grads = ParameterSet.zeros(global_params.spec)
 
     def one_step_delta(batch):
-        new, _ = local_train_step(global_params, batch.X, batch.y, batch.s,
-                                  0.05, None, LAMBDA1, 0.0)
+        new = global_params.copy()
+        local_train_step(new, grads, batch.X, batch.y, batch.s,
+                         0.05, None, LAMBDA1, 0.0)
         return np.concatenate([new.theta_f - global_params.theta_f,
                                new.theta_e - global_params.theta_e])
 
@@ -147,9 +150,9 @@ def byzantine_run(config: FederationConfig, shards, eval_samples,
                   perturb_scale: float = 10.0) -> AttackReport:
     """Paired clean/attacked runs; score is the accuracy degradation.
 
-    ``clean`` is ``run_experiment(config, shards, eval_samples)``. The
-    attacker compromises the most influential clients: the
-    ``ceil(fraction * K)`` largest shards.
+    ``clean`` is ``run_experiment(config, shards, eval_samples)``; the
+    attacked run trains its network. The attacker compromises the most
+    influential clients: the ``ceil(fraction * K)`` largest shards.
     """
     if not 0.0 <= malicious_fraction < 1.0:
         raise ValueError("malicious_fraction must be in [0, 1)")
@@ -159,7 +162,8 @@ def byzantine_run(config: FederationConfig, shards, eval_samples,
     if n_bad and perturb_scale > 0:
         byz = ByzantineSpec(client_ids=tuple(sorted(by_size[:n_bad])),
                             scale=perturb_scale)
-        attacked = run_experiment(config, shards, eval_samples, byzantine=byz)
+        attacked = run_experiment(config, shards, eval_samples,
+                                  network=clean[0].spec, byzantine=byz)
     a_clean = clean[1][-1].accuracy
     a_byz = attacked[1][-1].accuracy
     return AttackReport("byzantine", a_clean - a_byz, {
@@ -172,9 +176,10 @@ def poisoning_run(config: FederationConfig, shards, eval_samples,
                   target_group: int, rate: float) -> AttackReport:
     """Paired clean/poisoned runs; score is the shift in equalized-odds gap.
 
-    ``clean`` is ``run_experiment(config, shards, eval_samples)``. The
-    compromised client is the shard holding the most target-group
-    samples; its shard is poisoned per :func:`resfl_sim.datasets.poison`.
+    ``clean`` is ``run_experiment(config, shards, eval_samples)``; the
+    poisoned run trains its network. The compromised client is the shard
+    holding the most target-group samples; its shard is poisoned per
+    :func:`resfl_sim.datasets.poison`.
     At ``rate = 0`` the clean model stands for the poisoned one.
     """
     if not 0.0 <= rate <= 1.0:
@@ -186,7 +191,8 @@ def poisoning_run(config: FederationConfig, shards, eval_samples,
         poisoned_shards = list(shards)
         poisoned_shards[victim] = poison(shards[victim], target_group, rate,
                                          seed=config.seed)
-        params_poisoned, _ = run_experiment(config, poisoned_shards, eval_samples)
+        params_poisoned, _ = run_experiment(config, poisoned_shards, eval_samples,
+                                            network=clean[0].spec)
 
     def eod_of(params):
         _, _, _, Zt, _ = forward_batch(params, eval_samples.X)

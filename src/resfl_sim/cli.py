@@ -195,7 +195,7 @@ def cmd_attack(cfg: ExperimentConfig, out: Path, kind: str | None) -> int:
                                            cfg.partition_beta, seed=seed)
                         fed = cfg.federation_config(algo, seed)
                         clean[algo, seed] = fed, shards, run_experiment(
-                            fed, shards, test)
+                            fed, shards, test, network=net)
                     fed, shards, run = clean[algo, seed]
                     if k == "byzantine":
                         rep = byzantine_run(fed, shards, test, run,

@@ -24,36 +24,34 @@ def evidence_batch(Z: np.ndarray) -> np.ndarray:
     return 1.0 + np.logaddexp(0.0, np.asarray(Z, dtype=float))
 
 
-def evidential_terms_batch(Z: np.ndarray, Y: np.ndarray):
+def evidential_terms_batch(Z: np.ndarray, y: np.ndarray):
     """Per-sample NLL and regularizer values plus their logit gradients.
 
-    nll = sum_c (y_c - p_hat_c)^2 + y_c(1-y_c)/(alpha0+1), a Brier-style
-    loss whose second term vanishes for hard one-hot labels;
+    nll = sum_c (y_c - p_hat_c)^2, a Brier-style loss (its Dirichlet
+    variance term y_c(1-y_c)/(alpha0+1) vanishes for one-hot labels);
     reg = sum_c |y_c - p_hat_c| * (2*alpha0 + 1), an overconfidence penalty.
 
-    Z: (n, C) logits; Y: (n, C) one-hot (or soft) labels.
+    Z: (n, C) logits; y: (n,) class labels, whose one-hot rows are the
+    y_c above.
     Returns (nll, reg, dnll_dZ, dreg_dZ) with nll/reg shaped (n,).
     """
     Z = np.asarray(Z, dtype=float)
-    Y = np.asarray(Y, dtype=float)
     A = evidence_batch(Z)
     S = A.sum(axis=1, keepdims=True)
     P = A / S
 
-    diff = Y - P
-    q = np.sum(Y * (1.0 - Y), axis=1, keepdims=True)
-    nll = np.sum(diff ** 2, axis=1) + (q / (S + 1.0))[:, 0]
-    abs_err = np.sum(np.abs(diff), axis=1, keepdims=True)
-    reg = (abs_err * (2.0 * S + 1.0))[:, 0]
+    diff = np.eye(Z.shape[1])[y] - P
+    nll = (diff ** 2).sum(axis=1)
+    abs_err = np.abs(diff).sum(axis=1, keepdims=True)
+    weight = 2.0 * S + 1.0
+    reg = (abs_err * weight)[:, 0]
 
     # dL/dA via p_hat = A/S: dP_c/dA_j = (delta_cj - P_c)/S, plus the
     # direct dependence of each loss on S.
     dnll_dP = -2.0 * diff
-    dnll_dA = (dnll_dP - np.sum(dnll_dP * P, axis=1, keepdims=True)) / S \
-        - q / (S + 1.0) ** 2
-    sgn = np.sign(diff)
-    dreg_dP = -sgn * (2.0 * S + 1.0)
-    dreg_dA = (dreg_dP - np.sum(dreg_dP * P, axis=1, keepdims=True)) / S \
+    dnll_dA = (dnll_dP - (dnll_dP * P).sum(axis=1, keepdims=True)) / S
+    dreg_dP = -np.sign(diff) * weight
+    dreg_dA = (dreg_dP - (dreg_dP * P).sum(axis=1, keepdims=True)) / S \
         + 2.0 * abs_err
 
     dA_dZ = expit(Z)  # softplus derivative

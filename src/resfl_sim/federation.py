@@ -130,18 +130,20 @@ def client_round(global_params: ParameterSet, phi: np.ndarray, shard,
     """
     if not shard:
         raise ValueError("empty shard")
-    params = ParameterSet(global_params.spec, global_params.theta_f.copy(),
-                          global_params.theta_e.copy(), phi.copy())
+    # the client's private copy, stepped in place
+    params = ParameterSet(global_params.spec, global_params.theta_f,
+                          global_params.theta_e, phi)
+    grads = ParameterSet.zeros(params.spec)
     task = unc = adv = 0.0
     # a diverging client overflows on its way to the FloatingPointError
-    # that drops it; the explicit finiteness checks report it, not NumPy
+    # that drops it; the explicit finiteness check reports it, not NumPy
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(config.local_iterations):
             idx = rng.choice(len(shard), size=min(config.batch_size, len(shard)),
                              replace=False)
             batch = shard[idx]
-            params, terms = local_train_step(
-                params, batch.X, batch.y, batch.s,
+            terms = local_train_step(
+                params, grads, batch.X, batch.y, batch.s,
                 config.eta, config.eta_phi, config.lambda1, config.lambda_adv)
             task += terms.task
             unc += terms.uncertainty
@@ -156,7 +158,8 @@ def client_round(global_params: ParameterSet, phi: np.ndarray, shard,
         ufm=local_ufm,
         sample_count=len(shard),
     )
-    return update, params.phi, (task / n_iter, unc / n_iter, adv / n_iter)
+    # a copy, so the client's whole parameter array is not kept alive
+    return update, params.phi.copy(), (task / n_iter, unc / n_iter, adv / n_iter)
 
 
 def shard_ufm(params: ParameterSet, shard) -> float:
@@ -204,7 +207,7 @@ def aggregate_resfl(global_params: ParameterSet, updates, server_lr: float) -> P
     weights = [server_lr * aggregation_weight(u.ufm) for u in updates]
     df, de = _weighted_delta_sum(updates, weights)
     return ParameterSet(global_params.spec, global_params.theta_f + df,
-                        global_params.theta_e + de, global_params.phi.copy())
+                        global_params.theta_e + de, global_params.phi)
 
 
 def apply_dp(update: ClientUpdate, clip: float, noise_scale: float,
@@ -327,7 +330,7 @@ def run_experiment(config: FederationConfig, shards, eval_samples=None,
             df, de_ = aggregate_fedavg(updates)
             global_params = ParameterSet(
                 network, global_params.theta_f + df, global_params.theta_e + de_,
-                global_params.phi.copy())
+                global_params.phi)
 
         ufms = {u.client_id: u.ufm for u in updates}
         acc, acc_g, dd, dep, eo, mean_u, var_u = _evaluate(global_params, eval_samples)

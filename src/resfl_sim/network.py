@@ -8,7 +8,9 @@ as plain vectors. The adversary head is wired through a gradient
 reversal: forward is the identity, backward multiplies the adversary
 contribution into the feature extractor by ``-lambda_adv``.
 
-All functions are pure; randomness comes from explicitly passed
+``sgd_step`` updates its parameters in place and ``backward_batch``
+writes into the gradient set it is given; nothing else mutates its
+arguments. Randomness comes from explicitly passed
 ``numpy.random.Generator`` instances.
 """
 
@@ -55,11 +57,14 @@ class NetworkSpec:
         return self.num_groups * self.latent_dim + self.num_groups
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ParameterSet:
-    """Flat parameter vectors: feature extractor, task head, adversary.
+    """Parameter vectors: feature extractor, task head, adversary.
 
-    Gradients share this layout."""
+    Gradients share this layout. The constructor copies its three
+    arguments into one array, ``flat``, and the segments become views of
+    it; the per-layer and head views are built once, here, so they stay
+    valid while the set is stepped in place."""
 
     spec: NetworkSpec
     theta_f: np.ndarray
@@ -67,36 +72,52 @@ class ParameterSet:
     phi: np.ndarray
 
     def __post_init__(self):
-        if self.theta_f.shape != (self.spec.feature_size,):
+        spec = self.spec
+        if self.theta_f.shape != (spec.feature_size,):
             raise ValueError("theta_f has wrong length for spec")
-        if self.theta_e.shape != (self.spec.task_head_size,):
+        if self.theta_e.shape != (spec.task_head_size,):
             raise ValueError("theta_e has wrong length for spec")
-        if self.phi.shape != (self.spec.adversary_size,):
+        if self.phi.shape != (spec.adversary_size,):
             raise ValueError("phi has wrong length for spec")
+        flat = np.concatenate((self.theta_f, self.theta_e, self.phi), dtype=float)
+        theta_f, theta_e, phi = np.split(
+            flat, [spec.feature_size, spec.feature_size + spec.task_head_size])
+        layers, off = [], 0
+        for wshape, bshape in spec.feature_shapes():
+            wn = wshape[0] * wshape[1]
+            layers.append((theta_f[off:off + wn].reshape(wshape),
+                           theta_f[off + wn:off + wn + bshape[0]]))
+            off += wn + bshape[0]
+        h = spec.latent_dim
+
+        def head(vec, width):
+            return vec[:width * h].reshape(width, h), vec[width * h:]
+
+        views = {"flat": flat, "theta_f": theta_f, "theta_e": theta_e, "phi": phi,
+                 "_layers": tuple(layers),
+                 "_task_head": head(theta_e, spec.num_classes),
+                 "_adversary_head": head(phi, spec.num_groups)}
+        for name, value in views.items():
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def zeros(cls, spec: NetworkSpec) -> "ParameterSet":
+        return cls(spec, np.zeros(spec.feature_size), np.zeros(spec.task_head_size),
+                   np.zeros(spec.adversary_size))
 
     def copy(self) -> "ParameterSet":
-        return ParameterSet(self.spec, self.theta_f.copy(), self.theta_e.copy(), self.phi.copy())
+        # the constructor copies
+        return ParameterSet(self.spec, self.theta_f, self.theta_e, self.phi)
 
-    def feature_layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+    def feature_layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Views of (W, b) per feature layer, backed by theta_f."""
-        out, off = [], 0
-        for wshape, bshape in self.spec.feature_shapes():
-            wn = wshape[0] * wshape[1]
-            w = self.theta_f[off:off + wn].reshape(wshape)
-            b = self.theta_f[off + wn:off + wn + bshape[0]]
-            out.append((w, b))
-            off += wn + bshape[0]
-        return out
-
-    def _head(self, vec: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-        h = self.spec.latent_dim
-        return vec[:width * h].reshape(width, h), vec[width * h:]
+        return self._layers
 
     def task_head(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._head(self.theta_e, self.spec.num_classes)
+        return self._task_head
 
     def adversary_head(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._head(self.phi, self.spec.num_groups)
+        return self._adversary_head
 
 
 def init_params(spec: NetworkSpec, rng: np.random.Generator) -> ParameterSet:
@@ -128,7 +149,7 @@ def forward_batch(params: ParameterSet, X: np.ndarray):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != params.spec.input_dim:
         raise ValueError(f"expected input_dim={params.spec.input_dim}, got {X.shape[1]}")
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise ValueError("non-finite input")
     acts = [X]
     pres = []
@@ -149,55 +170,60 @@ def backward_batch(
     upstream_task: np.ndarray,
     upstream_adv: np.ndarray,
     lambda_adv: float,
+    grads: ParameterSet | None = None,
 ) -> ParameterSet:
     """Summed-over-batch gradients under the gradient-reversal convention.
 
     ``upstream_task`` / ``upstream_adv`` are dL/d(logits) per sample. The
     adversary gradient flows unmodified into phi; its contribution into
-    the feature extractor is scaled by ``-lambda_adv``.
+    the feature extractor is scaled by ``-lambda_adv``. The gradients are
+    written into ``grads`` (a new set by default), which is returned.
+
+    The upstream is not checked for finiteness: a non-finite entry makes
+    its column's bias-gradient sum non-finite, which the caller's check
+    of the gradients catches.
     """
     if lambda_adv < 0:
         raise ValueError("lambda_adv must be >= 0")
     upstream_task = np.atleast_2d(np.asarray(upstream_task, dtype=float))
     upstream_adv = np.atleast_2d(np.asarray(upstream_adv, dtype=float))
-    if not (np.all(np.isfinite(upstream_task)) and np.all(np.isfinite(upstream_adv))):
-        raise FloatingPointError("non-finite upstream gradient")
-    acts, pres, H, _, _ = forward_batch(params, X)
     if upstream_task.shape[1] != params.spec.num_classes:
         raise ValueError("upstream_task width mismatch")
     if upstream_adv.shape[1] != params.spec.num_groups:
         raise ValueError("upstream_adv width mismatch")
+    acts, pres, H, _, _ = forward_batch(params, X)
+    if grads is None:
+        grads = ParameterSet.zeros(params.spec)
 
     We, _ = params.task_head()
     Wa, _ = params.adversary_head()
-    g_theta_e = np.concatenate([(upstream_task.T @ H).ravel(), upstream_task.sum(axis=0)])
-    g_phi = np.concatenate([(upstream_adv.T @ H).ravel(), upstream_adv.sum(axis=0)])
-
+    gWe, gbe = grads.task_head()
+    gWa, gba = grads.adversary_head()
+    np.matmul(upstream_task.T, H, out=gWe)
+    upstream_task.sum(axis=0, out=gbe)
+    np.matmul(upstream_adv.T, H, out=gWa)
+    upstream_adv.sum(axis=0, out=gba)
     G = upstream_task @ We + (-lambda_adv) * (upstream_adv @ Wa)
-    layers = params.feature_layers()
-    grads_f = [None] * len(layers)
+    layers, glayers = params.feature_layers(), grads.feature_layers()
     for i in range(len(layers) - 1, -1, -1):
-        W, _ = layers[i]
+        gW, gb = glayers[i]
         Gpre = G * (pres[i] > 0)
-        grads_f[i] = np.concatenate([(Gpre.T @ acts[i]).ravel(), Gpre.sum(axis=0)])
-        G = Gpre @ W
-    return ParameterSet(params.spec, np.concatenate(grads_f), g_theta_e, g_phi)
+        np.matmul(Gpre.T, acts[i], out=gW)
+        Gpre.sum(axis=0, out=gb)
+        if i:  # the gradient into the input X is never used
+            G = Gpre @ layers[i][0]
+    return grads
 
 
 def sgd_step(params: ParameterSet, grads: ParameterSet, eta: float,
-             eta_phi: float | None = None) -> ParameterSet:
-    """params - eta * grads, with a separate rate for the adversary head."""
+             eta_phi: float | None = None) -> None:
+    """params -= eta * grads, in place, with a separate rate for the
+    adversary head."""
     if eta <= 0:
         raise ValueError("eta must be > 0")
     eta_phi = eta if eta_phi is None else eta_phi
     if eta_phi <= 0:
         raise ValueError("eta_phi must be > 0")
-    for seg in (grads.theta_f, grads.theta_e, grads.phi):
-        if not np.all(np.isfinite(seg)):
-            raise FloatingPointError("non-finite gradient")
-    return ParameterSet(
-        params.spec,
-        params.theta_f - eta * grads.theta_f,
-        params.theta_e - eta * grads.theta_e,
-        params.phi - eta_phi * grads.phi,
-    )
+    theta = params.flat.size - params.phi.size
+    params.flat[:theta] -= eta * grads.flat[:theta]
+    params.flat[theta:] -= eta_phi * grads.flat[theta:]

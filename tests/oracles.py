@@ -3,8 +3,9 @@
 The package computes every loss on batches (``evidential_terms_batch``,
 ``composite_gradients``). These one-sample versions state the same
 formulas directly, so tests can compare the batch code against them and
-state properties on a single Dirichlet output. ``logits_for`` and
-``zero_params`` build inputs for hand-value tests of the batch code.
+state properties on a single Dirichlet output. ``logits_for`` builds
+inputs for hand-value tests of the batch code. ``reference_step`` is
+the local SGD step written as two passes and a functional update.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from resfl_sim.adversarial import PROB_FLOOR, softmax
-from resfl_sim.network import NetworkSpec, ParameterSet
+from resfl_sim.network import ParameterSet
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,72 @@ def logits_for(alpha) -> np.ndarray:
     return np.where(e > 0, z, -800.0)
 
 
-def zero_params(spec: NetworkSpec) -> ParameterSet:
-    return ParameterSet(spec, np.zeros(spec.feature_size),
-                        np.zeros(spec.task_head_size), np.zeros(spec.adversary_size))
+def reference_step(params: ParameterSet, X, y, s, eta: float, eta_phi: float | None,
+                   lambda1: float, lambda_adv: float):
+    """One local SGD step as two passes, returning a new ParameterSet and
+    the (task, uncertainty, adversary) loss means.
+
+    It states ``adversarial.local_train_step`` the long way: one-hot
+    labels with the soft-label Brier term, the gradient segments joined
+    by concatenation, ``np.mean`` losses and a functional update. The
+    package must give the same bits.
+    """
+    spec = params.spec
+    n = X.shape[0]
+
+    def forward(p):
+        acts, pres, a = [X], [], X
+        for W, b in p.feature_layers():
+            pre = a @ W.T + b
+            a = np.maximum(pre, 0.0)
+            pres.append(pre)
+            acts.append(a)
+        (We, be), (Wa, ba) = p.task_head(), p.adversary_head()
+        return acts, pres, a, a @ We.T + be, a @ Wa.T + ba
+
+    def one_hot(idx, width):
+        out = np.zeros((len(idx), width))
+        out[np.arange(len(idx)), idx] = 1.0
+        return out
+
+    _, _, H, Zt, Za = forward(params)
+    Y = one_hot(y, spec.num_classes)
+    A = 1.0 + np.logaddexp(0.0, Zt)
+    S = A.sum(axis=1, keepdims=True)
+    P = A / S
+    diff = Y - P
+    q = np.sum(Y * (1.0 - Y), axis=1, keepdims=True)
+    nll = np.sum(diff ** 2, axis=1) + (q / (S + 1.0))[:, 0]
+    abs_err = np.sum(np.abs(diff), axis=1, keepdims=True)
+    reg = (abs_err * (2.0 * S + 1.0))[:, 0]
+    dnll_dP = -2.0 * diff
+    dnll_dA = (dnll_dP - np.sum(dnll_dP * P, axis=1, keepdims=True)) / S \
+        - q / (S + 1.0) ** 2
+    dreg_dP = -np.sign(diff) * (2.0 * S + 1.0)
+    dreg_dA = (dreg_dP - np.sum(dreg_dP * P, axis=1, keepdims=True)) / S \
+        + 2.0 * abs_err
+    dA_dZ = expit(Zt)
+    dnll, dreg = dnll_dA * dA_dZ, dreg_dA * dA_dZ
+
+    Pa = softmax(Za)
+    adv = -np.log(np.maximum(Pa[np.arange(n), s], PROB_FLOOR))
+    ut = (dnll + lambda1 * dreg) / n
+    ua = (Pa - one_hot(s, spec.num_groups)) / n
+
+    # the backward pass recomputes the forward pass, as the package does
+    acts, pres, H, _, _ = forward(params)
+    (We, _), (Wa, _) = params.task_head(), params.adversary_head()
+    g_theta_e = np.concatenate([(ut.T @ H).ravel(), ut.sum(axis=0)])
+    g_phi = np.concatenate([(ua.T @ H).ravel(), ua.sum(axis=0)])
+    G = ut @ We + (-lambda_adv) * (ua @ Wa)
+    layers = params.feature_layers()
+    grads_f = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        Gpre = G * (pres[i] > 0)
+        grads_f[i] = np.concatenate([(Gpre.T @ acts[i]).ravel(), Gpre.sum(axis=0)])
+        G = Gpre @ layers[i][0]
+
+    eta_phi = eta if eta_phi is None else eta_phi
+    new = ParameterSet(spec, params.theta_f - eta * np.concatenate(grads_f),
+                       params.theta_e - eta * g_theta_e, params.phi - eta_phi * g_phi)
+    return new, (float(nll.mean()), float(reg.mean()), float(adv.mean()))

@@ -170,8 +170,7 @@ class TestCriterion4HandValues:
         checks.append(abs(alpha[0] - (1 + math.log(2))) < 1e-9)
         # rows: the logits whose alphas are (2, 2), (3, 1) and (9, 1)
         nll, reg, _, _ = evidential_terms_batch(
-            logits_for([[2.0, 2.0], [3.0, 1.0], [9.0, 1.0]]),
-            np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
+            logits_for([[2.0, 2.0], [3.0, 1.0], [9.0, 1.0]]), np.array([0, 1, 0]))
         checks.append(abs(nll[0] - 0.5) < 1e-9)
         checks.append(abs(nll[1] - 1.125) < 1e-9)
         checks.append(abs(reg[0] - 9.0) < 1e-9)

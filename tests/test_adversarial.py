@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import adversary_forward, adversary_loss, zero_params
+from oracles import adversary_forward, adversary_loss, reference_step
 from resfl_sim.adversarial import (
     PROB_FLOOR,
     composite_gradients,
     local_train_step,
     softmax,
 )
-from resfl_sim.network import NetworkSpec, forward_batch, init_params
+from resfl_sim.network import NetworkSpec, ParameterSet, forward_batch, init_params
 
 
 def spec4():
@@ -33,7 +33,7 @@ def batch(seed=1, n=8):
 
 def saturated_params():
     """Latent H = 1 for every input, adversary logits (600, 0, 0, 0)."""
-    params = zero_params(spec4())
+    params = ParameterSet.zeros(spec4())
     params.feature_layers()[0][1][:] = 1.0
     params.adversary_head()[0][0, :] = 100.0
     return params
@@ -41,7 +41,7 @@ def saturated_params():
 
 class TestAdversaryForward:
     def test_zero_params_uniform(self):
-        params = zero_params(spec4())
+        params = ParameterSet.zeros(spec4())
         X, y, _ = batch()
         probs = softmax(forward_batch(params, X)[4])
         np.testing.assert_allclose(probs, 0.25, rtol=1e-12)
@@ -52,7 +52,7 @@ class TestAdversaryForward:
     def test_two_group_uniform(self):
         spec = NetworkSpec(input_dim=2, hidden_dims=(3,), num_classes=2, num_groups=2)
         X = np.random.default_rng(0).standard_normal((5, 2))
-        _, terms = composite_gradients(zero_params(spec), X, np.zeros(5, dtype=int),
+        _, terms = composite_gradients(ParameterSet.zeros(spec), X, np.zeros(5, dtype=int),
                                        np.ones(5, dtype=int), 0.1, 0.5)
         assert terms.adversary == pytest.approx(math.log(2.0), abs=1e-12)
 
@@ -137,10 +137,16 @@ class TestCompositeGradients:
 
 
 class TestLocalTrainStep:
+    # local_train_step updates its first argument in place
+    def step(self, params, X, y, s, eta, eta_phi, lambda1, lambda_adv):
+        terms = local_train_step(params, ParameterSet.zeros(params.spec), X, y, s,
+                                 eta, eta_phi, lambda1, lambda_adv)
+        return params, terms
+
     def test_lambda_zero_matches_privacy_free_theta_update(self):
         X, y, s = batch()
-        a, _ = local_train_step(params4(), X, y, s, 0.05, None, 0.1, 0.0)
-        b, _ = local_train_step(params4(), X, y, s, 0.05, None, 0.1, 2.0)
+        a, _ = self.step(params4(), X, y, s, 0.05, None, 0.1, 0.0)
+        b, _ = self.step(params4(), X, y, s, 0.05, None, 0.1, 2.0)
         # with lambda_adv = 0 the theta update ignores the adversary entirely
         g0, _ = composite_gradients(params4(), X, y, s, 0.1, 0.0)
         expect = params4().theta_f - 0.05 * g0.theta_f
@@ -151,12 +157,37 @@ class TestLocalTrainStep:
         X, y, s = batch()
         params = params4()
         grads, _ = composite_gradients(params, X, y, s, 0.1, 0.5)
-        new, _ = local_train_step(params, X, y, s, 0.05, 0.2, 0.1, 0.5)
+        new, _ = self.step(params.copy(), X, y, s, 0.05, 0.2, 0.1, 0.5)
         np.testing.assert_allclose(new.phi, params.phi - 0.2 * grads.phi, rtol=1e-12)
 
     def test_step_reduces_composite_loss(self):
         X, y, s = batch()
         params = params4()
-        new, before = local_train_step(params, X, y, s, 0.01, None, 0.1, 0.0)
+        new, before = self.step(params, X, y, s, 0.01, None, 0.1, 0.0)
         _, after = composite_gradients(new, X, y, s, 0.1, 0.0)
         assert after.task + 0.1 * after.uncertainty < before.task + 0.1 * before.uncertainty
+
+
+class TestStepMatchesReference:
+    @pytest.mark.parametrize("hidden", [(12,), (12, 8), (16, 8, 8)])
+    @pytest.mark.parametrize("lambda_adv", [0.0, 0.5])
+    @pytest.mark.parametrize("eta_phi", [None, 0.2])
+    def test_chained_steps_are_bitwise_equal(self, hidden, lambda_adv, eta_phi):
+        spec = NetworkSpec(input_dim=6, hidden_dims=hidden, num_classes=3, num_groups=4)
+        rng = np.random.default_rng(len(hidden))
+        X = rng.standard_normal((40, 6))
+        y = rng.integers(0, 3, size=40)
+        s = rng.integers(0, 4, size=40)
+        params = init_params(spec, rng)
+        ref = params.copy()
+        grads = ParameterSet.zeros(spec)
+        for step in range(200):
+            # batch_size 16; every fourth batch is a short one of 7 rows
+            idx = rng.choice(40, size=7 if step % 4 == 3 else 16, replace=False)
+            terms = local_train_step(params, grads, X[idx], y[idx], s[idx],
+                                     0.05, eta_phi, 0.1, lambda_adv)
+            ref, ref_terms = reference_step(ref, X[idx], y[idx], s[idx],
+                                            0.05, eta_phi, 0.1, lambda_adv)
+            for segment in ("theta_f", "theta_e", "phi"):
+                assert np.array_equal(getattr(params, segment), getattr(ref, segment))
+            assert (terms.task, terms.uncertainty, terms.adversary) == ref_terms

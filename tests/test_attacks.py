@@ -120,6 +120,16 @@ class TestAia:
         report = aia_run(params, data, num_groups=4, seed=0, trials=100)
         assert report.score == pytest.approx(0.25, abs=0.15)
 
+    def test_global_params_not_modified(self):
+        data = small_dataset()
+        params = train_centralized(data, net8(), steps=5, batch_size=16,
+                                   eta=0.05, seed=0)
+        before = params.copy()
+        aia_run(params, data, num_groups=4, seed=0, trials=5)
+        for segment in ("theta_f", "theta_e", "phi"):
+            np.testing.assert_array_equal(getattr(params, segment),
+                                          getattr(before, segment))
+
     def test_missing_group_rejected(self):
         data = small_dataset()
         data = data[data.s != 2]

@@ -174,6 +174,29 @@ class TestAttack:
         assert variants == {"overfit", "fedavg_dp"}
         assert (o1 / "attacks.csv").read_bytes() == (o2 / "attacks.csv").read_bytes()
 
+    def test_paired_runs_train_the_configured_network(self, cfg_path, tmp_path,
+                                                      monkeypatch):
+        # TINY sets hidden_dims = 8; the clean, Byzantine and poisoned runs
+        # must all train that network, not the (32, 32) default
+        import resfl_sim.attacks as attacks
+        import resfl_sim.cli as cli
+        trained = []
+
+        def recording(run):
+            def wrapper(*args, **kwargs):
+                result = run(*args, **kwargs)
+                trained.append(result[0].spec.hidden_dims)
+                return result
+            return wrapper
+
+        monkeypatch.setattr(cli, "run_experiment", recording(cli.run_experiment))
+        monkeypatch.setattr(attacks, "run_experiment", recording(attacks.run_experiment))
+        for kind in ("byzantine", "poisoning"):
+            assert main(["attack", "--config", str(cfg_path), "--kind", kind,
+                         "--out", str(tmp_path / kind), "--seed", "1"]) == 0
+        # per kind: a clean and an attacked run for each of the two algorithms
+        assert trained == [(8,)] * 8
+
 
 class TestSweepAndReport:
     def test_sweep_grid(self, tmp_path):

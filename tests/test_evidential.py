@@ -27,10 +27,10 @@ from resfl_sim.evidential import (
 LN2 = math.log(2.0)
 
 
-def terms_at(alpha, y):
-    """evidential_terms_batch for one sample given by its alphas."""
+def terms_at(alpha, label):
+    """evidential_terms_batch for one sample given by its alphas and label."""
     nll, reg, _, _ = evidential_terms_batch(logits_for(alpha)[None, :],
-                                            np.asarray(y, dtype=float)[None, :])
+                                            np.array([label]))
     return nll[0], reg[0]
 
 
@@ -70,28 +70,28 @@ class TestEvidenceFromLogits:
 
 class TestEvidentialLosses:
     def test_nll_hand_value(self):
-        nll, _ = terms_at([2.0, 2.0], [1.0, 0.0])
+        nll, _ = terms_at([2.0, 2.0], 0)
         assert nll == pytest.approx(0.5, abs=1e-12)
 
     def test_nll_second_hand_value(self):
-        nll, _ = terms_at([3.0, 1.0], [0.0, 1.0])
+        nll, _ = terms_at([3.0, 1.0], 1)
         assert nll == pytest.approx(1.125, abs=1e-12)
 
     def test_nll_perfect_prediction_limit(self):
-        nll, _ = terms_at([1e12, 1.0], [1.0, 0.0])
+        nll, _ = terms_at([1e12, 1.0], 0)
         assert nll < 1e-10
 
     def test_reg_hand_value(self):
-        _, reg = terms_at([2.0, 2.0], [1.0, 0.0])
+        _, reg = terms_at([2.0, 2.0], 0)
         assert reg == pytest.approx(9.0, abs=1e-12)
 
     def test_reg_exact_prediction_is_zero(self):
-        alpha = evidence_batch(logits_for([3.0, 1.0]))
-        _, reg = terms_at([3.0, 1.0], alpha / alpha.sum())
-        assert reg == 0.0
+        # a soft label equal to p_hat; the package takes class labels only
+        out = evidence_from_logits(logits_for([3.0, 1.0]))
+        assert evidential_reg(out.p_hat, out) == 0.0
 
     def test_reg_second_hand_value(self):
-        _, reg = terms_at([9.0, 1.0], [1.0, 0.0])
+        _, reg = terms_at([9.0, 1.0], 0)
         assert reg == pytest.approx(4.2, abs=1e-12)
 
 
@@ -146,8 +146,9 @@ class TestTermsBatchGradients:
     def test_values_match_scalar_functions(self):
         rng = np.random.default_rng(0)
         Z = rng.standard_normal((4, 3))
-        Y = np.eye(3)[rng.integers(0, 3, size=4)]
-        nll, reg, _, _ = evidential_terms_batch(Z, Y)
+        y = rng.integers(0, 3, size=4)
+        Y = np.eye(3)[y]
+        nll, reg, _, _ = evidential_terms_batch(Z, y)
         for i in range(4):
             out = evidence_from_logits(Z[i])
             assert nll[i] == pytest.approx(evidential_nll(Y[i], out), abs=1e-12)
@@ -156,16 +157,16 @@ class TestTermsBatchGradients:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(1)
         Z = rng.standard_normal((3, 3))
-        Y = np.eye(3)[rng.integers(0, 3, size=3)]
-        _, _, dnll, dreg = evidential_terms_batch(Z, Y)
+        y = rng.integers(0, 3, size=3)
+        _, _, dnll, dreg = evidential_terms_batch(Z, y)
         step = 1e-6
         for i in range(3):
             for j in range(3):
                 Zp, Zm = Z.copy(), Z.copy()
                 Zp[i, j] += step
                 Zm[i, j] -= step
-                n_hi, r_hi, _, _ = evidential_terms_batch(Zp, Y)
-                n_lo, r_lo, _, _ = evidential_terms_batch(Zm, Y)
+                n_hi, r_hi, _, _ = evidential_terms_batch(Zp, y)
+                n_lo, r_lo, _, _ = evidential_terms_batch(Zm, y)
                 assert dnll[i, j] == pytest.approx(
                     (n_hi[i] - n_lo[i]) / (2 * step), rel=1e-4, abs=1e-7)
                 assert dreg[i, j] == pytest.approx(

@@ -97,11 +97,27 @@ class TestClientRound:
         idx = rng.choice(len(shard), size=min(cfg.batch_size, len(shard)),
                          replace=False)
         batch = shard[idx]
-        manual, _ = local_train_step(self.params, batch.X, batch.y, batch.s,
-                                     cfg.eta, cfg.eta_phi, cfg.lambda1,
-                                     cfg.lambda_adv)
+        manual = self.params.copy()  # local_train_step steps it in place
+        local_train_step(manual, ParameterSet.zeros(manual.spec), batch.X, batch.y,
+                         batch.s, cfg.eta, cfg.eta_phi, cfg.lambda1, cfg.lambda_adv)
         np.testing.assert_array_equal(u.delta_theta_f,
                                       manual.theta_f - self.params.theta_f)
+
+    def test_client_diverging_after_its_first_step_leaves_inputs_untouched(self):
+        # eta = 1e300 gives a finite first step and a non-finite second one
+        shard = self.shards[0]
+        phi = self.params.phi + 0.5
+        before = (self.params.theta_f.copy(), self.params.theta_e.copy(),
+                  self.params.phi.copy(), phi.copy())
+        with np.errstate(over="ignore", invalid="ignore"):
+            client_round(self.params, phi, shard, tiny_config(local_iterations=1, eta=1e300),
+                         client_rng(0, 0, 0))
+        with pytest.raises(FloatingPointError):
+            client_round(self.params, phi, shard, tiny_config(local_iterations=3, eta=1e300),
+                         client_rng(0, 0, 0))
+        after = (self.params.theta_f, self.params.theta_e, self.params.phi, phi)
+        for b, a in zip(before, after):
+            np.testing.assert_array_equal(a, b)
 
     def test_empty_shard_rejected(self):
         with pytest.raises(ValueError):

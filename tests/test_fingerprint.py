@@ -53,26 +53,34 @@ byzantine_fraction = 0.25
 byzantine_scale = 2.0
 """
 
+# three hidden layers, so the backward loop runs over inner layers too
+DEEP_CONFIG = CONFIG.replace("hidden_dims = 8", "hidden_dims = 16, 8, 8")
+
 EXPECTED = {
     "run": {
         "metrics.csv": "f55e209c9cd2ad582a0bec44384e584a3f49d5b8c8339864e9e50d1a749d1625",
         "summary": "4a9df55ed43e263ef2c756d34688c00bb025f0f5848582d6460e47630d9c18bd",
     },
     "attack": {
-        "attacks.csv": "2477d4364735eb53e2cf30603e6117e1eba9d38e1c894dc302fa5634e13133f3",
+        "attacks.csv": "c890d092c5c8ce8caf71a6317f363d792a828074ae1aed234313ba5a7283d7b5",
     },
     "sweep": {
         "sweep.csv": "cedd48118076be9688be678c9a59f2d53f8748b9f990def4906742bee8ef4eb1",
     },
+    "run_deep": {
+        "metrics.csv": "56bc589be148485a703ed8c31a2f7cc74cd23d9163aafa6728ff6cd56c349bad",
+        "summary": "c18d415389c85fcc24c7628e871a8aa5350ddd0c7aeea71d0843e74a1f2471ea",
+    },
 }
 
 
-@pytest.mark.parametrize("command", sorted(EXPECTED))
-def test_outputs_match_recorded_hashes(command, tmp_path):
+@pytest.mark.parametrize("case", sorted(EXPECTED))
+def test_outputs_match_recorded_hashes(case, tmp_path):
+    command, deep = case.removesuffix("_deep"), case.endswith("_deep")
     cfg = tmp_path / "fp.cfg"
-    cfg.write_text(CONFIG)
+    cfg.write_text(DEEP_CONFIG if deep else CONFIG)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-           for name in EXPECTED[command]}
-    assert got == EXPECTED[command]
+           for name in EXPECTED[case]}
+    assert got == EXPECTED[case]

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from oracles import zero_params
+from resfl_sim import adversarial
+from resfl_sim.adversarial import composite_gradients, local_train_step
+from resfl_sim.evidential import evidential_terms_batch
 from resfl_sim.network import (
     NetworkSpec,
     ParameterSet,
@@ -76,7 +78,7 @@ def forward_one(params, x):
 class TestForward:
     def test_zero_weights_expose_biases(self):
         spec = small_spec()
-        params = zero_params(spec)
+        params = ParameterSet.zeros(spec)
         # plant known biases in every segment
         layers = params.feature_layers()
         layers[-1][1][:] = [0.5, -1.0, 2.0]
@@ -89,7 +91,7 @@ class TestForward:
 
     def test_identity_layer_relu(self):
         spec = NetworkSpec(input_dim=2, hidden_dims=(2,), num_classes=2, num_groups=2)
-        params = zero_params(spec)
+        params = ParameterSet.zeros(spec)
         W, _ = params.feature_layers()[0]
         W[:] = np.eye(2)
         h, _, _ = forward_one(params, np.array([1.0, -1.0]))
@@ -199,11 +201,19 @@ class TestBackward:
             fd = fd_segment(self.params, segment, fn)
             np.testing.assert_allclose(getattr(g, segment), fd, rtol=1e-4, atol=1e-7)
 
-    def test_non_finite_upstream_raises(self):
-        bad = self.ut.copy()
-        bad[0, 0] = np.inf
-        with pytest.raises(FloatingPointError):
-            backward_batch(self.params, self.X, bad, self.ua, 0.1)
+    def test_non_finite_upstream_raises(self, monkeypatch):
+        # backward_batch leaves the upstream unchecked: the step's one
+        # check in composite_gradients catches it through the bias sums
+        def terms_with_bad_upstream(Z, y):
+            nll, reg, dnll, dreg = evidential_terms_batch(Z, y)
+            dnll[0, 0] = np.inf
+            return nll, reg, dnll, dreg
+
+        monkeypatch.setattr(adversarial, "evidential_terms_batch",
+                            terms_with_bad_upstream)
+        y = np.zeros(len(self.X), dtype=int)
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
+            composite_gradients(self.params, self.X, y, y, 0.1, 0.1)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
@@ -211,39 +221,53 @@ class TestBackward:
 
 
 class TestSgdStep:
+    # sgd_step updates its first argument in place
     def test_zero_grads_unchanged(self):
         params = random_params(small_spec())
-        new = sgd_step(params, zero_params(params.spec), 0.1)
+        new = params.copy()
+        sgd_step(new, ParameterSet.zeros(params.spec), 0.1)
         np.testing.assert_array_equal(new.theta_f, params.theta_f)
         np.testing.assert_array_equal(new.phi, params.phi)
 
     def test_one_step_arithmetic(self):
         params = random_params(small_spec())
         params.theta_f[:] = 1.0
-        grads = zero_params(params.spec)
+        grads = ParameterSet.zeros(params.spec)
         grads.theta_f[:] = 2.0
-        new = sgd_step(params, grads, 0.1)
-        np.testing.assert_allclose(new.theta_f, 0.8)
+        sgd_step(params, grads, 0.1)
+        np.testing.assert_allclose(params.theta_f, 0.8)
 
     def test_elementwise_recomputation(self):
         params = random_params(small_spec(), seed=1)
         grads = random_params(small_spec(), seed=2)
-        new = sgd_step(params, grads, 0.05, eta_phi=0.2)
+        new = params.copy()
+        sgd_step(new, grads, 0.05, eta_phi=0.2)
         for i in range(len(params.theta_f)):
             assert new.theta_f[i] == params.theta_f[i] - 0.05 * grads.theta_f[i]
         for i in range(len(params.phi)):
             assert new.phi[i] == params.phi[i] - 0.2 * grads.phi[i]
 
-    def test_non_finite_grads_raise(self):
+    def test_non_finite_grads_raise(self, monkeypatch):
+        # the step checks its gradients in composite_gradients, before
+        # sgd_step can touch the parameters
+        def backward_with_bad_gradient(*args):
+            grads = backward_batch(*args)
+            grads.theta_e[0] = np.nan
+            return grads
+
+        monkeypatch.setattr(adversarial, "backward_batch", backward_with_bad_gradient)
         params = random_params(small_spec())
-        grads = zero_params(params.spec)
-        grads.theta_e[0] = np.nan
+        before = params.copy()
+        X = np.random.default_rng(0).standard_normal((4, params.spec.input_dim))
+        y = np.zeros(4, dtype=int)
         with pytest.raises(FloatingPointError):
-            sgd_step(params, grads, 0.1)
+            local_train_step(params, ParameterSet.zeros(params.spec), X, y, y,
+                             0.1, None, 0.1, 0.0)
+        np.testing.assert_array_equal(params.flat, before.flat)
 
     def test_bad_rates_raise(self):
         params = random_params(small_spec())
-        grads = zero_params(params.spec)
+        grads = ParameterSet.zeros(params.spec)
         with pytest.raises(ValueError):
             sgd_step(params, grads, 0.0)
         with pytest.raises(ValueError):
