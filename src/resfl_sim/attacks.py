@@ -120,10 +120,11 @@ def aia_run(global_params: ParameterSet, dataset, num_groups: int, seed: int,
     if any(not v for v in by_group.values()):
         raise ValueError("every group needs probe samples")
     rng = np.random.default_rng([int(seed), 0xA1A])
-    grads = ParameterSet.zeros(global_params.spec)
+    # one scratch copy and gradient set, reloaded for every signature
+    new, grads = global_params.copy(), ParameterSet.zeros(global_params.spec)
 
     def one_step_delta(batch):
-        new = global_params.copy()
+        np.copyto(new.flat, global_params.flat)
         local_train_step(new, grads, batch.X, batch.y, batch.s,
                          0.05, None, LAMBDA1, 0.0)
         return np.concatenate([new.theta_f - global_params.theta_f,

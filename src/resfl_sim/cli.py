@@ -27,7 +27,7 @@ from .config import ConfigError, ExperimentConfig, load_config, normalized_text
 from .datasets import generate_dataset, partition
 from .federation import FederationConfig, run_experiment
 from .metrics import SCALAR_COLUMNS, MetricsRow, read_metrics, write_metrics
-from .network import NetworkSpec, init_params
+from .network import init_params
 
 
 def build_data(cfg: ExperimentConfig):
@@ -48,17 +48,10 @@ def build_data(cfg: ExperimentConfig):
     return full[is_train], full[~is_train]
 
 
-def network_for(cfg: ExperimentConfig) -> NetworkSpec:
-    return NetworkSpec(input_dim=cfg.synth.input_dim,
-                       hidden_dims=cfg.hidden_dims,
-                       num_classes=cfg.synth.num_classes,
-                       num_groups=cfg.synth.num_groups)
-
-
 def _single_run(cfg: ExperimentConfig, algo: str, seed: int, train, test):
     shards = partition(train, cfg.num_clients, cfg.partition_beta, seed=seed)
     fed = cfg.federation_config(algo, seed)
-    params, records = run_experiment(fed, shards, test, network=network_for(cfg))
+    params, records = run_experiment(fed, shards, test, network=cfg.network())
     rows = [
         MetricsRow(
             algo=algo, seed=seed, round=r.round, accuracy=r.accuracy,
@@ -120,7 +113,7 @@ def _mia_setup(cfg: ExperimentConfig, train, test, seed: int):
     order = np.random.default_rng([seed, 0x517A]).permutation(len(train))
     members = train[order[:cfg.mia_overfit_size]]
     shadow = train[order[cfg.mia_overfit_size:cfg.mia_overfit_size + 400]]
-    tau = mia_threshold(network_for(cfg), len(members), shadow, seed,
+    tau = mia_threshold(cfg.network(), len(members), shadow, seed,
                         shadow_steps=cfg.mia_overfit_steps)
     return members, test[:len(members)], tau
 
@@ -158,7 +151,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
 def cmd_attack(cfg: ExperimentConfig, out: Path, kind: str | None) -> int:
     kinds = (kind,) if kind else cfg.attack_kinds
     train, test = build_data(cfg)
-    net = network_for(cfg)
+    net = cfg.network()
     clean = {}  # (algo, seed) -> (fed, shards, clean run), shared by the paired attacks
     lines = []
     for k in kinds:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from .attacks import ATTACK_KINDS
 from .datasets import SynthSpec
 from .federation import AGGREGATORS, FederationConfig
+from .network import NetworkSpec
 
 
 class ConfigError(Exception):
@@ -131,6 +132,12 @@ class ExperimentConfig:
         if self.data_seed is None:
             self.data_seed = self.seeds[0]
 
+    def network(self) -> NetworkSpec:
+        return NetworkSpec(input_dim=self.synth.input_dim,
+                           hidden_dims=self.hidden_dims,
+                           num_classes=self.synth.num_classes,
+                           num_groups=self.synth.num_groups)
+
     def federation_config(self, algorithm: str, seed: int) -> FederationConfig:
         if algorithm not in AGGREGATORS:
             raise ConfigError(f"unknown algorithm {algorithm!r}")
@@ -220,6 +227,8 @@ def load_config(path) -> ExperimentConfig:
         rows = sweep["rows"]
         if any(len(r) != 2 for r in rows):
             raise ConfigError("[sweep] rows entries must be 'lambda1,lambda_adv' pairs")
+        if any(v < 0 for r in rows for v in r):
+            raise ConfigError("[sweep] rows values must be >= 0")
         kwargs["sweep_rows"] = tuple((r[0], r[1]) for r in rows)
     elif "lambda1_grid" in sweep or "lambda_adv_grid" in sweep:
         g1 = sweep.get("lambda1_grid", (0.1,))
@@ -231,6 +240,17 @@ def load_config(path) -> ExperimentConfig:
     cfg = ExperimentConfig(raw=raw, synth=synth, **kwargs)
     if not 0.0 < cfg.test_fraction < 1.0:
         raise ConfigError("test_fraction must be in (0, 1)")
+    # attack's MIA target is a fedavg_dp run whatever the algorithms are
+    if cfg.dp_epsilon <= 0 or cfg.dp_clip <= 0:
+        raise ConfigError("dp_epsilon and dp_clip must be > 0")
+    # build what the commands build, so a bad value stops here, before
+    # any data are drawn
+    try:
+        cfg.network()
+        for algo in cfg.algorithms:
+            cfg.federation_config(algo, cfg.data_seed)
+    except ValueError as exc:
+        raise ConfigError(f"invalid [federation] section: {exc}") from exc
     return cfg
 
 

@@ -60,6 +60,10 @@ class FederationConfig:
             raise ValueError("num_clients >= 1, rounds/local_iterations >= 0 required")
         if self.batch_size < 1 or self.eta <= 0:
             raise ValueError("batch_size >= 1 and eta > 0 required")
+        if self.eta_phi is not None and self.eta_phi <= 0:
+            raise ValueError("eta_phi must be > 0")
+        if self.lambda1 < 0 or self.lambda_adv < 0:
+            raise ValueError("lambda1 and lambda_adv must be >= 0")
         if self.aggregator not in AGGREGATORS:
             raise ValueError(f"unknown aggregator {self.aggregator!r}")
         if self.aggregator == "fedavg_dp":
@@ -122,18 +126,23 @@ def client_rng(seed: int, client_id: int, round_idx: int) -> np.random.Generator
 
 
 def client_round(global_params: ParameterSet, phi: np.ndarray, shard,
-                 config: FederationConfig, rng: np.random.Generator):
+                 config: FederationConfig, rng: np.random.Generator,
+                 params: ParameterSet, grads: ParameterSet):
     """Local training for one client.
 
-    Returns (ClientUpdate, new_phi, mean CompositeLossTerms tuple). phi
-    persists client-side; only theta deltas travel to the server.
+    ``params`` and ``grads`` are the run's local-training workspace: the
+    global theta and ``phi`` are loaded into ``params``, which is stepped
+    in place, and ``grads`` receives each step's gradients. Clients train
+    one at a time, so one workspace serves every client round of a run;
+    its contents on entry are never read. Returns (ClientUpdate, new_phi,
+    mean CompositeLossTerms tuple). phi persists client-side; only theta
+    deltas travel to the server.
     """
     if not shard:
         raise ValueError("empty shard")
-    # the client's private copy, stepped in place
-    params = ParameterSet(global_params.spec, global_params.theta_f,
-                          global_params.theta_e, phi)
-    grads = ParameterSet.zeros(params.spec)
+    np.copyto(params.theta_f, global_params.theta_f)
+    np.copyto(params.theta_e, global_params.theta_e)
+    np.copyto(params.phi, phi)
     task = unc = adv = 0.0
     # a diverging client overflows on its way to the FloatingPointError
     # that drops it; the explicit finiteness check reports it, not NumPy
@@ -158,7 +167,7 @@ def client_round(global_params: ParameterSet, phi: np.ndarray, shard,
         ufm=local_ufm,
         sample_count=len(shard),
     )
-    # a copy, so the client's whole parameter array is not kept alive
+    # a copy: the workspace is overwritten by the next client
     return update, params.phi.copy(), (task / n_iter, unc / n_iter, adv / n_iter)
 
 
@@ -170,10 +179,9 @@ def shard_ufm(params: ParameterSet, shard) -> float:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         _, _, _, Zt, _ = forward_batch(params, shard.X)
-        alpha0 = evidence_batch(Zt).sum(axis=1)
-    if not np.all(np.isfinite(alpha0)):
-        alpha0 = np.where(np.isfinite(alpha0), alpha0, np.finfo(float).max)
-    with np.errstate(over="ignore", invalid="ignore"):
+        alpha0 = np.add.reduce(evidence_batch(Zt), axis=1)  # .sum's own call
+        if not np.all(np.isfinite(alpha0)):
+            alpha0 = np.where(np.isfinite(alpha0), alpha0, np.finfo(float).max)
         gus = group_uncertainties(alpha0, shard.s, params.spec.num_groups)
         value = ufm_metric([gu.uncertainty for gu in gus])
     return value if math.isfinite(value) else float(params.spec.num_groups)
@@ -268,6 +276,8 @@ def run_experiment(config: FederationConfig, shards, eval_samples=None,
                               num_groups=max(int(sh.s.max()) for sh in shards) + 1)
     global_params = init_params(network, np.random.default_rng([config.seed, 0x1217]))
     phis = [global_params.phi.copy() for _ in range(config.num_clients)]
+    # the local-training workspace, shared by every client round of the run
+    local, grads = ParameterSet.zeros(network), ParameterSet.zeros(network)
 
     ref_norm = 0.0
     records: list[RoundRecord] = []
@@ -278,8 +288,10 @@ def run_experiment(config: FederationConfig, shards, eval_samples=None,
         for cid in range(config.num_clients):
             rng = client_rng(config.seed, cid, t)
             try:
+                # phis[cid] is replaced only if the client returns
                 update, phis[cid], loss = client_round(
-                    global_params, phis[cid], shards[cid], config, rng)
+                    global_params, phis[cid], shards[cid], config, rng,
+                    local, grads)
             except FloatingPointError as exc:
                 log.warning("round %d: dropping client %d (%s)", t, cid, exc)
                 dropped.append(cid)
@@ -305,13 +317,12 @@ def run_experiment(config: FederationConfig, shards, eval_samples=None,
                     u.delta_theta_f = noise[:nf]
                     u.delta_theta_e = noise[nf:]
                     # the corrupted local model is what the ufm report
-                    # reflects, so uncertainty-aware weighting can react
-                    corrupted = ParameterSet(
-                        network,
-                        global_params.theta_f + u.delta_theta_f,
-                        global_params.theta_e + u.delta_theta_e,
-                        phis[u.client_id])
-                    u.ufm = shard_ufm(corrupted, shards[u.client_id])
+                    # reflects, so uncertainty-aware weighting can react;
+                    # it is built in the workspace, free after the clients
+                    np.add(global_params.theta_f, u.delta_theta_f, out=local.theta_f)
+                    np.add(global_params.theta_e, u.delta_theta_e, out=local.theta_e)
+                    np.copyto(local.phi, phis[u.client_id])
+                    u.ufm = shard_ufm(local, shards[u.client_id])
 
         if not updates:
             # nothing can move the global model anymore: record it frozen

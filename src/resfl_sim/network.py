@@ -17,6 +17,7 @@ arguments. Randomness comes from explicitly passed
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,20 +40,25 @@ class NetworkSpec:
     def latent_dim(self) -> int:
         return self.hidden_dims[-1]
 
-    def feature_shapes(self) -> list[tuple[tuple[int, int], tuple[int]]]:
+    # the layout below is computed once per spec; the cache lives in the
+    # instance dict, outside the fields, so eq and hash are unchanged
+
+    @cached_property
+    def feature_shapes(self) -> tuple[tuple[tuple[int, int], tuple[int]], ...]:
         """(weight, bias) shapes for each feature layer, in order."""
         dims = (self.input_dim,) + self.hidden_dims
-        return [((dims[i + 1], dims[i]), (dims[i + 1],)) for i in range(len(self.hidden_dims))]
+        return tuple(((dims[i + 1], dims[i]), (dims[i + 1],))
+                     for i in range(len(self.hidden_dims)))
 
-    @property
+    @cached_property
     def feature_size(self) -> int:
-        return sum(w[0] * w[1] + b[0] for w, b in self.feature_shapes())
+        return sum(w[0] * w[1] + b[0] for w, b in self.feature_shapes)
 
-    @property
+    @cached_property
     def task_head_size(self) -> int:
         return self.num_classes * self.latent_dim + self.num_classes
 
-    @property
+    @cached_property
     def adversary_size(self) -> int:
         return self.num_groups * self.latent_dim + self.num_groups
 
@@ -73,17 +79,17 @@ class ParameterSet:
 
     def __post_init__(self):
         spec = self.spec
-        if self.theta_f.shape != (spec.feature_size,):
+        nf, ne = spec.feature_size, spec.task_head_size
+        if self.theta_f.shape != (nf,):
             raise ValueError("theta_f has wrong length for spec")
-        if self.theta_e.shape != (spec.task_head_size,):
+        if self.theta_e.shape != (ne,):
             raise ValueError("theta_e has wrong length for spec")
         if self.phi.shape != (spec.adversary_size,):
             raise ValueError("phi has wrong length for spec")
         flat = np.concatenate((self.theta_f, self.theta_e, self.phi), dtype=float)
-        theta_f, theta_e, phi = np.split(
-            flat, [spec.feature_size, spec.feature_size + spec.task_head_size])
+        theta_f, theta_e, phi = flat[:nf], flat[nf:nf + ne], flat[nf + ne:]
         layers, off = [], 0
-        for wshape, bshape in spec.feature_shapes():
+        for wshape, bshape in spec.feature_shapes:
             wn = wshape[0] * wshape[1]
             layers.append((theta_f[off:off + wn].reshape(wshape),
                            theta_f[off + wn:off + wn + bshape[0]]))
@@ -133,7 +139,7 @@ def init_params(spec: NetworkSpec, rng: np.random.Generator) -> ParameterSet:
         return np.concatenate(parts)
 
     h = spec.latent_dim
-    theta_f = glorot_flat(spec.feature_shapes())
+    theta_f = glorot_flat(spec.feature_shapes)
     theta_e = glorot_flat([((spec.num_classes, h), (spec.num_classes,))])
     phi = glorot_flat([((spec.num_groups, h), (spec.num_groups,))])
     return ParameterSet(spec, theta_f, theta_e, phi)

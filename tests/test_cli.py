@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from resfl_sim import cli
 from resfl_sim.cli import main
 
 TINY = """\
@@ -33,6 +34,22 @@ poison_rate = 0.2
 byzantine_fraction = 0.25
 byzantine_scale = 2.0
 """
+
+
+# an invalid value -> (the text of TINY it replaces, the replacement)
+INVALID = {
+    "eta = 0": ("eta = 0.01", "eta = 0"),
+    "eta_phi = 0": ("eta = 0.01", "eta = 0.01\neta_phi = 0"),
+    "lambda1 = -1": ("eta = 0.01", "eta = 0.01\nlambda1 = -1"),
+    "lambda_adv = -0.1": ("eta = 0.01", "eta = 0.01\nlambda_adv = -0.1"),
+    "batch_size = 0": ("batch_size = 16", "batch_size = 0"),
+    "hidden_dims = 0": ("hidden_dims = 8", "hidden_dims = 0"),
+    "num_clients = 0": ("rounds = 2", "rounds = 2\nnum_clients = 0"),
+    "dp_clip = 0": ("eta = 0.01", "eta = 0.01\ndp_clip = 0"),
+    "dp_epsilon = 0": ("eta = 0.01", "eta = 0.01\ndp_epsilon = 0"),
+    "rows = -1,0.5": ("[attack]", "[sweep]\nrows = -1,0.5\n\n[attack]"),
+    "rows = 0.1,-1": ("[attack]", "[sweep]\nrows = 0.1,-1\n\n[attack]"),
+}
 
 
 @pytest.fixture
@@ -148,6 +165,19 @@ class TestExitCodes:
             main(["run", "--config", str(cfg_path), "--jobs", "2",
                   "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("bad", sorted(INVALID))
+    def test_invalid_value_is_a_config_error_before_any_data(self, tmp_path, capsys,
+                                                             monkeypatch, bad):
+        def no_data(cfg):
+            raise AssertionError("data built for an invalid config")
+
+        monkeypatch.setattr(cli, "build_data", no_data)
+        p = tmp_path / "bad.cfg"
+        p.write_text(TINY.replace(*INVALID[bad], 1))
+        for command in ("run", "attack", "sweep"):
+            assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+            assert "config error" in capsys.readouterr().err
 
     def test_report_without_run_fails(self, cfg_path, tmp_path):
         assert main(["report", "--config", str(cfg_path),

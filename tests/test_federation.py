@@ -36,6 +36,11 @@ def tiny_config(**kw):
     return FederationConfig(**base)
 
 
+def workspace(spec):
+    """A fresh local-training workspace: scratch model and gradient set."""
+    return ParameterSet.zeros(spec), ParameterSet.zeros(spec)
+
+
 def mk_update(cid, df, de, ufm=0.0, n=1):
     return ClientUpdate(client_id=cid, delta_theta_f=np.asarray(df, dtype=float),
                         delta_theta_e=np.asarray(de, dtype=float), ufm=ufm,
@@ -54,6 +59,12 @@ class TestConfig:
             FederationConfig(aggregator="fedavg_dp")  # missing epsilon/clip
         with pytest.raises(ValueError):
             FederationConfig(aggregator="fedavg_dp", dp_epsilon=-1.0, dp_clip=1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("eta_phi", 0.0), ("eta_phi", -0.1), ("lambda1", -1.0), ("lambda_adv", -0.01)])
+    def test_rates_and_weights_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FederationConfig(**{field: value})
 
     def test_server_lr_default(self):
         assert FederationConfig(num_clients=4).effective_server_lr == 0.25
@@ -74,7 +85,7 @@ class TestClientRound:
     def test_zero_iterations_zero_delta(self):
         cfg = tiny_config(local_iterations=0)
         u, phi, _ = client_round(self.params, self.params.phi, self.shards[0],
-                                 cfg, client_rng(0, 0, 0))
+                                 cfg, client_rng(0, 0, 0), *workspace(self.params.spec))
         assert not u.delta_theta_f.any() and not u.delta_theta_e.any()
         np.testing.assert_array_equal(phi, self.params.phi)
         assert u.sample_count == len(self.shards[0])
@@ -82,9 +93,9 @@ class TestClientRound:
     def test_deterministic(self):
         cfg = tiny_config()
         a = client_round(self.params, self.params.phi, self.shards[0],
-                         cfg, client_rng(0, 0, 0))[0]
+                         cfg, client_rng(0, 0, 0), *workspace(self.params.spec))[0]
         b = client_round(self.params, self.params.phi, self.shards[0],
-                         cfg, client_rng(0, 0, 0))[0]
+                         cfg, client_rng(0, 0, 0), *workspace(self.params.spec))[0]
         np.testing.assert_array_equal(a.delta_theta_f, b.delta_theta_f)
         assert a.ufm == b.ufm
 
@@ -92,7 +103,7 @@ class TestClientRound:
         cfg = tiny_config(local_iterations=1)
         shard = self.shards[0]
         u, _, _ = client_round(self.params, self.params.phi, shard,
-                               cfg, client_rng(0, 0, 0))
+                               cfg, client_rng(0, 0, 0), *workspace(self.params.spec))
         rng = client_rng(0, 0, 0)
         idx = rng.choice(len(shard), size=min(cfg.batch_size, len(shard)),
                          replace=False)
@@ -111,18 +122,56 @@ class TestClientRound:
                   self.params.phi.copy(), phi.copy())
         with np.errstate(over="ignore", invalid="ignore"):
             client_round(self.params, phi, shard, tiny_config(local_iterations=1, eta=1e300),
-                         client_rng(0, 0, 0))
+                         client_rng(0, 0, 0), *workspace(self.params.spec))
         with pytest.raises(FloatingPointError):
             client_round(self.params, phi, shard, tiny_config(local_iterations=3, eta=1e300),
-                         client_rng(0, 0, 0))
+                         client_rng(0, 0, 0), *workspace(self.params.spec))
         after = (self.params.theta_f, self.params.theta_e, self.params.phi, phi)
         for b, a in zip(before, after):
             np.testing.assert_array_equal(a, b)
 
+    def assert_same_round(self, a, b):
+        (ua, phi_a, loss_a), (ub, phi_b, loss_b) = a, b
+        np.testing.assert_array_equal(ua.delta_theta_f, ub.delta_theta_f)
+        np.testing.assert_array_equal(ua.delta_theta_e, ub.delta_theta_e)
+        np.testing.assert_array_equal(phi_a, phi_b)
+        assert (ua.ufm, ua.sample_count, loss_a) == (ub.ufm, ub.sample_count, loss_b)
+
+    def test_workspace_reused_after_a_client_diverges_mid_round(self):
+        spec = self.params.spec
+        work = workspace(spec)
+        # client A: eta = 1e300 gives a finite first step and a raising later one
+        phi_a = self.params.phi + 0.5
+        phi_a_before = phi_a.copy()
+        with pytest.raises(FloatingPointError):
+            client_round(self.params, phi_a, self.shards[0],
+                         tiny_config(local_iterations=3, eta=1e300),
+                         client_rng(0, 0, 0), *work)
+        np.testing.assert_array_equal(phi_a, phi_a_before)
+        assert not np.array_equal(work[0].theta_f, self.params.theta_f)  # left stepped
+        # client B on the dirty workspace and on a fresh one
+        cfg = tiny_config()
+        reused = client_round(self.params, self.params.phi, self.shards[1], cfg,
+                              client_rng(0, 1, 0), *work)
+        fresh = client_round(self.params, self.params.phi, self.shards[1], cfg,
+                             client_rng(0, 1, 0), *workspace(spec))
+        self.assert_same_round(reused, fresh)
+
+    def test_workspace_contents_on_entry_are_never_read(self):
+        cfg = tiny_config()
+        fresh = client_round(self.params, self.params.phi, self.shards[0], cfg,
+                             client_rng(0, 0, 0), *workspace(self.params.spec))
+        params, grads = workspace(self.params.spec)
+        params.flat[:] = np.nan
+        grads.flat[:] = np.nan
+        dirty = client_round(self.params, self.params.phi, self.shards[0], cfg,
+                             client_rng(0, 0, 0), params, grads)
+        self.assert_same_round(dirty, fresh)
+
     def test_empty_shard_rejected(self):
         with pytest.raises(ValueError):
             client_round(self.params, self.params.phi, self.shards[0][:0],
-                         tiny_config(), client_rng(0, 0, 0))
+                         tiny_config(), client_rng(0, 0, 0), *workspace(self.params.spec))
 
     def test_shard_ufm_finite_on_garbage_params(self):
         bad = ParameterSet(self.params.spec,
@@ -252,7 +301,8 @@ class TestRunExperiment:
         # replay: one client, full-weight aggregation == its local endpoint
         net = params.spec
         start = init_params(net, np.random.default_rng([0, 0x1217]))
-        manual, _, _ = client_round(start, start.phi, data, cfg, client_rng(0, 0, 0))
+        manual, _, _ = client_round(start, start.phi, data, cfg, client_rng(0, 0, 0),
+                                    *workspace(net))
         np.testing.assert_array_equal(params.theta_f,
                                       start.theta_f + manual.delta_theta_f)
         np.testing.assert_array_equal(params.theta_e,

@@ -55,6 +55,11 @@ byzantine_scale = 2.0
 
 # three hidden layers, so the backward loop runs over inner layers too
 DEEP_CONFIG = CONFIG.replace("hidden_dims = 8", "hidden_dims = 16, 8, 8")
+# many clients of one local step each, so the round loop reuses the
+# local-training workspace across clients far more often than it steps
+WIDE_CONFIG = CONFIG.replace("local_iterations = 3",
+                             "num_clients = 8\nlocal_iterations = 1")
+VARIANTS = {"": CONFIG, "deep": DEEP_CONFIG, "wide": WIDE_CONFIG}
 
 EXPECTED = {
     "run": {
@@ -67,6 +72,10 @@ EXPECTED = {
     "sweep": {
         "sweep.csv": "cedd48118076be9688be678c9a59f2d53f8748b9f990def4906742bee8ef4eb1",
     },
+    "run_wide": {
+        "metrics.csv": "2cc3f994cb7171932d3cd061277ec40b06fa6fd05b22d1f3cb3b2e3dffdbad65",
+        "summary": "de024bb7e265532dc6db8d400712e58eaf407360bfb67ab935362ac9eb87d49f",
+    },
     "run_deep": {
         "metrics.csv": "56bc589be148485a703ed8c31a2f7cc74cd23d9163aafa6728ff6cd56c349bad",
         "summary": "c18d415389c85fcc24c7628e871a8aa5350ddd0c7aeea71d0843e74a1f2471ea",
@@ -76,9 +85,9 @@ EXPECTED = {
 
 @pytest.mark.parametrize("case", sorted(EXPECTED))
 def test_outputs_match_recorded_hashes(case, tmp_path):
-    command, deep = case.removesuffix("_deep"), case.endswith("_deep")
+    command, _, variant = case.partition("_")
     cfg = tmp_path / "fp.cfg"
-    cfg.write_text(DEEP_CONFIG if deep else CONFIG)
+    cfg.write_text(VARIANTS[variant])
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()

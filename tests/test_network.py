@@ -69,6 +69,47 @@ class TestSpecAndParams:
         assert np.array_equal(a.phi, b.phi)
 
 
+@pytest.mark.parametrize("hidden", [(5,), (5, 4), (6, 5, 4)])
+class TestLayout:
+    # input_dim 3, 2 classes, 3 groups
+    def spec(self, hidden):
+        return NetworkSpec(input_dim=3, hidden_dims=hidden, num_classes=2, num_groups=3)
+
+    def test_cached_sizes_and_shapes_equal_the_closed_forms(self, hidden):
+        spec = self.spec(hidden)
+        dims = (3,) + hidden
+        shapes = tuple(((dims[i + 1], dims[i]), (dims[i + 1],)) for i in range(len(hidden)))
+        assert spec.feature_shapes == shapes
+        assert spec.feature_size == sum(a * b + b for a, b in zip(dims, dims[1:]))
+        assert spec.task_head_size == 2 * (hidden[-1] + 1)
+        assert spec.adversary_size == 3 * (hidden[-1] + 1)
+        assert spec.feature_shapes is spec.feature_shapes  # computed once
+        # the cache is not a field: equality and hashing see the fields only
+        fresh = self.spec(hidden)
+        assert spec == fresh and hash(spec) == hash(fresh)
+
+    def test_layer_and_head_views_write_through_to_flat(self, hidden):
+        params = ParameterSet.zeros(self.spec(hidden))
+        views = [v for layer in params.feature_layers() for v in layer]
+        views += [*params.task_head(), *params.adversary_head()]
+        for view in views:
+            before = params.flat.copy()
+            view[...] = 7.0
+            assert np.count_nonzero(params.flat != before) == view.size
+        # the views tile flat
+        assert (params.flat == 7.0).all()
+
+    def test_mutating_a_constructor_argument_leaves_the_set(self, hidden):
+        spec = self.spec(hidden)
+        parts = [np.arange(n, dtype=float)
+                 for n in (spec.feature_size, spec.task_head_size, spec.adversary_size)]
+        params = ParameterSet(spec, *parts)
+        before = params.flat.copy()
+        for part in parts:
+            part += 100.0
+        np.testing.assert_array_equal(params.flat, before)
+
+
 def forward_one(params, x):
     """(latent h, task logits, adversary logits) of one input row."""
     _, _, H, Zt, Za = forward_batch(params, np.asarray(x, dtype=float)[None, :])
