@@ -103,8 +103,12 @@ def _signal_directions(spec: SynthSpec, rng: np.random.Generator):
 def generate_dataset(spec: SynthSpec, seed: int) -> Dataset:
     """Groups in order, each a contiguous block of rows.
 
-    Each row draws its noise, then (with label noise) its flip, from one
-    stream, so the per-row loop fixes the draw order.
+    All draws come from one stream, in this order: the class directions
+    and group codes, then for each group its labels and then its rows'
+    noise. A group without label noise draws its noise block in one
+    call, which consumes the stream as one draw per row would; a group
+    with label noise draws each row's noise followed by that row's flip.
+    Changing this order changes every byte of the dataset.
     """
     rng = np.random.default_rng([int(seed), 0x5EED])
     dirs, leak_idx, codes = _signal_directions(spec, rng)
@@ -117,10 +121,15 @@ def generate_dataset(spec: SynthSpec, seed: int) -> Dataset:
     for g, n_g in enumerate(spec.samples_per_group):
         y[start:start + n_g] = rng.integers(0, spec.num_classes, size=n_g)
         flip = spec.label_flip_noise[g]
-        for i in range(start, start + n_g):
-            X[i] = rng.standard_normal(spec.input_dim)
-            if flip > 0 and rng.random() < flip:
-                flip_shift[i] = 1 + rng.integers(0, spec.num_classes - 1)
+        if flip == 0:
+            rng.standard_normal(out=X[start:start + n_g])
+        else:
+            # each row's flip draw sits between its noise and the next
+            # row's, so these rows are drawn one at a time
+            for i in range(start, start + n_g):
+                X[i] = rng.standard_normal(spec.input_dim)
+                if rng.random() < flip:
+                    flip_shift[i] = 1 + rng.integers(0, spec.num_classes - 1)
         start += n_g
     # in place, to hold one temporary: noise_std * z + amp * direction
     X *= spec.noise_std

@@ -11,30 +11,18 @@ below) G as a single group dominates the total uncertainty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DEFAULT_EPS = 1e-6
 
 
-@dataclass(frozen=True)
-class GroupUncertainty:
-    group_id: int
-    total_evidence: float
-    sample_count: int
-
-    @property
-    def uncertainty(self) -> float:
-        return 1.0 / self.total_evidence
-
-
-def group_uncertainties(alpha0, groups, num_groups: int) -> list[GroupUncertainty]:
-    """Mean per-sample total evidence by group.
+def group_uncertainties(alpha0, groups, num_groups: int) -> np.ndarray:
+    """Per-group uncertainty: 1 / the group's mean total evidence.
 
     ``alpha0[i]`` is sample i's total evidence and ``groups[i]`` its
     0-based group id. Each group's evidence is a running sum in sample
-    order. Groups with no samples are omitted.
+    order. Groups with no samples are omitted; the rest come in group
+    order.
     """
     if num_groups < 1:
         raise ValueError("num_groups must be >= 1")
@@ -45,22 +33,20 @@ def group_uncertainties(alpha0, groups, num_groups: int) -> list[GroupUncertaint
         raise ValueError(f"group ids out of range [0, {num_groups})")
     counts = np.bincount(groups, minlength=num_groups)
     sums = np.bincount(groups, weights=alpha0, minlength=num_groups)
-    return [
-        GroupUncertainty(int(g), sums[g] / counts[g], int(counts[g]))
-        for g in np.flatnonzero(counts)
-    ]
+    present = counts > 0
+    return 1.0 / (sums[present] / counts[present])
 
 
 def uncertainty_variance(us) -> float:
     """Population variance of per-group uncertainties."""
-    us = np.asarray(list(us), dtype=float)
+    us = np.asarray(us, dtype=float)
     if us.size == 0:
         raise ValueError("empty uncertainty list")
     return float(np.mean((us - us.mean()) ** 2))
 
 
 def ufm(us, eps: float = DEFAULT_EPS) -> float:
-    us = np.asarray(list(us), dtype=float)
+    us = np.asarray(us, dtype=float)
     if us.size == 0:
         raise ValueError("empty uncertainty list")
     if eps <= 0:

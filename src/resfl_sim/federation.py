@@ -182,8 +182,7 @@ def shard_ufm(params: ParameterSet, shard) -> float:
         alpha0 = np.add.reduce(evidence_batch(Zt), axis=1)  # .sum's own call
         if not np.all(np.isfinite(alpha0)):
             alpha0 = np.where(np.isfinite(alpha0), alpha0, np.finfo(float).max)
-        gus = group_uncertainties(alpha0, shard.s, params.spec.num_groups)
-        value = ufm_metric([gu.uncertainty for gu in gus])
+        value = ufm_metric(group_uncertainties(alpha0, shard.s, params.spec.num_groups))
     return value if math.isfinite(value) else float(params.spec.num_groups)
 
 
@@ -258,8 +257,7 @@ def _evaluate(params: ParameterSet, eval_samples):
     dd = _nan_if_undefined(lambda c: di_deviation(c)[0], conf)
     de = _nan_if_undefined(delta_eop, conf)
     eo = _nan_if_undefined(eod, conf)
-    gus = group_uncertainties(alpha.sum(axis=1), eval_samples.s, params.spec.num_groups)
-    us = [gu.uncertainty for gu in gus]
+    us = group_uncertainties(alpha.sum(axis=1), eval_samples.s, params.spec.num_groups)
     return acc, tuple(acc_g), dd, de, eo, float(np.mean(us)), uncertainty_variance(us)
 
 

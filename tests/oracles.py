@@ -6,6 +6,8 @@ formulas directly, so tests can compare the batch code against them and
 state properties on a single Dirichlet output. ``logits_for`` builds
 inputs for hand-value tests of the batch code. ``reference_step`` is
 the local SGD step written as two passes and a functional update.
+``reference_generate_dataset`` draws the synthetic dataset one row at a
+time, the draw order ``datasets.generate_dataset`` must keep.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from scipy.special import expit
 
 from resfl_sim.adversarial import PROB_FLOOR, softmax
+from resfl_sim.datasets import Dataset, SynthSpec, _signal_directions
 from resfl_sim.network import ParameterSet
 
 
@@ -153,3 +156,34 @@ def reference_step(params: ParameterSet, X, y, s, eta: float, eta_phi: float | N
     new = ParameterSet(spec, params.theta_f - eta * np.concatenate(grads_f),
                        params.theta_e - eta * g_theta_e, params.phi - eta_phi * g_phi)
     return new, (float(nll.mean()), float(reg.mean()), float(adv.mean()))
+
+
+def reference_generate_dataset(spec: SynthSpec, seed: int) -> Dataset:
+    """``datasets.generate_dataset`` with every row drawn on its own.
+
+    Per group: its labels in one call, then each row's noise followed,
+    with label noise, by that row's flip. The package must give the same
+    bits.
+    """
+    rng = np.random.default_rng([int(seed), 0x5EED])
+    dirs, leak_idx, codes = _signal_directions(spec, rng)
+    n = sum(spec.samples_per_group)
+    s = np.repeat(np.arange(spec.num_groups), spec.samples_per_group)
+    y = np.empty(n, dtype=int)
+    flip_shift = np.zeros(n, dtype=int)
+    X = np.empty((n, spec.input_dim))
+    start = 0
+    for g, n_g in enumerate(spec.samples_per_group):
+        y[start:start + n_g] = rng.integers(0, spec.num_classes, size=n_g)
+        flip = spec.label_flip_noise[g]
+        for i in range(start, start + n_g):
+            X[i] = rng.standard_normal(spec.input_dim)
+            if flip > 0 and rng.random() < flip:
+                flip_shift[i] = 1 + rng.integers(0, spec.num_classes - 1)
+        start += n_g
+    X *= spec.noise_std
+    signal = dirs[y]
+    signal *= (2.0 * (1.0 + np.asarray(spec.group_means)[s, y]))[:, None]
+    X += signal
+    X[:, leak_idx] += codes[s]
+    return Dataset(X, (y + flip_shift) % spec.num_classes, s)

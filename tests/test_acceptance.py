@@ -175,8 +175,7 @@ class TestCriterion4HandValues:
         checks.append(abs(nll[1] - 1.125) < 1e-9)
         checks.append(abs(reg[0] - 9.0) < 1e-9)
         checks.append(abs(reg[2] - 4.2) < 1e-9)
-        gus = group_uncertainties([4.0, 4.0, 2.0], [0, 0, 1], 2)
-        us = [g.uncertainty for g in gus]
+        us = group_uncertainties([4.0, 4.0, 2.0], [0, 0, 1], 2)
         checks.append(abs(us[0] - 0.25) < 1e-9 and abs(us[1] - 0.5) < 1e-9)
         checks.append(abs(uncertainty_variance(us) - 0.015625) < 1e-9)
         checks.append(abs(ufm(us) - 0.25 / (0.375 + 1e-6)) < 1e-9)

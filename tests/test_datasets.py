@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import reference_generate_dataset
 from resfl_sim.datasets import SynthSpec, generate_dataset, partition, poison
 from resfl_sim.probe import probe_accuracy
 
@@ -74,6 +75,37 @@ class TestGeneration:
         acc_clean = probe_on(generate_dataset(clean, seed=0), target="y")
         acc_noisy = probe_on(generate_dataset(noisy, seed=0), target="y")
         assert acc_noisy < acc_clean - 0.2
+
+
+DRAW_ORDER_SPECS = {
+    "no_label_noise": SynthSpec(input_dim=6, samples_per_group=(40, 30, 20, 10)),
+    "mixed_label_noise": SynthSpec(input_dim=6, samples_per_group=(40, 30, 20, 10),
+                                   label_flip_noise=(0.1, 0.0, 0.2, 0.05)),
+    "label_noise_everywhere": SynthSpec(input_dim=6, samples_per_group=(40, 30, 20, 10),
+                                        label_flip_noise=(0.3, 0.1, 0.2, 0.4)),
+    "empty_group": SynthSpec(input_dim=6, samples_per_group=(40, 0, 20, 10),
+                             label_flip_noise=(0.0, 0.2, 0.1, 0.0)),
+    "three_classes": SynthSpec(input_dim=6, num_classes=3,
+                               samples_per_group=(40, 30, 20, 10),
+                               label_flip_noise=(0.0, 0.3, 0.0, 0.1)),
+    "input_dim_1": SynthSpec(input_dim=1, samples_per_group=(40, 30, 20, 10),
+                             label_flip_noise=(0.0, 0.2, 0.0, 0.0)),
+}
+
+
+class TestDrawOrder:
+    """One block draw per label-noise-free group uses the stream exactly
+    as the row-by-row reference does."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
+    @pytest.mark.parametrize("name", sorted(DRAW_ORDER_SPECS))
+    def test_bitwise_equal_to_row_by_row_reference(self, name, seed):
+        spec = DRAW_ORDER_SPECS[name]
+        got = generate_dataset(spec, seed)
+        ref = reference_generate_dataset(spec, seed)
+        assert np.array_equal(got.X, ref.X)
+        assert np.array_equal(got.y, ref.y)
+        assert np.array_equal(got.s, ref.s)
 
 
 class TestSpecValidation:

@@ -18,18 +18,14 @@ positive_us = st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=8)
 
 class TestGroupUncertainties:
     def test_hand_values(self):
-        gus = group_uncertainties([4.0, 4.0, 2.0], [0, 0, 1], num_groups=2)
-        assert [g.group_id for g in gus] == [0, 1]
-        assert [g.sample_count for g in gus] == [2, 1]
-        assert gus[0].total_evidence == pytest.approx(4.0)
-        assert gus[1].total_evidence == pytest.approx(2.0)
-        assert gus[0].uncertainty == pytest.approx(0.25)
-        assert gus[1].uncertainty == pytest.approx(0.5)
+        us = group_uncertainties([4.0, 4.0, 2.0], [0, 0, 1], num_groups=2)
+        assert isinstance(us, np.ndarray)
+        assert us.tolist() == [pytest.approx(0.25), pytest.approx(0.5)]
 
     def test_empty_groups_omitted(self):
-        gus = group_uncertainties([3.0], [2], num_groups=4)
-        assert len(gus) == 1
-        assert gus[0].group_id == 2
+        us = group_uncertainties([3.0, 5.0, 1.0], [2, 0, 2], num_groups=4)
+        # group 0 (mean 5), then group 2 (mean 2); groups 1 and 3 omitted
+        assert us.tolist() == [pytest.approx(0.2), pytest.approx(0.5)]
 
     def test_out_of_range_group_rejected(self):
         with pytest.raises(ValueError):
@@ -43,15 +39,14 @@ class TestGroupUncertainties:
 
 
 def running_sum_oracle(alpha0, groups, num_groups):
-    """(group id, mean evidence, count) per non-empty group, summing each
+    """1 / mean evidence per non-empty group, in group order, summing each
     group's evidence one sample at a time in sample order."""
     sums = [0.0] * num_groups
     counts = [0] * num_groups
     for a0, g in zip(alpha0, groups):
         sums[g] += float(a0)
         counts[g] += 1
-    return [(g, sums[g] / counts[g], counts[g])
-            for g in range(num_groups) if counts[g]]
+    return [1.0 / (sums[g] / counts[g]) for g in range(num_groups) if counts[g]]
 
 
 class TestGroupUncertaintiesOracle:
@@ -64,8 +59,7 @@ class TestGroupUncertaintiesOracle:
         num_groups = int(rng.integers(2, 9))
         alpha0 = 2.0 + rng.lognormal(0.0, 3.0, size=n)
         groups = rng.integers(0, num_groups - 1, size=n)  # last group empty
-        got = [(gu.group_id, gu.total_evidence, gu.sample_count)
-               for gu in group_uncertainties(alpha0, groups, num_groups)]
+        got = group_uncertainties(alpha0, groups, num_groups).tolist()
         assert got == running_sum_oracle(alpha0, groups, num_groups)
 
 

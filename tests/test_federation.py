@@ -1,11 +1,13 @@
 """Round loop, aggregators, DP mechanism, and end-to-end determinism."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from resfl_sim import fairness, network
 from resfl_sim.datasets import SynthSpec, generate_dataset, partition
 from resfl_sim.adversarial import local_train_step
 from resfl_sim.federation import (
@@ -363,3 +365,42 @@ class TestRunExperiment:
             tiny_config(aggregator="fedavg_dp", dp_epsilon=1.0, dp_clip=1.0),
             shards, data)
         assert not np.array_equal(plain.theta_f, noisy.theta_f)
+
+
+class TestCallCounts:
+    def test_cell_calls_match_the_benchmark_identities(self, monkeypatch):
+        # the call counts a cell of R rounds, K clients and L local steps
+        # must show, counted at every module that binds each function:
+        # two forward passes per step (the loss and the backward pass's
+        # recompute), one per client round (shard_ufm), and one forward
+        # pass and group_uncertainties call per round for evaluation and
+        # for each Byzantine client's corrupted-model UFM
+        counts = {}
+
+        def count(fn):
+            counts[fn.__name__] = 0
+
+            def counted(*args, **kwargs):
+                counts[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for original in (local_train_step, network.forward_batch,
+                         fairness.group_uncertainties):
+            wrapper = count(original)
+            for name, mod in list(sys.modules.items()):
+                if name.startswith("resfl_sim"):
+                    for attr, value in list(vars(mod).items()):
+                        if value is original:
+                            monkeypatch.setattr(mod, attr, wrapper)
+
+        data, shards = tiny_data()
+        cfg = tiny_config(rounds=3)
+        run_experiment(cfg, shards, data, byzantine=ByzantineSpec(client_ids=(1,)))
+        R, K, L = cfg.rounds, cfg.num_clients, cfg.local_iterations
+        e = 1 + 1  # evaluation plus one Byzantine client
+        assert counts == {
+            "local_train_step": R * K * L,
+            "forward_batch": 2 * R * K * L + R * K + R * e,
+            "group_uncertainties": R * K + R * e,
+        }
