@@ -25,12 +25,6 @@ class CompositeLossTerms:
     task: float
     uncertainty: float
     adversary: float
-    lambda1: float
-    lambda_adv: float
-
-    @property
-    def total(self) -> float:
-        return self.task + self.lambda1 * self.uncertainty + self.lambda_adv * self.adversary
 
 
 def softmax(Z: np.ndarray) -> np.ndarray:
@@ -75,8 +69,6 @@ def composite_gradients(
         task=float(np.add.reduce(nll) / n),
         uncertainty=float(np.add.reduce(reg) / n),
         adversary=float(np.add.reduce(adv) / n),
-        lambda1=lambda1,
-        lambda_adv=lambda_adv,
     )
     # one check for the step; a non-finite upstream shows in the bias sums
     if not (math.isfinite(terms.task) and math.isfinite(terms.uncertainty)

@@ -127,8 +127,7 @@ def aia_run(global_params: ParameterSet, dataset, num_groups: int, seed: int,
         np.copyto(new.flat, global_params.flat)
         local_train_step(new, grads, batch.X, batch.y, batch.s,
                          0.05, None, LAMBDA1, 0.0)
-        return np.concatenate([new.theta_f - global_params.theta_f,
-                               new.theta_e - global_params.theta_e])
+        return new.theta - global_params.theta
 
     def pure_batch(g):
         pool = by_group[g]

@@ -19,6 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import FAVORABLE_CLASS
+
+PARTITION_TRIES = 10  # Dirichlet draws before partition gives up on empty shards
+
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -140,13 +144,12 @@ def generate_dataset(spec: SynthSpec, seed: int) -> Dataset:
     return Dataset(X, (y + flip_shift) % spec.num_classes, s)
 
 
-def partition(dataset: Dataset, num_clients: int, beta: float, seed: int,
-              max_retries: int = 10) -> list[Dataset]:
+def partition(dataset: Dataset, num_clients: int, beta: float, seed: int) -> list[Dataset]:
     """Non-IID split: per-group client proportions ~ Dirichlet(beta).
 
     Every sample lands on exactly one client; a shard holds its rows
     group by group, in dataset order within a group. Empty shards
-    trigger a resample, up to ``max_retries`` times.
+    trigger a resample, up to PARTITION_TRIES draws in all.
     """
     if num_clients < 1:
         raise ValueError("num_clients must be >= 1")
@@ -155,7 +158,7 @@ def partition(dataset: Dataset, num_clients: int, beta: float, seed: int,
     if num_clients == 1:
         return [dataset]
     rng = np.random.default_rng([int(seed), 0xD17])
-    for _ in range(max_retries):
+    for _ in range(PARTITION_TRIES):
         rows: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
         for g in np.unique(dataset.s):
             members = np.flatnonzero(dataset.s == g)
@@ -166,18 +169,17 @@ def partition(dataset: Dataset, num_clients: int, beta: float, seed: int,
         shards = [dataset[np.concatenate(r)] for r in rows]
         if all(shards):
             return shards
-    raise RuntimeError(f"could not produce non-empty shards in {max_retries} tries")
+    raise RuntimeError(f"could not produce non-empty shards in {PARTITION_TRIES} tries")
 
 
-def poison(shard: Dataset, target_group: int, rate: float, seed: int,
-           favorable_class: int = 1) -> Dataset:
+def poison(shard: Dataset, target_group: int, rate: float, seed: int) -> Dataset:
     """Append label-flipped clones of target-group samples.
 
     The injected set has size round(rate * len(shard)), drawn with
     replacement from the shard's target-group samples and relabeled to a
-    wrong class. Favorable-class samples are cloned preferentially so
-    the flips consistently push the target group toward unfavorable
-    labels.
+    wrong class. Samples of the favorable class (``FAVORABLE_CLASS``)
+    are cloned preferentially so the flips consistently push the target
+    group toward unfavorable labels.
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must be in [0, 1]")
@@ -186,7 +188,7 @@ def poison(shard: Dataset, target_group: int, rate: float, seed: int,
     pool = np.flatnonzero(shard.s == target_group)
     if not len(pool):
         raise ValueError(f"shard has no samples of group {target_group}")
-    favored = pool[shard.y[pool] == favorable_class]
+    favored = pool[shard.y[pool] == FAVORABLE_CLASS]
     if not len(favored):
         favored = pool
     rng = np.random.default_rng([int(seed), 0xB1A5])

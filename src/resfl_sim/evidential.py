@@ -1,22 +1,16 @@
-"""Evidential classification and regression math.
+"""Evidential classification math.
 
-Classification: logits map through softplus to per-class evidence
+Logits map through softplus to per-class evidence
 alpha_c = 1 + log(1 + exp(z_c)), the concentration parameters of a
 Dirichlet over class probabilities. Total evidence alpha0 = sum(alpha),
 predicted probabilities p_hat = alpha / alpha0, epistemic uncertainty
 1 / alpha0.
-
-Regression: Normal-Inverse-Gamma hyperparameters (gamma, nu, alpha,
-beta) with epistemic variance beta / (nu * (alpha - 1)) and a Student-t
-marginal negative log-likelihood.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.special import expit, gammaln
+from scipy.special import expit
 
 
 def evidence_batch(Z: np.ndarray) -> np.ndarray:
@@ -56,39 +50,3 @@ def evidential_terms_batch(Z: np.ndarray, y: np.ndarray):
 
     dA_dZ = expit(Z)  # softplus derivative
     return nll, reg, dnll_dA * dA_dZ, dreg_dA * dA_dZ
-
-
-@dataclass(frozen=True)
-class NIGParams:
-    gamma: float
-    nu: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if self.nu <= 0 or self.alpha <= 1 or self.beta <= 0:
-            raise ValueError("require nu > 0, alpha > 1, beta > 0")
-
-
-def nig_epistemic_variance(p: NIGParams) -> float:
-    """Var[mu] = beta / (nu * (alpha - 1))."""
-    return p.beta / (p.nu * (p.alpha - 1.0))
-
-
-def nig_nll(y: float, p: NIGParams) -> float:
-    """Negative log Student-t marginal of the NIG evidential prior."""
-    omega = 2.0 * p.beta * (1.0 + p.nu)
-    return float(
-        0.5 * np.log(np.pi / p.nu)
-        - p.alpha * np.log(omega)
-        + (p.alpha + 0.5) * np.log(p.nu * (y - p.gamma) ** 2 + omega)
-        + gammaln(p.alpha)
-        - gammaln(p.alpha + 0.5)
-    )
-
-
-def nig_regression_loss(y: float, p: NIGParams, lam: float = 0.0) -> float:
-    """NLL plus lam * |y - gamma| * (2*nu + alpha)."""
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    return nig_nll(y, p) + lam * abs(y - p.gamma) * (2.0 * p.nu + p.alpha)

@@ -1,13 +1,14 @@
 """The federated round loop and the three aggregators.
 
 Each round: clients copy the global theta, run local SGD steps on their
-shard (keeping a private adversary head between rounds), and report a
-parameter delta plus their local uncertainty-fairness value. The server
-then aggregates:
+shard (keeping a private adversary head between rounds), and report
+one theta delta (theta_f then theta_e) plus their local
+uncertainty-fairness value. Each aggregator returns the global delta,
+which the round loop adds to theta_G in place:
 
   - fedavg:   sample-count-weighted mean of deltas
   - fedavg_dp: per-update clip + Gaussian noise, then fedavg
-  - resfl:    theta_G += eta_srv * sum_i 1/(1+ufm_i) * delta_i
+  - resfl:    eta_srv * sum_i 1/(1+ufm_i) * delta_i
 
 The resfl sum is unnormalized by design; eta_srv defaults to 1/K so
 that all-zero ufm reproduces FedAvg over equal shards exactly.
@@ -85,8 +86,7 @@ class FederationConfig:
 @dataclass
 class ClientUpdate:
     client_id: int
-    delta_theta_f: np.ndarray
-    delta_theta_e: np.ndarray
+    delta: np.ndarray  # theta_f then theta_e, as ParameterSet.theta
     ufm: float
     sample_count: int
 
@@ -140,8 +140,7 @@ def client_round(global_params: ParameterSet, phi: np.ndarray, shard,
     """
     if not shard:
         raise ValueError("empty shard")
-    np.copyto(params.theta_f, global_params.theta_f)
-    np.copyto(params.theta_e, global_params.theta_e)
+    np.copyto(params.theta, global_params.theta)
     np.copyto(params.phi, phi)
     task = unc = adv = 0.0
     # a diverging client overflows on its way to the FloatingPointError
@@ -160,13 +159,8 @@ def client_round(global_params: ParameterSet, phi: np.ndarray, shard,
     n_iter = max(config.local_iterations, 1)
     local_ufm = shard_ufm(params, shard)
 
-    update = ClientUpdate(
-        client_id=-1,
-        delta_theta_f=params.theta_f - global_params.theta_f,
-        delta_theta_e=params.theta_e - global_params.theta_e,
-        ufm=local_ufm,
-        sample_count=len(shard),
-    )
+    update = ClientUpdate(client_id=-1, delta=params.theta - global_params.theta,
+                          ufm=local_ufm, sample_count=len(shard))
     # a copy: the workspace is overwritten by the next client
     return update, params.phi.copy(), (task / n_iter, unc / n_iter, adv / n_iter)
 
@@ -191,15 +185,13 @@ def _weighted_delta_sum(updates, weights):
 
     Shared by all aggregators so equal-weight paths are bit-identical.
     """
-    df = np.zeros_like(updates[0].delta_theta_f)
-    de = np.zeros_like(updates[0].delta_theta_e)
+    total = np.zeros_like(updates[0].delta)
     for u, w in zip(updates, weights):
-        df += w * u.delta_theta_f
-        de += w * u.delta_theta_e
-    return df, de
+        total += w * u.delta
+    return total
 
 
-def aggregate_fedavg(updates) -> tuple[np.ndarray, np.ndarray]:
+def aggregate_fedavg(updates) -> np.ndarray:
     """Global delta weighted by each client's sample count."""
     if not updates:
         raise ValueError("no updates")
@@ -207,14 +199,12 @@ def aggregate_fedavg(updates) -> tuple[np.ndarray, np.ndarray]:
     return _weighted_delta_sum(updates, [u.sample_count / total for u in updates])
 
 
-def aggregate_resfl(global_params: ParameterSet, updates, server_lr: float) -> ParameterSet:
-    """theta_G + eta_srv * sum_i omega_i * delta_i (unnormalized weights)."""
+def aggregate_resfl(updates, server_lr: float) -> np.ndarray:
+    """Global delta eta_srv * sum_i omega_i * delta_i (unnormalized weights)."""
     if not updates:
         raise ValueError("no updates")
-    weights = [server_lr * aggregation_weight(u.ufm) for u in updates]
-    df, de = _weighted_delta_sum(updates, weights)
-    return ParameterSet(global_params.spec, global_params.theta_f + df,
-                        global_params.theta_e + de, global_params.phi)
+    return _weighted_delta_sum(
+        updates, [server_lr * aggregation_weight(u.ufm) for u in updates])
 
 
 def apply_dp(update: ClientUpdate, clip: float, noise_scale: float,
@@ -224,14 +214,12 @@ def apply_dp(update: ClientUpdate, clip: float, noise_scale: float,
         raise ValueError("clip must be > 0")
     if noise_scale < 0:
         raise ValueError("noise_scale must be >= 0")
-    flat = np.concatenate([update.delta_theta_f, update.delta_theta_e])
-    norm = float(np.linalg.norm(flat))
+    norm = float(np.linalg.norm(update.delta))
     factor = min(1.0, clip / norm) if norm > 0 else 1.0
-    flat = flat * factor
+    delta = update.delta * factor
     if noise_scale > 0:
-        flat = flat + noise_scale * clip * rng.standard_normal(flat.shape)
-    nf = len(update.delta_theta_f)
-    return replace(update, delta_theta_f=flat[:nf], delta_theta_e=flat[nf:])
+        delta = delta + noise_scale * clip * rng.standard_normal(delta.shape)
+    return replace(update, delta=delta)
 
 
 def _nan_if_undefined(metric, conf) -> float:
@@ -254,7 +242,7 @@ def _evaluate(params: ParameterSet, eval_samples):
     acc, acc_g = accuracy_by_group(preds, eval_samples.y, eval_samples.s,
                                    params.spec.num_groups)
     conf = confusion_by_group(preds, eval_samples.y, eval_samples.s)
-    dd = _nan_if_undefined(lambda c: di_deviation(c)[0], conf)
+    dd = _nan_if_undefined(di_deviation, conf)
     de = _nan_if_undefined(delta_eop, conf)
     eo = _nan_if_undefined(eod, conf)
     us = group_uncertainties(alpha.sum(axis=1), eval_samples.s, params.spec.num_groups)
@@ -302,44 +290,36 @@ def run_experiment(config: FederationConfig, shards, eval_samples=None,
             if t == 0:
                 # honest first-round norm, frozen as the reference
                 # magnitude of the Byzantine noise
-                ref_norm = float(np.mean([np.linalg.norm(np.concatenate(
-                    [u.delta_theta_f, u.delta_theta_e])) for u in updates]))
-            dim = len(updates[0].delta_theta_f) + len(updates[0].delta_theta_e)
+                ref_norm = float(np.mean([np.linalg.norm(u.delta) for u in updates]))
+            dim = updates[0].delta.size
             std = byzantine.scale * max(ref_norm, 1e-12) / math.sqrt(dim)
             for u in updates:
                 if u.client_id in byzantine.client_ids and std > 0:
                     arng = np.random.default_rng(
                         [config.seed, t, u.client_id, 0xBAD])
-                    noise = std * arng.standard_normal(dim)
-                    nf = len(u.delta_theta_f)
-                    u.delta_theta_f = noise[:nf]
-                    u.delta_theta_e = noise[nf:]
+                    u.delta = std * arng.standard_normal(dim)
                     # the corrupted local model is what the ufm report
                     # reflects, so uncertainty-aware weighting can react;
                     # it is built in the workspace, free after the clients
-                    np.add(global_params.theta_f, u.delta_theta_f, out=local.theta_f)
-                    np.add(global_params.theta_e, u.delta_theta_e, out=local.theta_e)
+                    np.add(global_params.theta, u.delta, out=local.theta)
                     np.copyto(local.phi, phis[u.client_id])
                     u.ufm = shard_ufm(local, shards[u.client_id])
 
+        if config.aggregator == "fedavg_dp":
+            updates = [
+                apply_dp(u, config.dp_clip, config.dp_noise_scale,
+                         np.random.default_rng([config.seed, t, u.client_id, 0xDF]))
+                for u in updates
+            ]
         if not updates:
             # nothing can move the global model anymore: record it frozen
             # and stop, so a destroyed model reads as low accuracy, not a crash
             log.warning("round %d: all clients failed; freezing global model", t)
-        elif config.aggregator == "resfl":
-            global_params = aggregate_resfl(global_params, updates,
-                                            config.effective_server_lr)
         else:
-            if config.aggregator == "fedavg_dp":
-                updates = [
-                    apply_dp(u, config.dp_clip, config.dp_noise_scale,
-                             np.random.default_rng([config.seed, t, u.client_id, 0xDF]))
-                    for u in updates
-                ]
-            df, de_ = aggregate_fedavg(updates)
-            global_params = ParameterSet(
-                network, global_params.theta_f + df, global_params.theta_e + de_,
-                global_params.phi)
+            delta = aggregate_resfl(updates, config.effective_server_lr) \
+                if config.aggregator == "resfl" else aggregate_fedavg(updates)
+            # the set is frozen, so the attribute takes no +=
+            np.add(global_params.theta, delta, out=global_params.theta)
 
         ufms = {u.client_id: u.ufm for u in updates}
         acc, acc_g, dd, dep, eo, mean_u, var_u = _evaluate(global_params, eval_samples)

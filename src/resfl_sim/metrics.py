@@ -1,62 +1,25 @@
 """Fairness and utility metrics plus deterministic CSV emission.
 
-Fairness metrics reduce per-group confusion counts. Two-group formulas
-generalize to more groups by taking the worst (maximum) pairwise value.
+Fairness metrics reduce a count array with one (tp, fp, tn, fn) row per
+group. Two-group formulas generalize to more groups by taking the worst
+(maximum) pairwise value.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 DI_CAP = 1.0
+FAVORABLE_CLASS = 1  # the "positive" outcome of every fairness metric
 
 
-@dataclass(frozen=True)
-class GroupCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-    @property
-    def positives(self) -> int:
-        return self.tp + self.fn
-
-    @property
-    def negatives(self) -> int:
-        return self.fp + self.tn
-
-    @property
-    def predicted_positive_rate(self) -> float:
-        return (self.tp + self.fp) / self.total
-
-    @property
-    def tpr(self) -> float:
-        return self.tp / self.positives
-
-    @property
-    def fpr(self) -> float:
-        return self.fp / self.negatives
-
-
-@dataclass(frozen=True)
-class GroupConfusion:
-    by_group: dict[int, GroupCounts]
-    favorable_class: int = 1
-
-
-def confusion_by_group(predictions, labels, groups,
-                       favorable_class: int = 1) -> GroupConfusion:
-    """Per-group confusion counts; 'positive' = the favorable class."""
-    pred_pos = np.asarray(predictions) == favorable_class
-    actual_pos = np.asarray(labels) == favorable_class
+def confusion_by_group(predictions, labels, groups) -> np.ndarray:
+    """Per-group confusion counts: one (tp, fp, tn, fn) int row per group
+    that has samples, in group order; 'positive' = FAVORABLE_CLASS."""
+    pred_pos = np.asarray(predictions) == FAVORABLE_CLASS
+    actual_pos = np.asarray(labels) == FAVORABLE_CLASS
     groups = np.asarray(groups, dtype=int)
     if not len(pred_pos) == len(actual_pos) == len(groups):
         raise ValueError("predictions and eval set are misaligned")
@@ -64,49 +27,38 @@ def confusion_by_group(predictions, labels, groups,
     cell = 2 * ~pred_pos + (pred_pos != actual_pos)
     size = 4 * (groups.max() + 1) if groups.size else 0
     counts = np.bincount(4 * groups + cell, minlength=size).reshape(-1, 4)
-    return GroupConfusion(
-        by_group={g: GroupCounts(*(int(v) for v in c))
-                  for g, c in enumerate(counts) if c.any()},
-        favorable_class=favorable_class,
-    )
+    return counts[counts.any(axis=1)]
 
 
-def di_deviation(conf: GroupConfusion) -> tuple[float, bool]:
-    """|1 - DI| with the higher-rate group as denominator; max over pairs.
-
-    Returns (value, degenerate_flag); the flag is set and the configured
-    cap returned when no group predicts the favorable class at all.
-    """
-    rates = [c.predicted_positive_rate for c in conf.by_group.values()]
-    if len(rates) < 2:
+def di_deviation(conf: np.ndarray) -> float:
+    """|1 - DI| with the higher-rate group as denominator, worst pair:
+    1 - min/max of the predicted-positive rates. DI_CAP when no group
+    predicts the favorable class at all."""
+    if len(conf) < 2:
         raise ValueError("need at least 2 groups")
-    if max(rates) == 0.0:
-        return DI_CAP, True
-    worst = 0.0
-    for ra, rb in itertools.combinations(rates, 2):
-        hi, lo = max(ra, rb), min(ra, rb)
-        if hi > 0:
-            worst = max(worst, abs(1.0 - lo / hi))
-    return worst, False
+    rates = (conf[:, 0] + conf[:, 1]) / conf.sum(axis=1)
+    hi = rates.max()
+    return DI_CAP if hi == 0.0 else float(1.0 - rates.min() / hi)
 
 
-def delta_eop(conf: GroupConfusion) -> float:
+def delta_eop(conf: np.ndarray) -> float:
     """Max pairwise TPR gap; groups without positives are excluded."""
-    tprs = [c.tpr for c in conf.by_group.values() if c.positives > 0]
-    if len(tprs) < 2:
+    pos = conf[:, 0] + conf[:, 3]
+    tpr = conf[pos > 0, 0] / pos[pos > 0]
+    if len(tpr) < 2:
         raise ValueError("need at least 2 groups with positive examples")
-    return max(tprs) - min(tprs)
+    return float(tpr.max() - tpr.min())
 
 
-def eod(conf: GroupConfusion) -> float:
+def eod(conf: np.ndarray) -> float:
     """Max over group pairs of |dTPR| + |dFPR|."""
-    usable = [c for c in conf.by_group.values() if c.positives > 0 and c.negatives > 0]
-    if len(usable) < 2:
+    tp, fp, tn, fn = conf.T
+    pos, neg = tp + fn, fp + tn
+    usable = (pos > 0) & (neg > 0)
+    if np.count_nonzero(usable) < 2:
         raise ValueError("need at least 2 groups with both positives and negatives")
-    worst = 0.0
-    for a, b in itertools.combinations(usable, 2):
-        worst = max(worst, abs(a.tpr - b.tpr) + abs(a.fpr - b.fpr))
-    return worst
+    tpr, fpr = tp[usable] / pos[usable], fp[usable] / neg[usable]
+    return float((np.abs(tpr[:, None] - tpr) + np.abs(fpr[:, None] - fpr)).max())
 
 
 def accuracy_by_group(predictions, labels, groups, num_groups: int):

@@ -69,8 +69,9 @@ class ParameterSet:
 
     Gradients share this layout. The constructor copies its three
     arguments into one array, ``flat``, and the segments become views of
-    it; the per-layer and head views are built once, here, so they stay
-    valid while the set is stepped in place."""
+    it, as does ``theta`` (theta_f then theta_e, the part a client
+    reports); the per-layer and head views are built once, here, so they
+    stay valid while the set is stepped in place."""
 
     spec: NetworkSpec
     theta_f: np.ndarray
@@ -99,7 +100,8 @@ class ParameterSet:
         def head(vec, width):
             return vec[:width * h].reshape(width, h), vec[width * h:]
 
-        views = {"flat": flat, "theta_f": theta_f, "theta_e": theta_e, "phi": phi,
+        views = {"flat": flat, "theta": flat[:nf + ne], "theta_f": theta_f,
+                 "theta_e": theta_e, "phi": phi,
                  "_layers": tuple(layers),
                  "_task_head": head(theta_e, spec.num_classes),
                  "_adversary_head": head(phi, spec.num_groups)}
@@ -230,6 +232,5 @@ def sgd_step(params: ParameterSet, grads: ParameterSet, eta: float,
     eta_phi = eta if eta_phi is None else eta_phi
     if eta_phi <= 0:
         raise ValueError("eta_phi must be > 0")
-    theta = params.flat.size - params.phi.size
-    params.flat[:theta] -= eta * grads.flat[:theta]
-    params.flat[theta:] -= eta_phi * grads.flat[theta:]
+    np.subtract(params.theta, eta * grads.theta, out=params.theta)
+    np.subtract(params.phi, eta_phi * grads.phi, out=params.phi)

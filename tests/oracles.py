@@ -7,11 +7,14 @@ state properties on a single Dirichlet output. ``logits_for`` builds
 inputs for hand-value tests of the batch code. ``reference_step`` is
 the local SGD step written as two passes and a functional update.
 ``reference_generate_dataset`` draws the synthetic dataset one row at a
-time, the draw order ``datasets.generate_dataset`` must keep.
+time, the draw order ``datasets.generate_dataset`` must keep. The
+``reference_*`` fairness metrics reduce per-group counts one group or
+one pair of groups at a time, as the worst-pair definitions read.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +22,7 @@ from scipy.special import expit
 
 from resfl_sim.adversarial import PROB_FLOOR, softmax
 from resfl_sim.datasets import Dataset, SynthSpec, _signal_directions
+from resfl_sim.metrics import DI_CAP
 from resfl_sim.network import ParameterSet
 
 
@@ -187,3 +191,43 @@ def reference_generate_dataset(spec: SynthSpec, seed: int) -> Dataset:
     X += signal
     X[:, leak_idx] += codes[s]
     return Dataset(X, (y + flip_shift) % spec.num_classes, s)
+
+
+# The fairness references take one (tp, fp, tn, fn) tuple per group that
+# has samples, and raise ValueError where the package does.
+
+def reference_di_deviation(counts) -> float:
+    """Max over group pairs of |1 - lo/hi| of the predicted-positive
+    rates; DI_CAP when no group predicts the favorable class."""
+    rates = [(tp + fp) / (tp + fp + tn + fn) for tp, fp, tn, fn in counts]
+    if len(rates) < 2:
+        raise ValueError("need at least 2 groups")
+    if max(rates) == 0.0:
+        return DI_CAP
+    worst = 0.0
+    for ra, rb in itertools.combinations(rates, 2):
+        hi, lo = max(ra, rb), min(ra, rb)
+        if hi > 0:
+            worst = max(worst, abs(1.0 - lo / hi))
+    return worst
+
+
+def reference_delta_eop(counts) -> float:
+    """Max TPR gap over the groups with positives."""
+    tprs = [tp / (tp + fn) for tp, fp, tn, fn in counts if tp + fn > 0]
+    if len(tprs) < 2:
+        raise ValueError("need at least 2 groups with positive examples")
+    return max(tprs) - min(tprs)
+
+
+def reference_eod(counts) -> float:
+    """Max over pairs of groups with positives and negatives of
+    |dTPR| + |dFPR|."""
+    rates = [(tp / (tp + fn), fp / (fp + tn))
+             for tp, fp, tn, fn in counts if tp + fn > 0 and fp + tn > 0]
+    if len(rates) < 2:
+        raise ValueError("need at least 2 groups with both positives and negatives")
+    worst = 0.0
+    for (tpr_a, fpr_a), (tpr_b, fpr_b) in itertools.combinations(rates, 2):
+        worst = max(worst, abs(tpr_a - tpr_b) + abs(fpr_a - fpr_b))
+    return worst

@@ -25,9 +25,9 @@ from resfl_sim.fairness import aggregation_weight, group_uncertainties, ufm, \
     uncertainty_variance
 from resfl_sim.federation import ClientUpdate, FederationConfig, aggregate_fedavg, \
     aggregate_resfl, run_experiment
-from resfl_sim.metrics import GroupConfusion, GroupCounts, eod
+from resfl_sim.metrics import eod
 from resfl_sim.network import NetworkSpec, forward_batch, init_params
-from resfl_sim.probe import probe_accuracy
+from probe import probe_accuracy
 
 SEEDS = (1, 2, 3, 4, 5)
 
@@ -147,19 +147,16 @@ class TestCriterion2UfmBound:
 class TestCriterion3AggregatorIdentity:
     def test_3_resfl_bitwise_fedavg_when_fair(self):
         net = NetworkSpec(input_dim=4, hidden_dims=(5,), num_classes=2, num_groups=2)
-        params = init_params(net, np.random.default_rng(0))
         rng = np.random.default_rng(1)
         updates = [
             ClientUpdate(client_id=i,
-                         delta_theta_f=rng.standard_normal(net.feature_size),
-                         delta_theta_e=rng.standard_normal(net.task_head_size),
+                         delta=rng.standard_normal(net.feature_size + net.task_head_size),
                          ufm=0.0, sample_count=25)
             for i in range(4)
         ]
-        merged = aggregate_resfl(params, updates, server_lr=0.25)
-        df, de = aggregate_fedavg(updates)
-        ok = np.array_equal(merged.theta_f, params.theta_f + df) and \
-            np.array_equal(merged.theta_e, params.theta_e + de)
+        # both global deltas are added to theta_G the same way
+        ok = np.array_equal(aggregate_resfl(updates, server_lr=0.25),
+                            aggregate_fedavg(updates))
         report(3, ok, "ufm=0 equal shards: resfl == fedavg bit-for-bit")
 
 
@@ -181,9 +178,7 @@ class TestCriterion4HandValues:
         checks.append(abs(ufm(us) - 0.25 / (0.375 + 1e-6)) < 1e-9)
         checks.append(abs(aggregation_weight(1.0) - 0.5) < 1e-9)
         checks.append(abs(aggregation_weight(3.0) - 0.25) < 1e-9)
-        conf = GroupConfusion(by_group={0: GroupCounts(8, 1, 9, 2),
-                                        1: GroupCounts(6, 2, 8, 4)})
-        checks.append(abs(eod(conf) - 0.3) < 1e-9)
+        checks.append(abs(eod(np.array([[8, 1, 9, 2], [6, 2, 8, 4]])) - 0.3) < 1e-9)
         report(4, all(checks), f"{sum(checks)}/{len(checks)} hand values within 1e-9")
 
 

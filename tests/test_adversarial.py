@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import adversary_forward, adversary_loss, reference_step
+from oracles import adversary_forward, adversary_loss, evidence_from_logits, \
+    evidential_nll, evidential_reg, reference_step
 from resfl_sim.adversarial import (
     PROB_FLOOR,
     composite_gradients,
@@ -97,11 +98,20 @@ class TestAdversaryForward:
 
 class TestCompositeGradients:
     def test_loss_composition(self):
+        # the composite loss at lambda1 = 0.3, lambda_adv = 0.7, built from
+        # the three terms, is the mean of the single-sample oracles' one
         params = params4()
         X, y, s = batch()
         _, terms = composite_gradients(params, X, y, s, lambda1=0.3, lambda_adv=0.7)
-        assert terms.total == pytest.approx(
-            terms.task + 0.3 * terms.uncertainty + 0.7 * terms.adversary, abs=1e-12)
+        _, _, H, Zt, _ = forward_batch(params, X)
+        onehot = np.eye(3)[y]
+        expect = np.mean([
+            evidential_nll(onehot[i], evidence_from_logits(Zt[i]))
+            + 0.3 * evidential_reg(onehot[i], evidence_from_logits(Zt[i]))
+            + 0.7 * adversary_loss(adversary_forward(params, H[i]), s[i])
+            for i in range(len(y))])
+        assert terms.task + 0.3 * terms.uncertainty + 0.7 * terms.adversary \
+            == pytest.approx(expect, abs=1e-12)
 
     def test_theta_f_linear_in_lambda_adv(self):
         params = params4()

@@ -15,7 +15,7 @@ from resfl_sim.attacks import (
 from resfl_sim.datasets import SynthSpec, generate_dataset, partition
 from resfl_sim.federation import FederationConfig, run_experiment
 from resfl_sim.network import NetworkSpec
-from resfl_sim.probe import probe_accuracy
+from probe import probe_accuracy
 
 
 def small_dataset(seed=0, per_group=40, **kw):

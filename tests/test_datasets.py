@@ -6,7 +6,7 @@ from scipy import stats
 
 from oracles import reference_generate_dataset
 from resfl_sim.datasets import SynthSpec, generate_dataset, partition, poison
-from resfl_sim.probe import probe_accuracy
+from probe import probe_accuracy
 
 
 def probe_on(samples, train_frac=0.7, seed=0, target="s"):

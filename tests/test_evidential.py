@@ -1,4 +1,4 @@
-"""Evidential classification math and the NIG regression losses."""
+"""Evidential classification math."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
 
 from oracles import (
     EvidentialOutput,
@@ -15,14 +14,7 @@ from oracles import (
     evidential_reg,
     logits_for,
 )
-from resfl_sim.evidential import (
-    NIGParams,
-    evidence_batch,
-    evidential_terms_batch,
-    nig_epistemic_variance,
-    nig_nll,
-    nig_regression_loss,
-)
+from resfl_sim.evidential import evidence_batch, evidential_terms_batch
 
 LN2 = math.log(2.0)
 
@@ -172,47 +164,3 @@ class TestTermsBatchGradients:
                 assert dreg[i, j] == pytest.approx(
                     (r_hi[i] - r_lo[i]) / (2 * step), rel=1e-4, abs=1e-6)
 
-
-class TestNIG:
-    def test_variance_hand_values(self):
-        assert nig_epistemic_variance(NIGParams(0.0, 1.0, 3.0, 2.0)) == pytest.approx(1.0)
-        assert nig_epistemic_variance(NIGParams(0.0, 10.0, 2.0, 1.0)) == pytest.approx(0.1)
-
-    def test_variance_vanishes_with_confidence(self):
-        assert nig_epistemic_variance(NIGParams(0.0, 1e12, 2.0, 1.0)) < 1e-11
-
-    def test_invalid_params_rejected(self):
-        for nu, alpha, beta in ((0.0, 2.0, 1.0), (1.0, 1.0, 1.0), (1.0, 2.0, 0.0)):
-            with pytest.raises(ValueError):
-                NIGParams(0.0, nu, alpha, beta)
-
-    @pytest.mark.parametrize("y", [-1.0, 0.0, 0.7, 2.5])
-    def test_nll_matches_quadrature(self, y):
-        # marginal likelihood by integrating Normal x Inverse-Gamma numerically
-        p = NIGParams(gamma=0.3, nu=1.2, alpha=2.0, beta=1.5)
-
-        # N(y; mu, s2) * N(mu; gamma, s2/nu) * InvGamma(s2; alpha, beta),
-        # summed in log space with math (scipy.stats pdfs per point are slow)
-        log_const = (-math.log(2.0 * math.pi) + 0.5 * math.log(p.nu)
-                     + p.alpha * math.log(p.beta) - math.lgamma(p.alpha))
-
-        def integrand(sigma2, mu):
-            sq = (y - mu) ** 2 + p.nu * (mu - p.gamma) ** 2
-            return math.exp(log_const - (p.alpha + 2.0) * math.log(sigma2)
-                            - (sq / 2.0 + p.beta) / sigma2)
-
-        marginal, _ = integrate.dblquad(integrand, -30, 30, 0.0, 200.0)
-        assert nig_nll(y, p) == pytest.approx(-math.log(marginal), abs=1e-4)
-
-    def test_regularizer_zero_at_exact_mean(self):
-        p = NIGParams(gamma=1.5, nu=2.0, alpha=3.0, beta=1.0)
-        assert nig_regression_loss(1.5, p, lam=1.0) == nig_regression_loss(1.5, p, lam=0.0)
-
-    def test_regularizer_hand_value(self):
-        p = NIGParams(gamma=0.0, nu=1.0, alpha=2.0, beta=1.0)
-        delta = nig_regression_loss(1.0, p, lam=1.0) - nig_regression_loss(1.0, p, lam=0.0)
-        assert delta == pytest.approx(4.0, abs=1e-12)
-
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            nig_regression_loss(0.0, NIGParams(0.0, 1.0, 2.0, 1.0), lam=-0.1)

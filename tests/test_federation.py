@@ -43,9 +43,8 @@ def workspace(spec):
     return ParameterSet.zeros(spec), ParameterSet.zeros(spec)
 
 
-def mk_update(cid, df, de, ufm=0.0, n=1):
-    return ClientUpdate(client_id=cid, delta_theta_f=np.asarray(df, dtype=float),
-                        delta_theta_e=np.asarray(de, dtype=float), ufm=ufm,
+def mk_update(cid, delta, ufm=0.0, n=1):
+    return ClientUpdate(client_id=cid, delta=np.asarray(delta, dtype=float), ufm=ufm,
                         sample_count=n)
 
 
@@ -88,7 +87,7 @@ class TestClientRound:
         cfg = tiny_config(local_iterations=0)
         u, phi, _ = client_round(self.params, self.params.phi, self.shards[0],
                                  cfg, client_rng(0, 0, 0), *workspace(self.params.spec))
-        assert not u.delta_theta_f.any() and not u.delta_theta_e.any()
+        assert not u.delta.any()
         np.testing.assert_array_equal(phi, self.params.phi)
         assert u.sample_count == len(self.shards[0])
 
@@ -98,7 +97,7 @@ class TestClientRound:
                          cfg, client_rng(0, 0, 0), *workspace(self.params.spec))[0]
         b = client_round(self.params, self.params.phi, self.shards[0],
                          cfg, client_rng(0, 0, 0), *workspace(self.params.spec))[0]
-        np.testing.assert_array_equal(a.delta_theta_f, b.delta_theta_f)
+        np.testing.assert_array_equal(a.delta, b.delta)
         assert a.ufm == b.ufm
 
     def test_one_iteration_matches_manual_step(self):
@@ -113,8 +112,7 @@ class TestClientRound:
         manual = self.params.copy()  # local_train_step steps it in place
         local_train_step(manual, ParameterSet.zeros(manual.spec), batch.X, batch.y,
                          batch.s, cfg.eta, cfg.eta_phi, cfg.lambda1, cfg.lambda_adv)
-        np.testing.assert_array_equal(u.delta_theta_f,
-                                      manual.theta_f - self.params.theta_f)
+        np.testing.assert_array_equal(u.delta, manual.theta - self.params.theta)
 
     def test_client_diverging_after_its_first_step_leaves_inputs_untouched(self):
         # eta = 1e300 gives a finite first step and a non-finite second one
@@ -134,8 +132,7 @@ class TestClientRound:
 
     def assert_same_round(self, a, b):
         (ua, phi_a, loss_a), (ub, phi_b, loss_b) = a, b
-        np.testing.assert_array_equal(ua.delta_theta_f, ub.delta_theta_f)
-        np.testing.assert_array_equal(ua.delta_theta_e, ub.delta_theta_e)
+        np.testing.assert_array_equal(ua.delta, ub.delta)
         np.testing.assert_array_equal(phi_a, phi_b)
         assert (ua.ufm, ua.sample_count, loss_a) == (ub.ufm, ub.sample_count, loss_b)
 
@@ -187,91 +184,68 @@ class TestClientRound:
 
 class TestAggregators:
     def test_fedavg_weighted_mean(self):
-        ups = [mk_update(0, [4.0], [0.0], n=1), mk_update(1, [0.0], [8.0], n=3)]
-        df, de = aggregate_fedavg(ups)
-        assert df[0] == pytest.approx(1.0, abs=1e-15)
-        assert de[0] == pytest.approx(6.0, abs=1e-15)
+        ups = [mk_update(0, [4.0, 0.0], n=1), mk_update(1, [0.0, 8.0], n=3)]
+        delta = aggregate_fedavg(ups)
+        assert delta[0] == pytest.approx(1.0, abs=1e-15)
+        assert delta[1] == pytest.approx(6.0, abs=1e-15)
 
     def test_fedavg_identical_updates_passthrough(self):
-        ups = [mk_update(i, [2.0, -1.0], [0.5], n=7) for i in range(3)]
-        df, de = aggregate_fedavg(ups)
-        np.testing.assert_allclose(df, [2.0, -1.0], rtol=1e-15)
-        np.testing.assert_allclose(de, [0.5], rtol=1e-15)
-
-    def resfl_setup(self):
-        net = NetworkSpec(input_dim=2, hidden_dims=(2,), num_classes=2, num_groups=2)
-        params = init_params(net, np.random.default_rng(0))
-        return net, params
+        ups = [mk_update(i, [2.0, -1.0, 0.5], n=7) for i in range(3)]
+        np.testing.assert_allclose(aggregate_fedavg(ups), [2.0, -1.0, 0.5], rtol=1e-15)
 
     def test_resfl_hand_value(self):
-        _, params = self.resfl_setup()
-        nf, ne = len(params.theta_f), len(params.theta_e)
-        ups = [mk_update(0, np.full(nf, 2.0), np.zeros(ne), ufm=0.0),
-               mk_update(1, np.full(nf, 2.0), np.zeros(ne), ufm=1.0)]
+        ups = [mk_update(0, [2.0, 2.0, 0.0], ufm=0.0),
+               mk_update(1, [2.0, 2.0, 0.0], ufm=1.0)]
         # eta_srv=0.5: 0.5 * (1*2 + 0.5*2) = 1.5
-        out = aggregate_resfl(params, ups, server_lr=0.5)
-        np.testing.assert_allclose(out.theta_f - params.theta_f, 1.5, rtol=1e-15)
-        np.testing.assert_array_equal(out.theta_e, params.theta_e)
+        delta = aggregate_resfl(ups, server_lr=0.5)
+        np.testing.assert_allclose(delta[:2], 1.5, rtol=1e-15)
+        assert delta[2] == 0.0
 
     def test_resfl_bit_identical_to_fedavg_when_fair(self):
-        _, params = self.resfl_setup()
-        nf, ne = len(params.theta_f), len(params.theta_e)
         rng = np.random.default_rng(3)
-        ups = [mk_update(i, rng.standard_normal(nf), rng.standard_normal(ne),
-                         ufm=0.0, n=10) for i in range(4)]
-        out = aggregate_resfl(params, ups, server_lr=0.25)
-        df, de = aggregate_fedavg(ups)
-        assert np.array_equal(out.theta_f, params.theta_f + df)
-        assert np.array_equal(out.theta_e, params.theta_e + de)
+        ups = [mk_update(i, rng.standard_normal(9), ufm=0.0, n=10) for i in range(4)]
+        assert np.array_equal(aggregate_resfl(ups, server_lr=0.25), aggregate_fedavg(ups))
 
     def test_resfl_weight_linearity(self):
-        _, params = self.resfl_setup()
-        nf, ne = len(params.theta_f), len(params.theta_e)
-        up = mk_update(0, np.ones(nf), np.ones(ne), ufm=0.5)
-        one = aggregate_resfl(params, [up], server_lr=1.0)
-        two = aggregate_resfl(params, [up, up], server_lr=1.0)
-        np.testing.assert_allclose(two.theta_f - params.theta_f,
-                                   2.0 * (one.theta_f - params.theta_f), rtol=1e-12)
+        up = mk_update(0, np.ones(9), ufm=0.5)
+        one = aggregate_resfl([up], server_lr=1.0)
+        two = aggregate_resfl([up, up], server_lr=1.0)
+        np.testing.assert_allclose(two, 2.0 * one, rtol=1e-12)
 
     def test_empty_updates_rejected(self):
-        _, params = self.resfl_setup()
         with pytest.raises(ValueError):
             aggregate_fedavg([])
         with pytest.raises(ValueError):
-            aggregate_resfl(params, [], 1.0)
+            aggregate_resfl([], 1.0)
 
 
 class TestApplyDp:
     def test_clip_only_halves_long_update(self):
-        u = mk_update(0, [3.0, 0.0], [0.0, 4.0])  # norm 5
+        u = mk_update(0, [3.0, 0.0, 0.0, 4.0])  # norm 5
         out = apply_dp(u, clip=2.5, noise_scale=0.0, rng=np.random.default_rng(0))
-        np.testing.assert_allclose(out.delta_theta_f, [1.5, 0.0], rtol=1e-15)
-        np.testing.assert_allclose(out.delta_theta_e, [0.0, 2.0], rtol=1e-15)
+        np.testing.assert_allclose(out.delta, [1.5, 0.0, 0.0, 2.0], rtol=1e-15)
 
     def test_short_update_untouched_without_noise(self):
-        u = mk_update(0, [0.1, 0.0], [0.0, 0.1])
+        u = mk_update(0, [0.1, 0.0, 0.0, 0.1])
         out = apply_dp(u, clip=10.0, noise_scale=0.0, rng=np.random.default_rng(0))
-        np.testing.assert_array_equal(out.delta_theta_f, u.delta_theta_f)
+        np.testing.assert_array_equal(out.delta, u.delta)
 
     def test_noise_statistics(self):
         # Monte-Carlo oracle: mean ~ clipped delta, std ~ noise_scale * clip
-        u = mk_update(0, np.zeros(3), np.zeros(3))
+        u = mk_update(0, np.zeros(6))
         rng = np.random.default_rng(0)
-        draws = np.stack([
-            np.concatenate([(o := apply_dp(u, 1.0, 0.5, rng)).delta_theta_f,
-                            o.delta_theta_e])
-            for _ in range(4000)])
+        draws = np.stack([apply_dp(u, 1.0, 0.5, rng).delta for _ in range(4000)])
         assert abs(draws.mean()) < 0.02
         assert draws.std() == pytest.approx(0.5, rel=0.05)
 
     def test_dp_noise_deterministic_by_rng(self):
-        u = mk_update(0, [1.0], [2.0])
+        u = mk_update(0, [1.0, 2.0])
         a = apply_dp(u, 1.0, 0.3, np.random.default_rng(42))
         b = apply_dp(u, 1.0, 0.3, np.random.default_rng(42))
-        np.testing.assert_array_equal(a.delta_theta_f, b.delta_theta_f)
+        np.testing.assert_array_equal(a.delta, b.delta)
 
     def test_bad_args(self):
-        u = mk_update(0, [1.0], [1.0])
+        u = mk_update(0, [1.0, 1.0])
         with pytest.raises(ValueError):
             apply_dp(u, 0.0, 0.1, np.random.default_rng(0))
         with pytest.raises(ValueError):
@@ -305,10 +279,7 @@ class TestRunExperiment:
         start = init_params(net, np.random.default_rng([0, 0x1217]))
         manual, _, _ = client_round(start, start.phi, data, cfg, client_rng(0, 0, 0),
                                     *workspace(net))
-        np.testing.assert_array_equal(params.theta_f,
-                                      start.theta_f + manual.delta_theta_f)
-        np.testing.assert_array_equal(params.theta_e,
-                                      start.theta_e + manual.delta_theta_e)
+        np.testing.assert_array_equal(params.theta, start.theta + manual.delta)
 
     def test_round_records_report_weights(self):
         data, shards = tiny_data()

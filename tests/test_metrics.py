@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_delta_eop, reference_di_deviation, reference_eod
 from resfl_sim.metrics import (
     DI_CAP,
-    GroupConfusion,
-    GroupCounts,
+    FAVORABLE_CLASS,
     MetricsRow,
     accuracy_by_group,
     confusion_by_group,
@@ -20,9 +20,8 @@ from resfl_sim.metrics import (
 
 
 def conf(*groups):
-    """GroupConfusion from (tp, fp, tn, fn) tuples, group ids 0..n-1."""
-    return GroupConfusion(by_group={
-        g: GroupCounts(*c) for g, c in enumerate(groups)})
+    """Count array from (tp, fp, tn, fn) tuples, one row per group."""
+    return np.array(groups, dtype=int).reshape(-1, 4)
 
 
 def labels_groups(*samples):
@@ -31,20 +30,23 @@ def labels_groups(*samples):
     return np.array(y), np.array(s)
 
 
+def samples_from_counts(counts):
+    """(predictions, labels, groups) whose group g holds counts[g] =
+    (tp, fp, tn, fn) samples; an all-zero tuple is a group without samples."""
+    pos, neg = FAVORABLE_CLASS, 1 - FAVORABLE_CLASS
+    cells = np.array([[pos, pos], [pos, neg], [neg, neg], [neg, pos]])  # (pred, label)
+    table = conf(*counts)
+    pairs = np.repeat(np.tile(cells, (len(table), 1)), table.ravel(), axis=0)
+    groups = np.repeat(np.arange(len(table)), table.sum(axis=1))
+    return pairs[:, 0], pairs[:, 1], groups
+
+
 class TestConfusion:
     def test_hand_counts(self):
         y, s = labels_groups((1, 0), (1, 0), (0, 0), (1, 1), (0, 1))
         preds = [1, 0, 1, 1, 0]
         c = confusion_by_group(preds, y, s)
-        assert c.by_group[0] == GroupCounts(tp=1, fp=1, tn=0, fn=1)
-        assert c.by_group[1] == GroupCounts(tp=1, fp=0, tn=1, fn=0)
-
-    def test_rates(self):
-        c = GroupCounts(tp=3, fp=1, tn=4, fn=2)
-        assert c.total == 10
-        assert c.predicted_positive_rate == pytest.approx(0.4)
-        assert c.tpr == pytest.approx(0.6)
-        assert c.fpr == pytest.approx(0.2)
+        np.testing.assert_array_equal(c, [[1, 1, 0, 1], [1, 0, 1, 0]])
 
     def test_misaligned_rejected(self):
         with pytest.raises(ValueError):
@@ -53,22 +55,17 @@ class TestConfusion:
 
 class TestDiDeviation:
     def test_equal_rates_zero(self):
-        v, degenerate = di_deviation(conf((2, 2, 4, 2), (1, 1, 2, 1)))
-        assert v == 0.0 and not degenerate
+        assert di_deviation(conf((2, 2, 4, 2), (1, 1, 2, 1))) == 0.0
 
     def test_hand_value(self):
         # rates 0.5 and 0.25 -> |1 - 0.25/0.5| = 0.5
-        v, degenerate = di_deviation(conf((4, 1, 3, 2), (1, 1, 5, 1)))
-        assert v == pytest.approx(0.5, abs=1e-12)
-        assert not degenerate
+        assert di_deviation(conf((4, 1, 3, 2), (1, 1, 5, 1))) == pytest.approx(0.5, abs=1e-12)
 
-    def test_degenerate_capped_and_flagged(self):
-        v, degenerate = di_deviation(conf((0, 0, 5, 5), (0, 0, 5, 5)))
-        assert v == DI_CAP and degenerate
+    def test_degenerate_capped(self):
+        assert di_deviation(conf((0, 0, 5, 5), (0, 0, 5, 5))) == DI_CAP
 
     def test_one_sided_zero_rate(self):
-        v, degenerate = di_deviation(conf((5, 0, 0, 0), (0, 0, 5, 5)))
-        assert v == pytest.approx(1.0) and not degenerate
+        assert di_deviation(conf((5, 0, 0, 0), (0, 0, 5, 5))) == pytest.approx(1.0)
 
     def test_single_group_rejected(self):
         with pytest.raises(ValueError):
@@ -119,9 +116,34 @@ class TestEopAndEod:
     @settings(max_examples=200, deadline=None)
     def test_eod_triangle_bound(self, groups):
         c = conf(*groups)
-        max_fpr_gap = max(a.fpr for a in c.by_group.values()) - \
-            min(a.fpr for a in c.by_group.values())
-        assert eod(c) <= delta_eop(c) + max_fpr_gap + 1e-12
+        fpr = c[:, 1] / (c[:, 1] + c[:, 2])
+        assert eod(c) <= delta_eop(c) + fpr.max() - fpr.min() + 1e-12
+
+
+class TestAgainstPairwiseReference:
+    @given(st.lists(st.tuples(*[st.integers(0, 12)] * 4), max_size=6))
+    @example([])  # no samples at all
+    @example([(3, 1, 2, 2)])  # one group
+    @example([(0, 0, 3, 2), (0, 0, 0, 0), (0, 0, 1, 4)])  # no predicted positives
+    @example([(2, 1, 0, 0), (0, 0, 0, 0), (1, 3, 2, 2)])  # positives or negatives only
+    @settings(max_examples=500, deadline=None)
+    def test_metrics_equal_the_reference(self, counts):
+        """confusion_by_group and the three metrics give exactly the
+        reference's values, or raise ValueError where it does."""
+        c = confusion_by_group(*samples_from_counts(counts))
+        table = [g for g in counts if any(g)]
+        np.testing.assert_array_equal(c, conf(*table))
+        for metric, reference in ((di_deviation, reference_di_deviation),
+                                  (delta_eop, reference_delta_eop),
+                                  (eod, reference_eod)):
+            try:
+                expect = reference(table)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    metric(c)
+            else:
+                got = metric(c)
+                assert type(got) is float and got == expect
 
 
 class TestAccuracyByGroup:

@@ -109,6 +109,19 @@ class TestLayout:
             part += 100.0
         np.testing.assert_array_equal(params.flat, before)
 
+    def test_theta_is_a_view_of_theta_f_then_theta_e(self, hidden):
+        params = random_params(self.spec(hidden), seed=3)
+        assert np.shares_memory(params.theta, params.flat)
+        np.testing.assert_array_equal(
+            params.theta, np.concatenate([params.theta_f, params.theta_e]))
+        grads = ParameterSet.zeros(params.spec)
+        grads.flat[:] = 1.0
+        before = params.theta.copy()
+        sgd_step(params, grads, 0.5)  # in place
+        np.testing.assert_array_equal(params.theta, before - 0.5)
+        np.testing.assert_array_equal(
+            params.theta, np.concatenate([params.theta_f, params.theta_e]))
+
 
 def forward_one(params, x):
     """(latent h, task logits, adversary logits) of one input row."""
