@@ -5,7 +5,14 @@ import pytest
 from scipy import stats
 
 from oracles import reference_generate_dataset
-from resfl_sim.datasets import SynthSpec, generate_dataset, partition, poison
+from resfl_sim.datasets import (
+    PARTITION_TRIES,
+    SynthSpec,
+    generate_dataset,
+    partition,
+    poison,
+)
+from resfl_sim.metrics import FAVORABLE_CLASS
 from probe import probe_accuracy
 
 
@@ -186,6 +193,11 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition(self.data, 2, beta=0.0, seed=0)
 
+    def test_gives_up_after_partition_tries(self):
+        # two samples cannot fill three shards, so every draw is rejected
+        with pytest.raises(RuntimeError, match=f"in {PARTITION_TRIES} tries"):
+            partition(self.data[:2], 3, beta=0.5, seed=0)
+
 
 class TestPoison:
     def setup_method(self):
@@ -212,6 +224,22 @@ class TestPoison:
             # carries a different label
             twins = self.shard[(self.shard.s == 2) & np.all(self.shard.X == x, axis=1)]
             assert twins and all(t != y for t in twins.y)
+
+    def test_clones_favorable_class_samples(self):
+        target = self.shard[self.shard.s == 2]
+        assert set(target.y) == {0, 1}
+        injected = poison(self.shard, target_group=2, rate=0.2, seed=0)[len(self.shard):]
+        assert all(y != FAVORABLE_CLASS for y in injected.y)
+        for x in injected.X:
+            assert target.y[np.all(target.X == x, axis=1)][0] == FAVORABLE_CLASS
+
+    def test_whole_group_cloned_without_favorable_samples(self):
+        unfavored = ~((self.shard.s == 2) & (self.shard.y == FAVORABLE_CLASS))
+        shard = self.shard[unfavored]
+        injected = poison(shard, target_group=2, rate=0.2, seed=0)[len(shard):]
+        assert len(injected) == round(0.2 * len(shard))
+        assert all(s == 2 for s in injected.s)
+        assert all(y == FAVORABLE_CLASS for y in injected.y)
 
     def test_deterministic(self):
         a = poison(self.shard, 1, 0.3, seed=5)

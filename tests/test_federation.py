@@ -212,6 +212,16 @@ class TestAggregators:
         two = aggregate_resfl([up, up], server_lr=1.0)
         np.testing.assert_allclose(two, 2.0 * one, rtol=1e-12)
 
+    def test_result_is_a_new_array_and_updates_untouched(self):
+        ups = [mk_update(0, [1.0, -2.0, 3.0], ufm=0.5, n=2),
+               mk_update(1, [0.5, 0.0, -1.0], ufm=0.0, n=1)]
+        before = [u.delta.copy() for u in ups]
+        for delta in (aggregate_fedavg(ups), aggregate_resfl(ups, server_lr=1.0)):
+            delta += 100.0  # run_experiment adds it to theta in place
+            assert all(not np.shares_memory(delta, u.delta) for u in ups)
+        for u, b in zip(ups, before):
+            np.testing.assert_array_equal(u.delta, b)
+
     def test_empty_updates_rejected(self):
         with pytest.raises(ValueError):
             aggregate_fedavg([])

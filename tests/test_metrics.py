@@ -48,6 +48,34 @@ class TestConfusion:
         c = confusion_by_group(preds, y, s)
         np.testing.assert_array_equal(c, [[1, 1, 0, 1], [1, 0, 1, 0]])
 
+    def test_rates(self):
+        # row (3, 1, 4, 2): predicted-positive rate 0.4, TPR 0.6, FPR 0.2;
+        # row (3, 1, 9, 7): 0.2, 0.3, 0.1
+        c = conf((3, 1, 4, 2), (3, 1, 9, 7))
+        assert di_deviation(c) == pytest.approx(1.0 - 0.2 / 0.4, abs=1e-12)
+        assert delta_eop(c) == pytest.approx(0.6 - 0.3, abs=1e-12)
+        assert eod(c) == pytest.approx((0.6 - 0.3) + (0.2 - 0.1), abs=1e-12)
+
+    def test_groups_without_samples_dropped(self):
+        # groups 1 and 3 have no samples; rows stay in group order
+        y, s = labels_groups((1, 2), (0, 0), (0, 2), (1, 4))
+        c = confusion_by_group([1, 1, 0, 0], y, s)
+        np.testing.assert_array_equal(c, [[0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]])
+        assert c.dtype.kind == "i"
+
+    def test_no_samples_empty_table(self):
+        c = confusion_by_group([], [], [])
+        assert c.shape == (0, 4)
+        with pytest.raises(ValueError):
+            di_deviation(c)
+
+    def test_only_the_favorable_class_is_positive(self):
+        # with three classes, any non-favorable prediction of a
+        # non-favorable label is a true negative, even when they differ
+        y, s = labels_groups((0, 0), (2, 0), (FAVORABLE_CLASS, 0), (2, 0))
+        c = confusion_by_group([2, 0, FAVORABLE_CLASS, FAVORABLE_CLASS], y, s)
+        np.testing.assert_array_equal(c, [[1, 1, 2, 0]])
+
     def test_misaligned_rejected(self):
         with pytest.raises(ValueError):
             confusion_by_group([1], *labels_groups((1, 0), (0, 0)))
