@@ -190,7 +190,8 @@ def poisoning_run(config: FederationConfig, shards, eval_samples,
                                 for sh in shards]))
         poisoned_shards = list(shards)
         poisoned_shards[victim] = poison(shards[victim], target_group, rate,
-                                         seed=config.seed)
+                                         seed=config.seed,
+                                         num_classes=clean[0].spec.num_classes)
         params_poisoned, _ = run_experiment(config, poisoned_shards, eval_samples,
                                             network=clean[0].spec)
 

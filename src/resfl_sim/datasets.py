@@ -93,15 +93,17 @@ class SynthSpec:
 
 
 def _signal_directions(spec: SynthSpec, rng: np.random.Generator):
-    """Fixed class directions and group leak codes for one dataset draw."""
+    """Fixed class directions and group leak codes for one dataset draw.
+
+    The codes are G x n_leak; they add to the first n_leak coordinates.
+    """
     d = spec.input_dim
     dirs = rng.standard_normal((spec.num_classes, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     n_leak = int(round(spec.attr_leak * d))
-    leak_idx = np.arange(n_leak)
     codes = rng.standard_normal((spec.num_groups, n_leak)) if n_leak else \
         np.zeros((spec.num_groups, 0))
-    return dirs, leak_idx, codes
+    return dirs, codes
 
 
 def generate_dataset(spec: SynthSpec, seed: int) -> Dataset:
@@ -115,7 +117,7 @@ def generate_dataset(spec: SynthSpec, seed: int) -> Dataset:
     Changing this order changes every byte of the dataset.
     """
     rng = np.random.default_rng([int(seed), 0x5EED])
-    dirs, leak_idx, codes = _signal_directions(spec, rng)
+    dirs, codes = _signal_directions(spec, rng)
     n = sum(spec.samples_per_group)
     s = np.repeat(np.arange(spec.num_groups), spec.samples_per_group)
     y = np.empty(n, dtype=int)
@@ -140,7 +142,7 @@ def generate_dataset(spec: SynthSpec, seed: int) -> Dataset:
     signal = dirs[y]
     signal *= (2.0 * (1.0 + np.asarray(spec.group_means)[s, y]))[:, None]
     X += signal
-    X[:, leak_idx] += codes[s]
+    X[:, :codes.shape[1]] += codes[s]  # the leak columns, through a view
     return Dataset(X, (y + flip_shift) % spec.num_classes, s)
 
 
@@ -172,14 +174,17 @@ def partition(dataset: Dataset, num_clients: int, beta: float, seed: int) -> lis
     raise RuntimeError(f"could not produce non-empty shards in {PARTITION_TRIES} tries")
 
 
-def poison(shard: Dataset, target_group: int, rate: float, seed: int) -> Dataset:
+def poison(shard: Dataset, target_group: int, rate: float, seed: int,
+           num_classes: int) -> Dataset:
     """Append label-flipped clones of target-group samples.
 
     The injected set has size round(rate * len(shard)), drawn with
     replacement from the shard's target-group samples and relabeled to a
-    wrong class. Samples of the favorable class (``FAVORABLE_CLASS``)
-    are cloned preferentially so the flips consistently push the target
-    group toward unfavorable labels.
+    wrong class drawn from all ``num_classes`` classes, the network's
+    class count; a shard need not hold every class. Samples of the
+    favorable class (``FAVORABLE_CLASS``) are cloned preferentially so
+    the flips consistently push the target group toward unfavorable
+    labels.
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must be in [0, 1]")
@@ -193,7 +198,6 @@ def poison(shard: Dataset, target_group: int, rate: float, seed: int) -> Dataset
         favored = pool
     rng = np.random.default_rng([int(seed), 0xB1A5])
     n_inject = int(round(rate * len(shard)))
-    num_classes = max(int(shard.y.max()) + 1, 2)
     clones = shard[favored[rng.integers(0, len(favored), size=n_inject)]]
     # one scalar draw per clone, in clone order: one array draw would
     # consume the stream differently and change every clone's label

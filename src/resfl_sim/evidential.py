@@ -10,12 +10,21 @@ predicted probabilities p_hat = alpha / alpha0, epistemic uncertainty
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 
 def evidence_batch(Z: np.ndarray) -> np.ndarray:
     """Batched alpha from logits, shape preserved."""
     return 1.0 + np.logaddexp(0.0, np.asarray(Z, dtype=float))
+
+
+@np.errstate(over="ignore")
+def softplus_derivative(Z: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid 1 / (1 + exp(-z)), elementwise.
+
+    exp(-z) overflows to inf below z of about -709, where the quotient
+    is 0, the sigmoid's limit; the overflow is expected and not reported.
+    """
+    return 1.0 / (1.0 + np.exp(-Z))
 
 
 def evidential_terms_batch(Z: np.ndarray, y: np.ndarray):
@@ -48,5 +57,5 @@ def evidential_terms_batch(Z: np.ndarray, y: np.ndarray):
     dreg_dA = (dreg_dP - (dreg_dP * P).sum(axis=1, keepdims=True)) / S \
         + 2.0 * abs_err
 
-    dA_dZ = expit(Z)  # softplus derivative
+    dA_dZ = softplus_derivative(Z)
     return nll, reg, dnll_dA * dA_dZ, dreg_dA * dA_dZ

@@ -18,7 +18,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from resfl_sim.adversarial import PROB_FLOOR, softmax
 from resfl_sim.datasets import Dataset, SynthSpec, _signal_directions
@@ -135,7 +134,8 @@ def reference_step(params: ParameterSet, X, y, s, eta: float, eta_phi: float | N
     dreg_dP = -np.sign(diff) * (2.0 * S + 1.0)
     dreg_dA = (dreg_dP - np.sum(dreg_dP * P, axis=1, keepdims=True)) / S \
         + 2.0 * abs_err
-    dA_dZ = expit(Zt)
+    with np.errstate(over="ignore"):
+        dA_dZ = 1.0 / (1.0 + np.exp(-Zt))
     dnll, dreg = dnll_dA * dA_dZ, dreg_dA * dA_dZ
 
     Pa = softmax(Za)
@@ -166,11 +166,12 @@ def reference_generate_dataset(spec: SynthSpec, seed: int) -> Dataset:
     """``datasets.generate_dataset`` with every row drawn on its own.
 
     Per group: its labels in one call, then each row's noise followed,
-    with label noise, by that row's flip. The package must give the same
-    bits.
+    with label noise, by that row's flip. The group codes are added
+    through an index array of the leak columns. The package must give
+    the same bits.
     """
     rng = np.random.default_rng([int(seed), 0x5EED])
-    dirs, leak_idx, codes = _signal_directions(spec, rng)
+    dirs, codes = _signal_directions(spec, rng)
     n = sum(spec.samples_per_group)
     s = np.repeat(np.arange(spec.num_groups), spec.samples_per_group)
     y = np.empty(n, dtype=int)
@@ -189,7 +190,7 @@ def reference_generate_dataset(spec: SynthSpec, seed: int) -> Dataset:
     signal = dirs[y]
     signal *= (2.0 * (1.0 + np.asarray(spec.group_means)[s, y]))[:, None]
     X += signal
-    X[:, leak_idx] += codes[s]
+    X[:, np.arange(codes.shape[1])] += codes[s]
     return Dataset(X, (y + flip_shift) % spec.num_classes, s)
 
 

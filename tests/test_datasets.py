@@ -97,6 +97,9 @@ DRAW_ORDER_SPECS = {
                                label_flip_noise=(0.0, 0.3, 0.0, 0.1)),
     "input_dim_1": SynthSpec(input_dim=1, samples_per_group=(40, 30, 20, 10),
                              label_flip_noise=(0.0, 0.2, 0.0, 0.0)),
+    "no_leak": SynthSpec(input_dim=6, samples_per_group=(40, 30, 20, 10), attr_leak=0.0),
+    "every_column_leaks": SynthSpec(input_dim=6, samples_per_group=(40, 30, 20, 10),
+                                    attr_leak=1.0, label_flip_noise=(0.0, 0.2, 0.0, 0.0)),
 }
 
 
@@ -205,16 +208,16 @@ class TestPoison:
         self.shard = generate_dataset(spec, seed=0)  # 100 samples
 
     def test_rate_zero_is_identity(self):
-        out = poison(self.shard, target_group=1, rate=0.0, seed=0)
+        out = poison(self.shard, target_group=1, rate=0.0, seed=0, num_classes=2)
         assert same_rows(out, self.shard)
 
     def test_injection_count(self):
-        out = poison(self.shard, target_group=1, rate=0.1, seed=0)
+        out = poison(self.shard, target_group=1, rate=0.1, seed=0, num_classes=2)
         assert len(out) == 110
         assert same_rows(out[:100], self.shard)
 
     def test_injected_samples_target_group_wrong_label(self):
-        out = poison(self.shard, target_group=2, rate=0.2, seed=0)
+        out = poison(self.shard, target_group=2, rate=0.2, seed=0, num_classes=2)
         injected = out[len(self.shard):]
         assert len(injected) == 20
         for x, y, s in zip(injected.X, injected.y, injected.s):
@@ -228,7 +231,8 @@ class TestPoison:
     def test_clones_favorable_class_samples(self):
         target = self.shard[self.shard.s == 2]
         assert set(target.y) == {0, 1}
-        injected = poison(self.shard, target_group=2, rate=0.2, seed=0)[len(self.shard):]
+        out = poison(self.shard, target_group=2, rate=0.2, seed=0, num_classes=2)
+        injected = out[len(self.shard):]
         assert all(y != FAVORABLE_CLASS for y in injected.y)
         for x in injected.X:
             assert target.y[np.all(target.X == x, axis=1)][0] == FAVORABLE_CLASS
@@ -236,22 +240,33 @@ class TestPoison:
     def test_whole_group_cloned_without_favorable_samples(self):
         unfavored = ~((self.shard.s == 2) & (self.shard.y == FAVORABLE_CLASS))
         shard = self.shard[unfavored]
-        injected = poison(shard, target_group=2, rate=0.2, seed=0)[len(shard):]
+        injected = poison(shard, target_group=2, rate=0.2, seed=0,
+                          num_classes=2)[len(shard):]
         assert len(injected) == round(0.2 * len(shard))
         assert all(s == 2 for s in injected.s)
         assert all(y == FAVORABLE_CLASS for y in injected.y)
 
+    def test_wrong_labels_drawn_from_every_class(self):
+        # a three-class shard that lacks class 2: the clones of class-1
+        # samples must be able to take label 2 as well as label 0
+        spec = SynthSpec(num_classes=3, samples_per_group=(40, 40, 40, 40))
+        data = generate_dataset(spec, seed=0)
+        shard = data[data.y < 2]
+        out = poison(shard, target_group=2, rate=0.3, seed=0, num_classes=3)
+        injected = out[len(shard):]
+        assert set(injected.y) == {0, 2}
+
     def test_deterministic(self):
-        a = poison(self.shard, 1, 0.3, seed=5)
-        b = poison(self.shard, 1, 0.3, seed=5)
+        a = poison(self.shard, 1, 0.3, seed=5, num_classes=2)
+        b = poison(self.shard, 1, 0.3, seed=5, num_classes=2)
         assert len(a) == len(b)
         assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
 
     def test_missing_target_group_raises(self):
         pure = self.shard[self.shard.s == 0]
         with pytest.raises(ValueError):
-            poison(pure, target_group=3, rate=0.1, seed=0)
+            poison(pure, target_group=3, rate=0.1, seed=0, num_classes=2)
 
     def test_bad_rate(self):
         with pytest.raises(ValueError):
-            poison(self.shard, 1, 1.5, seed=0)
+            poison(self.shard, 1, 1.5, seed=0, num_classes=2)
