@@ -41,23 +41,22 @@ def composite_gradients(
     s: np.ndarray,
     lambda1: float,
     lambda_adv: float,
-    grads: ParameterSet | None = None,
+    grads: ParameterSet,
 ) -> tuple[ParameterSet, CompositeLossTerms]:
     """Batch-mean gradients of the composite local loss, written into
-    ``grads`` (a new set by default).
+    ``grads``. ``X`` is a 2-D float array, ``y`` and ``s`` int arrays.
 
     theta_f receives the task+uncertainty backprop plus the reversed
     adversary contribution; theta_e only task+uncertainty; phi only the
     unreversed adversary cross-entropy gradient. Raises
     FloatingPointError if a loss or a gradient is not finite.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
     _, _, H, Zt, Za = forward_batch(params, X)
-    nll, reg, dnll, dreg = evidential_terms_batch(Zt, np.asarray(y, dtype=int))
+    nll, reg, dnll, dreg = evidential_terms_batch(Zt, y)
 
     P = softmax(Za)
-    rows, s = np.arange(n), np.asarray(s, dtype=int)
+    rows = np.arange(n)
     adv = -np.log(np.maximum(P[rows, s], PROB_FLOOR))
     P[rows, s] -= 1.0  # P minus the one-hot group: the adversary's dL/dZ
 
@@ -84,7 +83,7 @@ def local_train_step(
     y: np.ndarray,
     s: np.ndarray,
     eta: float,
-    eta_phi: float | None,
+    eta_phi: float,
     lambda1: float,
     lambda_adv: float,
 ) -> CompositeLossTerms:
@@ -94,7 +93,7 @@ def local_train_step(
     so a caller stepping many times allocates it once.
 
     The theta update folds lambda_adv into the adversary upstream, so
-    phi's effective rate for the cross-entropy is eta_phi (default eta).
+    phi's effective rate for the cross-entropy is eta_phi.
     On FloatingPointError ``params`` is left as it was before the step.
     """
     _, terms = composite_gradients(params, X, y, s, lambda1, lambda_adv, grads)

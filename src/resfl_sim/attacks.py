@@ -50,7 +50,7 @@ def train_centralized(samples, network: NetworkSpec, steps: int, batch_size: int
         idx = rng.choice(len(samples), size=min(batch_size, len(samples)), replace=False)
         batch = samples[idx]
         local_train_step(params, grads, batch.X, batch.y, batch.s,
-                         eta, None, LAMBDA1, 0.0)
+                         eta, eta, LAMBDA1, 0.0)
     return params
 
 
@@ -70,7 +70,7 @@ def _best_threshold(member_conf: np.ndarray, nonmember_conf: np.ndarray) -> floa
 
 
 def mia_threshold(network: NetworkSpec, member_count: int, shadow_pool,
-                  seed: int, shadow_steps: int = 3000) -> float:
+                  seed: int, shadow_steps: int) -> float:
     """Confidence threshold of shadow-model membership inference.
 
     A shadow model is trained on a slice of the shadow pool matching the
@@ -109,7 +109,7 @@ def mia_run(target_params: ParameterSet, member_pool, nonmember_pool,
 
 
 def aia_run(global_params: ParameterSet, dataset, num_groups: int, seed: int,
-            trials: int = 100) -> AttackReport:
+            trials: int) -> AttackReport:
     """Gradient-matching attribute inference.
 
     Builds a one-step update signature per group from group-pure probe
@@ -126,7 +126,7 @@ def aia_run(global_params: ParameterSet, dataset, num_groups: int, seed: int,
     def one_step_delta(batch):
         np.copyto(new.flat, global_params.flat)
         local_train_step(new, grads, batch.X, batch.y, batch.s,
-                         0.05, None, LAMBDA1, 0.0)
+                         0.05, 0.05, LAMBDA1, 0.0)
         return new.theta - global_params.theta
 
     def pure_batch(g):
@@ -147,7 +147,7 @@ def aia_run(global_params: ParameterSet, dataset, num_groups: int, seed: int,
 def byzantine_run(config: FederationConfig, shards, eval_samples,
                   clean: tuple[ParameterSet, list[RoundRecord]],
                   malicious_fraction: float,
-                  perturb_scale: float = 10.0) -> AttackReport:
+                  perturb_scale: float) -> AttackReport:
     """Paired clean/attacked runs; score is the accuracy degradation.
 
     ``clean`` is ``run_experiment(config, shards, eval_samples)``; the

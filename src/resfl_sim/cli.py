@@ -68,7 +68,7 @@ def _single_run(cfg: ExperimentConfig, algo: str, seed: int, train, test):
 
 
 def _resolve_out(cfg: ExperimentConfig, cli_out: str | None) -> Path:
-    out = cli_out or os.environ.get("RESFL_SIM_OUT") or cfg.out_dir or "out"
+    out = cli_out or os.environ.get("RESFL_SIM_OUT") or cfg.out_dir
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -164,7 +164,7 @@ def cmd_attack(cfg: ExperimentConfig, out: Path, kind: str | None) -> int:
                 dp_fed = FederationConfig(
                     num_clients=1, rounds=1,
                     local_iterations=cfg.mia_overfit_steps, batch_size=32,
-                    eta=0.1, lambda1=cfg.lambda1, lambda_adv=0.0,
+                    eta=0.1, eta_phi=0.1, lambda1=cfg.lambda1, lambda_adv=0.0,
                     aggregator="fedavg_dp", dp_epsilon=cfg.dp_epsilon,
                     dp_clip=cfg.dp_clip, server_lr=1.0, seed=seed)
                 dp_target, _ = run_experiment(dp_fed, [members], None,

@@ -92,12 +92,16 @@ DEFAULT_SWEEP_ROWS = (
 
 @dataclass
 class ExperimentConfig:
+    """The run settings. Its field defaults are the only defaults of the
+    config keys, except ``[data]``'s generator keys, whose defaults are
+    ``SynthSpec``'s. ``load_config`` checks every value once; the functions
+    they configure take them as required arguments and trust them."""
     seeds: tuple[int, ...]
     # the dataset's seed: the first of ``seeds`` as loaded, kept when a
     # --seed override replaces ``seeds``
     data_seed: int | None = None
     algorithms: tuple[str, ...] = ("fedavg", "resfl")
-    out_dir: str | None = None
+    out_dir: str = "out"
     raw: dict[str, dict[str, object]] = field(default_factory=dict)
 
     synth: SynthSpec = field(default_factory=SynthSpec)
@@ -110,12 +114,12 @@ class ExperimentConfig:
     batch_size: int = 64
     num_clients: int = 4
     eta: float = 0.001
-    eta_phi: float | None = None
+    eta_phi: float | None = None  # None: eta
     lambda1: float = 0.1
     lambda_adv: float = 0.01
     dp_epsilon: float = 0.1
     dp_clip: float = 1.0
-    server_lr: float | None = None
+    server_lr: float | None = None  # None: 1 / num_clients
 
     attack_kinds: tuple[str, ...] = ATTACK_KINDS
     mia_overfit_size: int = 30
@@ -123,7 +127,7 @@ class ExperimentConfig:
     aia_trials: int = 100
     byzantine_fraction: float = 0.25
     byzantine_scale: float = 10.0
-    poison_group: int | None = None
+    poison_group: int | None = None  # None: the smallest group
     poison_rate: float = 0.2
 
     sweep_rows: tuple[tuple[float, float], ...] = DEFAULT_SWEEP_ROWS
@@ -139,24 +143,21 @@ class ExperimentConfig:
                            num_groups=self.synth.num_groups)
 
     def federation_config(self, algorithm: str, seed: int) -> FederationConfig:
-        if algorithm not in AGGREGATORS:
-            raise ConfigError(f"unknown algorithm {algorithm!r}")
-        kwargs = dict(
+        return FederationConfig(
             num_clients=self.num_clients,
             rounds=self.rounds,
             local_iterations=self.local_iterations,
             batch_size=self.batch_size,
             eta=self.eta,
-            eta_phi=self.eta_phi,
+            eta_phi=self.eta if self.eta_phi is None else self.eta_phi,
             lambda1=self.lambda1,
             lambda_adv=self.lambda_adv,
             aggregator=algorithm,
+            dp_epsilon=self.dp_epsilon,
+            dp_clip=self.dp_clip,
             server_lr=self.server_lr,
             seed=seed,
         )
-        if algorithm == "fedavg_dp":
-            kwargs.update(dp_epsilon=self.dp_epsilon, dp_clip=self.dp_clip)
-        return FederationConfig(**kwargs)
 
 
 def parse_config_text(text: str) -> dict[str, dict[str, object]]:
@@ -231,8 +232,8 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError("[sweep] rows values must be >= 0")
         kwargs["sweep_rows"] = tuple((r[0], r[1]) for r in rows)
     elif "lambda1_grid" in sweep or "lambda_adv_grid" in sweep:
-        g1 = sweep.get("lambda1_grid", (0.1,))
-        g2 = sweep.get("lambda_adv_grid", (0.01,))
+        g1 = sweep.get("lambda1_grid", (ExperimentConfig.lambda1,))
+        g2 = sweep.get("lambda_adv_grid", (ExperimentConfig.lambda_adv,))
         if any(v < 0 for v in g1 + g2):
             raise ConfigError("[sweep] grid values must be >= 0")
         kwargs["sweep_rows"] = tuple((a, b) for a in g1 for b in g2)
@@ -240,11 +241,23 @@ def load_config(path) -> ExperimentConfig:
     cfg = ExperimentConfig(raw=raw, synth=synth, **kwargs)
     if not 0.0 < cfg.test_fraction < 1.0:
         raise ConfigError("test_fraction must be in (0, 1)")
-    # attack's MIA target is a fedavg_dp run whatever the algorithms are
-    if cfg.dp_epsilon <= 0 or cfg.dp_clip <= 0:
-        raise ConfigError("dp_epsilon and dp_clip must be > 0")
+    if cfg.partition_beta <= 0:
+        raise ConfigError("partition_beta must be > 0")
+    groups = cfg.synth.num_groups
+    for key, ok, allowed in (
+            ("mia_overfit_size", cfg.mia_overfit_size >= 1, ">= 1"),
+            ("mia_overfit_steps", cfg.mia_overfit_steps >= 0, ">= 0"),
+            ("aia_trials", cfg.aia_trials >= 1, ">= 1"),
+            ("byzantine_fraction", 0.0 <= cfg.byzantine_fraction < 1.0, "in [0, 1)"),
+            ("byzantine_scale", cfg.byzantine_scale >= 0, ">= 0"),
+            ("poison_group", cfg.poison_group is None or 0 <= cfg.poison_group < groups,
+             f"in [0, {groups})"),
+            ("poison_rate", 0.0 <= cfg.poison_rate <= 1.0, "in [0, 1]")):
+        if not ok:
+            raise ConfigError(f"[attack] {key} must be {allowed}")
     # build what the commands build, so a bad value stops here, before
-    # any data are drawn
+    # any data are drawn; every aggregator checks the DP values, which
+    # attack's MIA target uses whatever the algorithms are
     try:
         cfg.network()
         for algo in cfg.algorithms:

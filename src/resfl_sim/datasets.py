@@ -114,7 +114,8 @@ def generate_dataset(spec: SynthSpec, seed: int) -> Dataset:
     noise. A group without label noise draws its noise block in one
     call, which consumes the stream as one draw per row would; a group
     with label noise draws each row's noise followed by that row's flip.
-    Changing this order changes every byte of the dataset.
+    Changing this order changes every byte of the dataset. Raises
+    ValueError if a feature is not finite, so every model input is.
     """
     rng = np.random.default_rng([int(seed), 0x5EED])
     dirs, codes = _signal_directions(spec, rng)
@@ -137,12 +138,16 @@ def generate_dataset(spec: SynthSpec, seed: int) -> Dataset:
                 if rng.random() < flip:
                     flip_shift[i] = 1 + rng.integers(0, spec.num_classes - 1)
         start += n_g
-    # in place, to hold one temporary: noise_std * z + amp * direction
-    X *= spec.noise_std
-    signal = dirs[y]
-    signal *= (2.0 * (1.0 + np.asarray(spec.group_means)[s, y]))[:, None]
-    X += signal
-    X[:, :codes.shape[1]] += codes[s]  # the leak columns, through a view
+    # in place, to hold one temporary: noise_std * z + amp * direction;
+    # an overflow is reported once, below, for the whole array
+    with np.errstate(over="ignore", invalid="ignore"):
+        X *= spec.noise_std
+        signal = dirs[y]
+        signal *= (2.0 * (1.0 + np.asarray(spec.group_means)[s, y]))[:, None]
+        X += signal
+        X[:, :codes.shape[1]] += codes[s]  # the leak columns, through a view
+    if not np.isfinite(X).all():
+        raise ValueError("non-finite features: noise_std or group_means too large")
     return Dataset(X, (y + flip_shift) % spec.num_classes, s)
 
 
@@ -152,11 +157,8 @@ def partition(dataset: Dataset, num_clients: int, beta: float, seed: int) -> lis
     Every sample lands on exactly one client; a shard holds its rows
     group by group, in dataset order within a group. Empty shards
     trigger a resample, up to PARTITION_TRIES draws in all.
+    ``num_clients`` >= 1 and ``beta`` > 0 are checked at config load.
     """
-    if num_clients < 1:
-        raise ValueError("num_clients must be >= 1")
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
     if num_clients == 1:
         return [dataset]
     rng = np.random.default_rng([int(seed), 0xD17])

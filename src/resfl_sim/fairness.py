@@ -45,13 +45,11 @@ def uncertainty_variance(us) -> float:
     return float(np.mean((us - us.mean()) ** 2))
 
 
-def ufm(us, eps: float = DEFAULT_EPS) -> float:
+def ufm(us) -> float:
     us = np.asarray(us, dtype=float)
     if us.size == 0:
         raise ValueError("empty uncertainty list")
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    return float((us.max() - us.min()) / (us.mean() + eps))
+    return float((us.max() - us.min()) / (us.mean() + DEFAULT_EPS))
 
 
 def aggregation_weight(ufm_value: float) -> float:

@@ -42,36 +42,35 @@ DP_DELTA = 1e-5  # the delta of fedavg_dp's (epsilon, delta) guarantee
 
 @dataclass(frozen=True)
 class FederationConfig:
-    num_clients: int = 4
-    rounds: int = 100
-    local_iterations: int = 5
-    batch_size: int = 64
-    eta: float = 0.001
-    eta_phi: float | None = None
-    lambda1: float = 0.1
-    lambda_adv: float = 0.01
-    aggregator: str = "resfl"
-    dp_epsilon: float | None = None
-    dp_clip: float | None = None
-    server_lr: float | None = None  # defaults to 1/num_clients
-    seed: int = 0
+    """One training cell's settings, all required: their defaults live in
+    ``config.ExperimentConfig``, whose ``federation_config`` builds this."""
+    num_clients: int
+    rounds: int
+    local_iterations: int
+    batch_size: int
+    eta: float
+    eta_phi: float
+    lambda1: float
+    lambda_adv: float
+    aggregator: str
+    dp_epsilon: float
+    dp_clip: float
+    server_lr: float | None  # None: 1 / num_clients
+    seed: int
 
     def __post_init__(self):
         if self.num_clients < 1 or self.rounds < 0 or self.local_iterations < 0:
             raise ValueError("num_clients >= 1, rounds/local_iterations >= 0 required")
         if self.batch_size < 1 or self.eta <= 0:
             raise ValueError("batch_size >= 1 and eta > 0 required")
-        if self.eta_phi is not None and self.eta_phi <= 0:
+        if self.eta_phi <= 0:
             raise ValueError("eta_phi must be > 0")
         if self.lambda1 < 0 or self.lambda_adv < 0:
             raise ValueError("lambda1 and lambda_adv must be >= 0")
         if self.aggregator not in AGGREGATORS:
             raise ValueError(f"unknown aggregator {self.aggregator!r}")
-        if self.aggregator == "fedavg_dp":
-            if self.dp_epsilon is None or self.dp_clip is None:
-                raise ValueError("fedavg_dp requires dp_epsilon and dp_clip")
-            if self.dp_epsilon <= 0 or self.dp_clip <= 0:
-                raise ValueError("dp_epsilon and dp_clip must be > 0")
+        if self.dp_epsilon <= 0 or self.dp_clip <= 0:
+            raise ValueError("dp_epsilon and dp_clip must be > 0")
 
     @property
     def effective_server_lr(self) -> float:
@@ -100,7 +99,7 @@ class ByzantineSpec:
     magnitude over the parameter dimension).
     """
     client_ids: tuple[int, ...]
-    scale: float = 10.0
+    scale: float
 
 
 @dataclass(frozen=True)
@@ -209,11 +208,8 @@ def aggregate_resfl(updates, server_lr: float) -> np.ndarray:
 
 def apply_dp(update: ClientUpdate, clip: float, noise_scale: float,
              rng: np.random.Generator) -> ClientUpdate:
-    """Clip the full theta delta to L2 norm ``clip``, add N(0, (scale*clip)^2 I)."""
-    if clip <= 0:
-        raise ValueError("clip must be > 0")
-    if noise_scale < 0:
-        raise ValueError("noise_scale must be >= 0")
+    """Clip the full theta delta to L2 norm ``clip`` (> 0), add
+    N(0, (scale*clip)^2 I) for a ``noise_scale`` >= 0."""
     norm = float(np.linalg.norm(update.delta))
     factor = min(1.0, clip / norm) if norm > 0 else 1.0
     delta = update.delta * factor
@@ -249,17 +245,13 @@ def _evaluate(params: ParameterSet, eval_samples):
     return acc, tuple(acc_g), dd, de, eo, float(np.mean(us)), uncertainty_variance(us)
 
 
-def run_experiment(config: FederationConfig, shards, eval_samples=None,
-                   network: NetworkSpec | None = None,
-                   byzantine: ByzantineSpec | None = None,
+def run_experiment(config: FederationConfig, shards, eval_samples,
+                   network: NetworkSpec, byzantine: ByzantineSpec | None = None,
                    ) -> tuple[ParameterSet, list[RoundRecord]]:
-    """Run the full federated loop; deterministic given config.seed."""
+    """Run the full federated loop; deterministic given config.seed.
+    ``eval_samples`` may be None, which leaves the metrics NaN."""
     if len(shards) != config.num_clients:
         raise ValueError("shards must match num_clients")
-    if network is None:
-        network = NetworkSpec(input_dim=shards[0].X.shape[1],
-                              num_classes=max(int(sh.y.max()) for sh in shards) + 1,
-                              num_groups=max(int(sh.s.max()) for sh in shards) + 1)
     global_params = init_params(network, np.random.default_rng([config.seed, 0x1217]))
     phis = [global_params.phi.copy() for _ in range(config.num_clients)]
     # the local-training workspace, shared by every client round of the run

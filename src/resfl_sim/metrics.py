@@ -102,11 +102,9 @@ def read_metrics(path) -> list[MetricsRow]:
         for r in records]
 
 
-def write_metrics(rows, path, num_groups: int | None = None) -> None:
+def write_metrics(rows, path, num_groups: int) -> None:
     """Fixed-schema CSV: 6-decimal floats, rows sorted, trailing newline."""
     rows = sorted(rows, key=lambda r: (r.algo, r.seed, r.round))
-    if num_groups is None:
-        num_groups = len(rows[0].acc_by_group) if rows else 0
     group_cols = ",".join(f"acc_g{i + 1}" for i in range(num_groups))
     header = "algo,seed,round,accuracy," + (group_cols + "," if group_cols else "") \
         + "di_dev,delta_eop,eod,ufm_mean,unc_var"

@@ -25,9 +25,9 @@ import numpy as np
 @dataclass(frozen=True)
 class NetworkSpec:
     input_dim: int
-    hidden_dims: tuple[int, ...] = (32, 32)
-    num_classes: int = 2
-    num_groups: int = 4
+    hidden_dims: tuple[int, ...]
+    num_classes: int
+    num_groups: int
 
     def __post_init__(self):
         if self.input_dim < 1 or self.num_classes < 1 or self.num_groups < 1:
@@ -152,13 +152,9 @@ def forward_batch(params: ParameterSet, X: np.ndarray):
 
     Returns (activations, H, Z_task, Z_adv) where activations holds the
     post-ReLU output of every feature layer (the last one is H) and the
-    pre-activation arrays needed by backward_batch.
+    pre-activation arrays needed by backward_batch. ``X`` is a 2-D float
+    array of ``input_dim`` columns; ``generate_dataset`` made it finite.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != params.spec.input_dim:
-        raise ValueError(f"expected input_dim={params.spec.input_dim}, got {X.shape[1]}")
-    if not np.isfinite(X).all():
-        raise ValueError("non-finite input")
     acts = [X]
     pres = []
     a = X
@@ -178,31 +174,21 @@ def backward_batch(
     upstream_task: np.ndarray,
     upstream_adv: np.ndarray,
     lambda_adv: float,
-    grads: ParameterSet | None = None,
+    grads: ParameterSet,
 ) -> ParameterSet:
     """Summed-over-batch gradients under the gradient-reversal convention.
 
     ``upstream_task`` / ``upstream_adv`` are dL/d(logits) per sample. The
     adversary gradient flows unmodified into phi; its contribution into
     the feature extractor is scaled by ``-lambda_adv``. The gradients are
-    written into ``grads`` (a new set by default), which is returned.
+    written into ``grads``, which is returned. The upstreams are 2-D
+    float arrays of widths ``num_classes`` and ``num_groups``.
 
     The upstream is not checked for finiteness: a non-finite entry makes
     its column's bias-gradient sum non-finite, which the caller's check
     of the gradients catches.
     """
-    if lambda_adv < 0:
-        raise ValueError("lambda_adv must be >= 0")
-    upstream_task = np.atleast_2d(np.asarray(upstream_task, dtype=float))
-    upstream_adv = np.atleast_2d(np.asarray(upstream_adv, dtype=float))
-    if upstream_task.shape[1] != params.spec.num_classes:
-        raise ValueError("upstream_task width mismatch")
-    if upstream_adv.shape[1] != params.spec.num_groups:
-        raise ValueError("upstream_adv width mismatch")
     acts, pres, H, _, _ = forward_batch(params, X)
-    if grads is None:
-        grads = ParameterSet.zeros(params.spec)
-
     We, _ = params.task_head()
     Wa, _ = params.adversary_head()
     gWe, gbe = grads.task_head()
@@ -224,13 +210,8 @@ def backward_batch(
 
 
 def sgd_step(params: ParameterSet, grads: ParameterSet, eta: float,
-             eta_phi: float | None = None) -> None:
+             eta_phi: float) -> None:
     """params -= eta * grads, in place, with a separate rate for the
     adversary head."""
-    if eta <= 0:
-        raise ValueError("eta must be > 0")
-    eta_phi = eta if eta_phi is None else eta_phi
-    if eta_phi <= 0:
-        raise ValueError("eta_phi must be > 0")
     np.subtract(params.theta, eta * grads.theta, out=params.theta)
     np.subtract(params.phi, eta_phi * grads.phi, out=params.phi)

@@ -90,7 +90,7 @@ def logits_for(alpha) -> np.ndarray:
     return np.where(e > 0, z, -800.0)
 
 
-def reference_step(params: ParameterSet, X, y, s, eta: float, eta_phi: float | None,
+def reference_step(params: ParameterSet, X, y, s, eta: float, eta_phi: float,
                    lambda1: float, lambda_adv: float):
     """One local SGD step as two passes, returning a new ParameterSet and
     the (task, uncertainty, adversary) loss means.
@@ -156,7 +156,6 @@ def reference_step(params: ParameterSet, X, y, s, eta: float, eta_phi: float | N
         grads_f[i] = np.concatenate([(Gpre.T @ acts[i]).ravel(), Gpre.sum(axis=0)])
         G = Gpre @ layers[i][0]
 
-    eta_phi = eta if eta_phi is None else eta_phi
     new = ParameterSet(spec, params.theta_f - eta * np.concatenate(grads_f),
                        params.theta_e - eta * g_theta_e, params.phi - eta_phi * g_phi)
     return new, (float(nll.mean()), float(reg.mean()), float(adv.mean()))

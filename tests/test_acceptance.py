@@ -18,6 +18,7 @@ from resfl_sim.adversarial import composite_gradients
 from resfl_sim.attacks import byzantine_run, mia_run, mia_threshold, poisoning_run, \
     train_centralized
 from resfl_sim.cli import main as cli_main
+from resfl_sim.config import ExperimentConfig
 from resfl_sim.datasets import SynthSpec, generate_dataset, partition
 from oracles import logits_for
 from resfl_sim.evidential import evidence_batch, evidential_terms_batch
@@ -26,10 +27,13 @@ from resfl_sim.fairness import aggregation_weight, group_uncertainties, ufm, \
 from resfl_sim.federation import ClientUpdate, FederationConfig, aggregate_fedavg, \
     aggregate_resfl, run_experiment
 from resfl_sim.metrics import eod
-from resfl_sim.network import NetworkSpec, forward_batch, init_params
+from resfl_sim.network import NetworkSpec, ParameterSet, forward_batch, init_params
 from probe import probe_accuracy
 
 SEEDS = (1, 2, 3, 4, 5)
+
+# the network of the default SynthSpec's 20 features, 2 classes and 4 groups
+NET = NetworkSpec(input_dim=20, hidden_dims=(32, 32), num_classes=2, num_groups=4)
 
 # amplitude disparity: group 3 gets the weakest class signal
 GROUP_MEANS = ((0.0, 0.0), (-0.1, -0.1), (-0.25, -0.25), (-0.4, -0.4))
@@ -55,10 +59,9 @@ def build_data(spec: SynthSpec, seed: int):
 def fed_config(algo: str, seed: int, **overrides) -> FederationConfig:
     base = dict(num_clients=4, rounds=50, local_iterations=50, batch_size=64,
                 eta=0.002, eta_phi=0.05, lambda1=0.1,
-                lambda_adv=0.0 if algo == "fedavg" else 0.5,
-                aggregator=algo, seed=seed)
-    base.update(overrides)
-    return FederationConfig(**base)
+                lambda_adv=0.0 if algo == "fedavg" else 0.5)
+    return ExperimentConfig(seeds=(seed,), **{**base, **overrides}).federation_config(
+        algo, seed)
 
 
 @functools.lru_cache(maxsize=None)
@@ -70,7 +73,7 @@ def disparity_data(seed: int):
 def disparity_run(algo: str, seed: int):
     train, test = disparity_data(seed)
     shards = partition(train, 4, beta=0.5, seed=seed)
-    return run_experiment(fed_config(algo, seed), shards, test)
+    return run_experiment(fed_config(algo, seed), shards, test, NET)
 
 
 class TestCriterion1GradientCheck:
@@ -99,10 +102,12 @@ class TestCriterion1GradientCheck:
             s = rng.integers(0, spec.num_groups, size=n)
             lam1 = float(rng.uniform(0.0, 1.0))
             lam_adv = float(rng.uniform(0.0, 2.0))
-            grads, _ = composite_gradients(params, X, y, s, lam1, lam_adv)
+            grads, _ = composite_gradients(params, X, y, s, lam1, lam_adv,
+                                           ParameterSet.zeros(spec))
 
             def scalar(p, which):
-                _, terms = composite_gradients(p, X, y, s, lam1, lam_adv)
+                _, terms = composite_gradients(p, X, y, s, lam1, lam_adv,
+                                               ParameterSet.zeros(spec))
                 if which == "theta_f":
                     return terms.task + lam1 * terms.uncertainty \
                         - lam_adv * terms.adversary
@@ -197,7 +202,7 @@ class TestCriterion5AttributeLeakage:
             for algo, sink in (("fedavg", fed_probe), ("resfl", res_probe)):
                 cfg = fed_config(algo, seed, local_iterations=100,
                                  lambda_adv=0.0 if algo == "fedavg" else 2.0)
-                params, _ = run_experiment(cfg, shards, test)
+                params, _ = run_experiment(cfg, shards, test, NET)
                 X_tr, s_tr, X_te = train.X, train.s, test.X
                 H_tr = forward_batch(params, X_tr)[2]
                 H_te = forward_batch(params, X_te)[2]
@@ -233,7 +238,7 @@ class TestCriterion6Fairness:
 
 class TestCriterion7Membership:
     def test_7_overfit_leaks_and_dp_mitigates(self):
-        net = NetworkSpec(input_dim=20)
+        net = NET
         over_scores, dp_scores = [], []
         for seed in SEEDS:
             train, test = disparity_data(seed)
@@ -246,10 +251,10 @@ class TestCriterion7Membership:
                                        eta=0.1, seed=seed)
             dp_cfg = FederationConfig(
                 num_clients=1, rounds=1, local_iterations=3000, batch_size=32,
-                eta=0.1, lambda1=0.1, lambda_adv=0.0, aggregator="fedavg_dp",
+                eta=0.1, eta_phi=0.1, lambda1=0.1, lambda_adv=0.0, aggregator="fedavg_dp",
                 dp_epsilon=0.1, dp_clip=1.0, server_lr=1.0, seed=seed)
             dp_target, _ = run_experiment(dp_cfg, [members], None, network=net)
-            tau = mia_threshold(net, len(members), shadow, seed=seed)
+            tau = mia_threshold(net, len(members), shadow, seed=seed, shadow_steps=3000)
             over_scores.append(mia_run(target, members, nonmembers, tau).score)
             dp_scores.append(mia_run(dp_target, members, nonmembers, tau).score)
         over, dp = float(np.mean(over_scores)), float(np.mean(dp_scores))
@@ -266,7 +271,7 @@ class TestCriterion8Byzantine:
             shards = partition(train, 4, beta=0.5, seed=seed)
             for algo in ("fedavg", "resfl"):
                 cfg = fed_config(algo, seed)
-                clean = run_experiment(cfg, shards, test)
+                clean = run_experiment(cfg, shards, test, NET)
                 rep = byzantine_run(cfg, shards, test, clean,
                                     malicious_fraction=0.25, perturb_scale=10.0)
                 degr[algo].append(rep.score)
@@ -286,7 +291,7 @@ class TestCriterion9Poisoning:
             train, test = disparity_data(seed)
             shards = partition(train, 4, beta=0.5, seed=seed)
             cfg = fed_config("fedavg", seed)
-            rep = poisoning_run(cfg, shards, test, run_experiment(cfg, shards, test),
+            rep = poisoning_run(cfg, shards, test, run_experiment(cfg, shards, test, NET),
                                 target_group=3, rate=0.2)
             shifts.append(rep.score)
         mean_shift = float(np.mean(shifts))
@@ -295,11 +300,11 @@ class TestCriterion9Poisoning:
         train, test = disparity_data(1)
         shards = partition(train, 4, beta=0.5, seed=1)
         cfg = fed_config("fedavg", 1, rounds=3)
-        clean = run_experiment(cfg, shards, test)
+        clean = run_experiment(cfg, shards, test, NET)
         zero_poison = poisoning_run(cfg, shards, test, clean, target_group=3,
                                     rate=0.0).score
         zero_byz = byzantine_run(cfg, shards, test, clean,
-                                 malicious_fraction=0.0).score
+                                 malicious_fraction=0.0, perturb_scale=10.0).score
         ok = mean_shift > 0 and zero_poison == 0.0 and zero_byz == 0.0
         report(9, ok,
                f"mean eod shift {mean_shift:.3f} > 0; rate=0 shift {zero_poison}, "

@@ -13,7 +13,8 @@ from resfl_sim.attacks import (
     train_centralized,
 )
 from resfl_sim.datasets import SynthSpec, generate_dataset, partition
-from resfl_sim.federation import FederationConfig, run_experiment
+from resfl_sim.config import ExperimentConfig
+from resfl_sim.federation import run_experiment
 from resfl_sim.network import NetworkSpec
 from probe import probe_accuracy
 
@@ -24,7 +25,7 @@ def small_dataset(seed=0, per_group=40, **kw):
 
 
 def net8():
-    return NetworkSpec(input_dim=8)
+    return NetworkSpec(input_dim=8, hidden_dims=(32, 32), num_classes=2, num_groups=4)
 
 
 class TestProbe:
@@ -84,7 +85,7 @@ class TestMia:
         shadow = data[order[60:460]]
         target = train_centralized(members, net8(), steps=3000, batch_size=32,
                                    eta=0.1, seed=0)
-        tau = mia_threshold(net8(), len(members), shadow, seed=0)
+        tau = mia_threshold(net8(), len(members), shadow, seed=0, shadow_steps=3000)
         report = mia_run(target, members, nonmembers, tau)
         assert report.score > 0.6
 
@@ -100,9 +101,9 @@ class TestMia:
     def test_small_shadow_pool_rejected(self):
         data = small_dataset()
         with pytest.raises(ValueError):
-            mia_threshold(net8(), 5, data[:3], seed=0)
+            mia_threshold(net8(), 5, data[:3], seed=0, shadow_steps=10)
         with pytest.raises(ValueError):
-            mia_threshold(net8(), 0, data[:20], seed=0)
+            mia_threshold(net8(), 0, data[:20], seed=0, shadow_steps=10)
 
 
 class TestAia:
@@ -136,21 +137,21 @@ class TestAia:
         params = train_centralized(data, net8(), steps=1, batch_size=8,
                                    eta=0.01, seed=0)
         with pytest.raises(ValueError):
-            aia_run(params, data, num_groups=4, seed=0)
+            aia_run(params, data, num_groups=4, seed=0, trials=5)
 
 
 class TestByzantineAndPoisoning:
     def setup_method(self):
         self.data = small_dataset()
         self.shards = partition(self.data, 2, beta=0.5, seed=0)
-        self.cfg = FederationConfig(num_clients=2, rounds=2, local_iterations=3,
-                                    batch_size=16, eta=0.01, aggregator="fedavg",
-                                    seed=0)
-        self.clean = run_experiment(self.cfg, self.shards, self.data)
+        self.cfg = ExperimentConfig(
+            seeds=(0,), num_clients=2, rounds=2, local_iterations=3, batch_size=16,
+            eta=0.01).federation_config("fedavg", 0)
+        self.clean = run_experiment(self.cfg, self.shards, self.data, net8())
 
     def test_byzantine_zero_fraction_zero_degradation(self):
         report = byzantine_run(self.cfg, self.shards, self.data, self.clean,
-                               malicious_fraction=0.0)
+                               malicious_fraction=0.0, perturb_scale=10.0)
         assert report.score == 0.0
         assert report.auxiliary["num_malicious"] == 0.0
 
@@ -162,7 +163,7 @@ class TestByzantineAndPoisoning:
     def test_byzantine_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
             byzantine_run(self.cfg, self.shards, self.data, self.clean,
-                          malicious_fraction=1.0)
+                          malicious_fraction=1.0, perturb_scale=10.0)
 
     def test_byzantine_targets_largest_shard(self):
         report = byzantine_run(self.cfg, self.shards, self.data, self.clean,

@@ -49,6 +49,16 @@ INVALID = {
     "dp_epsilon = 0": ("eta = 0.01", "eta = 0.01\ndp_epsilon = 0"),
     "rows = -1,0.5": ("[attack]", "[sweep]\nrows = -1,0.5\n\n[attack]"),
     "rows = 0.1,-1": ("[attack]", "[sweep]\nrows = 0.1,-1\n\n[attack]"),
+    "partition_beta = 0": ("attr_leak = 0.5", "attr_leak = 0.5\npartition_beta = 0"),
+    "mia_overfit_size = 0": ("mia_overfit_size = 10", "mia_overfit_size = 0"),
+    "mia_overfit_steps = -5": ("mia_overfit_steps = 30", "mia_overfit_steps = -5"),
+    "aia_trials = 0": ("aia_trials = 10", "aia_trials = 0"),
+    "aia_trials = -3": ("aia_trials = 10", "aia_trials = -3"),
+    "byzantine_fraction = 1.0": ("byzantine_fraction = 0.25", "byzantine_fraction = 1.0"),
+    "byzantine_scale = -1": ("byzantine_scale = 2.0", "byzantine_scale = -1"),
+    "poison_group = 4": ("poison_rate = 0.2", "poison_rate = 0.2\npoison_group = 4"),
+    "poison_group = -1": ("poison_rate = 0.2", "poison_rate = 0.2\npoison_group = -1"),
+    "poison_rate = 1.5": ("poison_rate = 0.2", "poison_rate = 1.5"),
 }
 
 
@@ -178,6 +188,12 @@ class TestExitCodes:
         for command in ("run", "attack", "sweep"):
             assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
             assert "config error" in capsys.readouterr().err
+
+    def test_overflowing_features_are_a_runtime_error(self, tmp_path, capsys):
+        p = tmp_path / "big.cfg"
+        p.write_text(TINY.replace("attr_leak = 0.5", "attr_leak = 0.5\nnoise_std = 1e308"))
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+        assert "non-finite features" in capsys.readouterr().err
 
     def test_report_without_run_fails(self, cfg_path, tmp_path):
         assert main(["report", "--config", str(cfg_path),

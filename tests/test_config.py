@@ -1,5 +1,7 @@
 """Config file parsing: schema validation, defaults, sweep grids."""
 
+import dataclasses
+
 import pytest
 
 from resfl_sim.config import (
@@ -10,6 +12,8 @@ from resfl_sim.config import (
     normalized_text,
     parse_config_text,
 )
+from resfl_sim.federation import AGGREGATORS, ByzantineSpec, FederationConfig
+from resfl_sim.network import NetworkSpec
 
 GOOD = """\
 [experiment]
@@ -71,8 +75,44 @@ class TestParsing:
         assert fc.lambda_adv == 0.5
         fc_dp = cfg.federation_config("fedavg_dp", seed=1)
         assert fc_dp.dp_epsilon == 0.1 and fc_dp.dp_clip == 1.0
-        with pytest.raises(ConfigError):
+        # load_config rejects it under [experiment]; FederationConfig again
+        with pytest.raises(ValueError, match="krum"):
             cfg.federation_config("krum", seed=0)
+
+
+# every [federation] key, each set to a value that is not its default
+FEDERATION_VALUES = dict(
+    num_clients=3, rounds=7, local_iterations=4, batch_size=8, eta=0.02, eta_phi=0.3,
+    lambda1=0.7, lambda_adv=0.9, dp_epsilon=0.5, dp_clip=2.5, server_lr=0.4)
+
+
+class TestSingleSourceOfDefaults:
+    @pytest.mark.parametrize("cls", [FederationConfig, NetworkSpec, ByzantineSpec])
+    def test_library_settings_have_no_defaults(self, cls):
+        for f in dataclasses.fields(cls):
+            assert f.default is dataclasses.MISSING, f.name
+            assert f.default_factory is dataclasses.MISSING, f.name
+
+    def test_every_federation_key_reaches_the_cell(self, tmp_path):
+        text = "[experiment]\nseeds = 1\n[federation]\nhidden_dims = 12, 6\n" + "".join(
+            f"{k} = {v}\n" for k, v in FEDERATION_VALUES.items())
+        cfg = load_config(write_cfg(tmp_path, text))
+        defaults = ExperimentConfig(seeds=(1,))
+        # every field that a [federation] key sets
+        assert set(FEDERATION_VALUES) == {
+            f.name for f in dataclasses.fields(FederationConfig)} - {"aggregator", "seed"}
+        assert all(getattr(defaults, k) != v for k, v in FEDERATION_VALUES.items())
+        assert cfg.network().hidden_dims == (12, 6) != defaults.hidden_dims
+        for algo in AGGREGATORS:
+            fc = cfg.federation_config(algo, seed=9)
+            assert (fc.aggregator, fc.seed) == (algo, 9)
+            for key, value in FEDERATION_VALUES.items():
+                assert getattr(fc, key) == value, (algo, key)
+
+    def test_unset_rates_resolve_in_one_place(self):
+        fc = ExperimentConfig(seeds=(1,), eta=0.03, num_clients=5).federation_config(
+            "resfl", seed=1)
+        assert fc.eta_phi == 0.03 and fc.effective_server_lr == 1.0 / 5
 
 
 class TestErrors:

@@ -83,10 +83,6 @@ class TestUfmHandValues:
         with pytest.raises(ValueError):
             aggregation_weight(-0.1)
 
-    def test_bad_eps_rejected(self):
-        with pytest.raises(ValueError):
-            ufm([0.1, 0.2], eps=0.0)
-
 
 class TestUfmProperties:
     @given(positive_us)
@@ -108,10 +104,11 @@ class TestUfmProperties:
            st.floats(0.5, 2.0))
     @settings(max_examples=300, deadline=None)
     def test_approximate_scale_invariance(self, us, c):
-        # with a vanishing eps the ratio is scale-free up to eps/mean
-        a = ufm(us, eps=1e-12)
-        b = ufm([c * u for u in us], eps=1e-12)
-        assert b == pytest.approx(a, rel=1e-8, abs=1e-8)
+        # scale-free up to eps: a and b differ by a share
+        # eps |1 - c| / (c mean + eps) of a, at most 2 eps / mean for c >= 0.5
+        a = ufm(us)
+        b = ufm([c * u for u in us])
+        assert b == pytest.approx(a, rel=2 * DEFAULT_EPS / np.mean(us), abs=1e-12)
 
     @given(st.lists(st.integers(0, 1000), min_size=2, max_size=6, unique=True))
     @settings(max_examples=300, deadline=None)

@@ -194,7 +194,7 @@ class TestWriteMetrics:
 
     def test_exact_bytes(self, tmp_path):
         path = tmp_path / "m.csv"
-        write_metrics(self.rows(), path)
+        write_metrics(self.rows(), path, num_groups=2)
         expect = (
             "algo,seed,round,accuracy,acc_g1,acc_g2,di_dev,delta_eop,eod,"
             "ufm_mean,unc_var\n"
@@ -209,8 +209,8 @@ class TestWriteMetrics:
 
     def test_input_order_irrelevant_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_metrics(self.rows(), p1)
-        write_metrics(list(reversed(self.rows())), p2)
+        write_metrics(self.rows(), p1, num_groups=2)
+        write_metrics(list(reversed(self.rows())), p2, num_groups=2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_empty_rows_header_only(self, tmp_path):
@@ -222,4 +222,4 @@ class TestWriteMetrics:
 
     def test_unwritable_path_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
-            write_metrics(self.rows(), tmp_path / "missing" / "m.csv")
+            write_metrics(self.rows(), tmp_path / "missing" / "m.csv", num_groups=2)
