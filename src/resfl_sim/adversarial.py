@@ -28,7 +28,6 @@ class CompositeLossTerms:
 
 
 def softmax(Z: np.ndarray) -> np.ndarray:
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
     Z = Z - Z.max(axis=1, keepdims=True)
     E = np.exp(Z)
     return E / E.sum(axis=1, keepdims=True)

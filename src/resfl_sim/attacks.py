@@ -18,7 +18,6 @@ from .adversarial import local_train_step
 from .datasets import poison
 from .evidential import evidence_batch
 from .federation import ByzantineSpec, FederationConfig, RoundRecord, run_experiment
-from .metrics import confusion_by_group, eod
 from .network import NetworkSpec, ParameterSet, forward_batch, init_params
 
 ATTACK_KINDS = ("mia", "aia", "byzantine", "poisoning")
@@ -152,10 +151,9 @@ def byzantine_run(config: FederationConfig, shards, eval_samples,
 
     ``clean`` is ``run_experiment(config, shards, eval_samples)``; the
     attacked run trains its network. The attacker compromises the most
-    influential clients: the ``ceil(fraction * K)`` largest shards.
+    influential clients: the ``ceil(fraction * K)`` largest shards; the
+    fraction is in [0, 1), checked at config load.
     """
-    if not 0.0 <= malicious_fraction < 1.0:
-        raise ValueError("malicious_fraction must be in [0, 1)")
     n_bad = int(np.ceil(malicious_fraction * config.num_clients))
     by_size = sorted(range(len(shards)), key=lambda k: len(shards[k]), reverse=True)
     attacked = clean
@@ -174,7 +172,8 @@ def byzantine_run(config: FederationConfig, shards, eval_samples,
 def poisoning_run(config: FederationConfig, shards, eval_samples,
                   clean: tuple[ParameterSet, list[RoundRecord]],
                   target_group: int, rate: float) -> AttackReport:
-    """Paired clean/poisoned runs; score is the shift in equalized-odds gap.
+    """Paired clean/poisoned runs; score is the shift in the equalized-odds
+    gap of each run's last round.
 
     ``clean`` is ``run_experiment(config, shards, eval_samples)``; the
     poisoned run trains its network. The compromised client is the shard
@@ -182,9 +181,7 @@ def poisoning_run(config: FederationConfig, shards, eval_samples,
     :func:`resfl_sim.datasets.poison`.
     At ``rate = 0`` the clean model stands for the poisoned one.
     """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("rate must be in [0, 1]")
-    params_clean = params_poisoned = clean[0]
+    eod_clean = eod_poisoned = clean[1][-1].eod
     if rate > 0.0:
         victim = int(np.argmax([np.count_nonzero(sh.s == target_group)
                                 for sh in shards]))
@@ -192,15 +189,8 @@ def poisoning_run(config: FederationConfig, shards, eval_samples,
         poisoned_shards[victim] = poison(shards[victim], target_group, rate,
                                          seed=config.seed,
                                          num_classes=clean[0].spec.num_classes)
-        params_poisoned, _ = run_experiment(config, poisoned_shards, eval_samples,
-                                            network=clean[0].spec)
-
-    def eod_of(params):
-        _, _, _, Zt, _ = forward_batch(params, eval_samples.X)
-        preds = np.argmax(evidence_batch(Zt), axis=1)
-        return eod(confusion_by_group(preds, eval_samples.y, eval_samples.s))
-
-    eod_clean = eod_of(params_clean)
-    eod_poisoned = eod_of(params_poisoned)
+        _, records = run_experiment(config, poisoned_shards, eval_samples,
+                                    network=clean[0].spec)
+        eod_poisoned = records[-1].eod
     return AttackReport("poisoning", eod_poisoned - eod_clean, {
         "eod_clean": eod_clean, "eod_poisoned": eod_poisoned, "rate": rate})

@@ -195,10 +195,7 @@ def cmd_attack(cfg: ExperimentConfig, out: Path, kind: str | None) -> int:
                                             cfg.byzantine_fraction,
                                             cfg.byzantine_scale)
                     else:
-                        group = cfg.poison_group
-                        if group is None:
-                            group = int(np.argmin(cfg.synth.samples_per_group))
-                        rep = poisoning_run(fed, shards, test, run, group,
+                        rep = poisoning_run(fed, shards, test, run, cfg.poison_group,
                                             cfg.poison_rate)
                     reports.append((k, algo, seed, rep.score, rep.auxiliary))
             for name, algo, sd, score, aux in reports:

@@ -93,9 +93,10 @@ DEFAULT_SWEEP_ROWS = (
 @dataclass
 class ExperimentConfig:
     """The run settings. Its field defaults are the only defaults of the
-    config keys, except ``[data]``'s generator keys, whose defaults are
-    ``SynthSpec``'s. ``load_config`` checks every value once; the functions
-    they configure take them as required arguments and trust them."""
+    config keys, except ``[data]``'s generator keys, whose defaults and
+    checks are ``SynthSpec``'s. ``__post_init__`` checks every other value,
+    once; the functions they configure take them as required arguments and
+    trust them."""
     seeds: tuple[int, ...]
     # the dataset's seed: the first of ``seeds`` as loaded, kept when a
     # --seed override replaces ``seeds``
@@ -114,12 +115,12 @@ class ExperimentConfig:
     batch_size: int = 64
     num_clients: int = 4
     eta: float = 0.001
-    eta_phi: float | None = None  # None: eta
+    eta_phi: float | None = None  # None: eta, set by federation_config
     lambda1: float = 0.1
     lambda_adv: float = 0.01
     dp_epsilon: float = 0.1
     dp_clip: float = 1.0
-    server_lr: float | None = None  # None: 1 / num_clients
+    server_lr: float | None = None  # None: 1 / num_clients, set by federation_config
 
     attack_kinds: tuple[str, ...] = ATTACK_KINDS
     mia_overfit_size: int = 30
@@ -127,14 +128,68 @@ class ExperimentConfig:
     aia_trials: int = 100
     byzantine_fraction: float = 0.25
     byzantine_scale: float = 10.0
-    poison_group: int | None = None  # None: the smallest group
+    poison_group: int | None = None  # None: the smallest non-empty group
     poison_rate: float = 0.2
 
-    sweep_rows: tuple[tuple[float, float], ...] = DEFAULT_SWEEP_ROWS
+    sweep_rows: tuple[tuple[float, ...], ...] = DEFAULT_SWEEP_ROWS
 
     def __post_init__(self):
+        spg = self.synth.samples_per_group
+        filled = [g for g, n in enumerate(spg) if n > 0]
+        # every range but those of [data]'s generator keys, which SynthSpec
+        # checks; the DP values are checked whatever the algorithms, since
+        # attack's MIA target is a fedavg_dp run
+        checks = (  # (section, key, value, allowed range, in range)
+            ("experiment", "seeds", self.seeds, "non-empty", len(self.seeds) > 0),
+            ("experiment", "algorithms", self.algorithms,
+             f"among {', '.join(AGGREGATORS)}", set(self.algorithms) <= set(AGGREGATORS)),
+            ("data", "partition_beta", self.partition_beta, "> 0", self.partition_beta > 0),
+            ("data", "test_fraction", self.test_fraction, "in (0, 1)",
+             0.0 < self.test_fraction < 1.0),
+            ("federation", "hidden_dims", self.hidden_dims, "non-empty, each >= 1",
+             len(self.hidden_dims) > 0 and min(self.hidden_dims) >= 1),
+            ("federation", "num_clients", self.num_clients, ">= 1", self.num_clients >= 1),
+            # >= 1: summary and the paired attacks read each cell's last round
+            ("federation", "rounds", self.rounds, ">= 1", self.rounds >= 1),
+            ("federation", "local_iterations", self.local_iterations, ">= 0",
+             self.local_iterations >= 0),
+            ("federation", "batch_size", self.batch_size, ">= 1", self.batch_size >= 1),
+            ("federation", "eta", self.eta, "> 0", self.eta > 0),
+            ("federation", "eta_phi", self.eta_phi, "> 0",
+             self.eta_phi is None or self.eta_phi > 0),
+            ("federation", "lambda1", self.lambda1, ">= 0", self.lambda1 >= 0),
+            ("federation", "lambda_adv", self.lambda_adv, ">= 0", self.lambda_adv >= 0),
+            ("federation", "dp_epsilon", self.dp_epsilon, "> 0", self.dp_epsilon > 0),
+            ("federation", "dp_clip", self.dp_clip, "> 0", self.dp_clip > 0),
+            ("federation", "server_lr", self.server_lr, "> 0",
+             self.server_lr is None or self.server_lr > 0),
+            ("attack", "kinds", self.attack_kinds, f"among {', '.join(ATTACK_KINDS)}",
+             set(self.attack_kinds) <= set(ATTACK_KINDS)),
+            ("attack", "mia_overfit_size", self.mia_overfit_size, ">= 1",
+             self.mia_overfit_size >= 1),
+            ("attack", "mia_overfit_steps", self.mia_overfit_steps, ">= 0",
+             self.mia_overfit_steps >= 0),
+            ("attack", "aia_trials", self.aia_trials, ">= 1", self.aia_trials >= 1),
+            ("attack", "byzantine_fraction", self.byzantine_fraction, "in [0, 1)",
+             0.0 <= self.byzantine_fraction < 1.0),
+            ("attack", "byzantine_scale", self.byzantine_scale, ">= 0",
+             self.byzantine_scale >= 0),
+            ("attack", "poison_group", self.poison_group,
+             f"a group with samples, one of {filled}",
+             self.poison_group is None or self.poison_group in filled),
+            ("attack", "poison_rate", self.poison_rate, "in [0, 1]",
+             0.0 <= self.poison_rate <= 1.0),
+            ("sweep", "rows", self.sweep_rows, "'lambda1,lambda_adv' pairs of values >= 0",
+             all(len(r) == 2 and min(r) >= 0 for r in self.sweep_rows)),
+        )
+        for section, key, value, allowed, ok in checks:
+            if not ok:
+                raise ConfigError(f"[{section}] {key} must be {allowed}, got {value}")
+        # the settings derived from others, each resolved after its check
         if self.data_seed is None:
             self.data_seed = self.seeds[0]
+        if self.poison_group is None:
+            self.poison_group = min(filled, key=spg.__getitem__)  # lowest id on a tie
 
     def network(self) -> NetworkSpec:
         return NetworkSpec(input_dim=self.synth.input_dim,
@@ -155,7 +210,7 @@ class ExperimentConfig:
             aggregator=algorithm,
             dp_epsilon=self.dp_epsilon,
             dp_clip=self.dp_clip,
-            server_lr=self.server_lr,
+            server_lr=1.0 / self.num_clients if self.server_lr is None else self.server_lr,
             seed=seed,
         )
 
@@ -213,58 +268,17 @@ def load_config(path) -> ExperimentConfig:
     fed = raw.get("federation", {})
     atk = raw.get("attack", {})
     sweep = raw.get("sweep", {})
-    for algo in exp.get("algorithms", ()):
-        if algo not in AGGREGATORS:
-            raise ConfigError(f"unknown algorithm {algo!r} in [experiment]")
-    for kind in atk.get("kinds", ()):
-        if kind not in ATTACK_KINDS:
-            raise ConfigError(f"unknown attack kind {kind!r} in [attack]")
-
     # only the keys in the file; ExperimentConfig's fields hold the defaults
     kwargs = {**exp, **fed,
               **{k: v for k, v in data.items() if k not in synth_kwargs},
               **{("attack_kinds" if k == "kinds" else k): v for k, v in atk.items()}}
     if "rows" in sweep:
-        rows = sweep["rows"]
-        if any(len(r) != 2 for r in rows):
-            raise ConfigError("[sweep] rows entries must be 'lambda1,lambda_adv' pairs")
-        if any(v < 0 for r in rows for v in r):
-            raise ConfigError("[sweep] rows values must be >= 0")
-        kwargs["sweep_rows"] = tuple((r[0], r[1]) for r in rows)
+        kwargs["sweep_rows"] = sweep["rows"]
     elif "lambda1_grid" in sweep or "lambda_adv_grid" in sweep:
         g1 = sweep.get("lambda1_grid", (ExperimentConfig.lambda1,))
         g2 = sweep.get("lambda_adv_grid", (ExperimentConfig.lambda_adv,))
-        if any(v < 0 for v in g1 + g2):
-            raise ConfigError("[sweep] grid values must be >= 0")
         kwargs["sweep_rows"] = tuple((a, b) for a in g1 for b in g2)
-
-    cfg = ExperimentConfig(raw=raw, synth=synth, **kwargs)
-    if not 0.0 < cfg.test_fraction < 1.0:
-        raise ConfigError("test_fraction must be in (0, 1)")
-    if cfg.partition_beta <= 0:
-        raise ConfigError("partition_beta must be > 0")
-    groups = cfg.synth.num_groups
-    for key, ok, allowed in (
-            ("mia_overfit_size", cfg.mia_overfit_size >= 1, ">= 1"),
-            ("mia_overfit_steps", cfg.mia_overfit_steps >= 0, ">= 0"),
-            ("aia_trials", cfg.aia_trials >= 1, ">= 1"),
-            ("byzantine_fraction", 0.0 <= cfg.byzantine_fraction < 1.0, "in [0, 1)"),
-            ("byzantine_scale", cfg.byzantine_scale >= 0, ">= 0"),
-            ("poison_group", cfg.poison_group is None or 0 <= cfg.poison_group < groups,
-             f"in [0, {groups})"),
-            ("poison_rate", 0.0 <= cfg.poison_rate <= 1.0, "in [0, 1]")):
-        if not ok:
-            raise ConfigError(f"[attack] {key} must be {allowed}")
-    # build what the commands build, so a bad value stops here, before
-    # any data are drawn; every aggregator checks the DP values, which
-    # attack's MIA target uses whatever the algorithms are
-    try:
-        cfg.network()
-        for algo in cfg.algorithms:
-            cfg.federation_config(algo, cfg.data_seed)
-    except ValueError as exc:
-        raise ConfigError(f"invalid [federation] section: {exc}") from exc
-    return cfg
+    return ExperimentConfig(raw=raw, synth=synth, **kwargs)
 
 
 def normalized_text(cfg: ExperimentConfig) -> str:

@@ -186,10 +186,8 @@ def poison(shard: Dataset, target_group: int, rate: float, seed: int,
     class count; a shard need not hold every class. Samples of the
     favorable class (``FAVORABLE_CLASS``) are cloned preferentially so
     the flips consistently push the target group toward unfavorable
-    labels.
+    labels. ``rate`` in [0, 1] is checked at config load.
     """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("rate must be in [0, 1]")
     if rate == 0.0:
         return shard
     pool = np.flatnonzero(shard.s == target_group)

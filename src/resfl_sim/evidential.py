@@ -14,7 +14,7 @@ import numpy as np
 
 def evidence_batch(Z: np.ndarray) -> np.ndarray:
     """Batched alpha from logits, shape preserved."""
-    return 1.0 + np.logaddexp(0.0, np.asarray(Z, dtype=float))
+    return 1.0 + np.logaddexp(0.0, Z)
 
 
 @np.errstate(over="ignore")
@@ -38,7 +38,6 @@ def evidential_terms_batch(Z: np.ndarray, y: np.ndarray):
     y_c above.
     Returns (nll, reg, dnll_dZ, dreg_dZ) with nll/reg shaped (n,).
     """
-    Z = np.asarray(Z, dtype=float)
     A = evidence_batch(Z)
     S = A.sum(axis=1, keepdims=True)
     P = A / S

@@ -16,7 +16,8 @@ import numpy as np
 DEFAULT_EPS = 1e-6
 
 
-def group_uncertainties(alpha0, groups, num_groups: int) -> np.ndarray:
+def group_uncertainties(alpha0: np.ndarray, groups: np.ndarray,
+                        num_groups: int) -> np.ndarray:
     """Per-group uncertainty: 1 / the group's mean total evidence.
 
     ``alpha0[i]`` is sample i's total evidence and ``groups[i]`` its
@@ -24,29 +25,20 @@ def group_uncertainties(alpha0, groups, num_groups: int) -> np.ndarray:
     order. Groups with no samples are omitted; the rest come in group
     order.
     """
-    if num_groups < 1:
-        raise ValueError("num_groups must be >= 1")
-    groups = np.asarray(groups, dtype=int)
-    if not groups.size:
-        raise ValueError("no samples")
-    if groups.min() < 0 or groups.max() >= num_groups:
-        raise ValueError(f"group ids out of range [0, {num_groups})")
     counts = np.bincount(groups, minlength=num_groups)
     sums = np.bincount(groups, weights=alpha0, minlength=num_groups)
     present = counts > 0
     return 1.0 / (sums[present] / counts[present])
 
 
-def uncertainty_variance(us) -> float:
+def uncertainty_variance(us: np.ndarray) -> float:
     """Population variance of per-group uncertainties."""
-    us = np.asarray(us, dtype=float)
     if us.size == 0:
         raise ValueError("empty uncertainty list")
     return float(np.mean((us - us.mean()) ** 2))
 
 
-def ufm(us) -> float:
-    us = np.asarray(us, dtype=float)
+def ufm(us: np.ndarray) -> float:
     if us.size == 0:
         raise ValueError("empty uncertainty list")
     return float((us.max() - us.min()) / (us.mean() + DEFAULT_EPS))

@@ -42,8 +42,9 @@ DP_DELTA = 1e-5  # the delta of fedavg_dp's (epsilon, delta) guarantee
 
 @dataclass(frozen=True)
 class FederationConfig:
-    """One training cell's settings, all required: their defaults live in
-    ``config.ExperimentConfig``, whose ``federation_config`` builds this."""
+    """One training cell's settings, all required: their defaults and
+    checks live in ``config.ExperimentConfig``, whose ``federation_config``
+    builds this."""
     num_clients: int
     rounds: int
     local_iterations: int
@@ -55,26 +56,8 @@ class FederationConfig:
     aggregator: str
     dp_epsilon: float
     dp_clip: float
-    server_lr: float | None  # None: 1 / num_clients
+    server_lr: float
     seed: int
-
-    def __post_init__(self):
-        if self.num_clients < 1 or self.rounds < 0 or self.local_iterations < 0:
-            raise ValueError("num_clients >= 1, rounds/local_iterations >= 0 required")
-        if self.batch_size < 1 or self.eta <= 0:
-            raise ValueError("batch_size >= 1 and eta > 0 required")
-        if self.eta_phi <= 0:
-            raise ValueError("eta_phi must be > 0")
-        if self.lambda1 < 0 or self.lambda_adv < 0:
-            raise ValueError("lambda1 and lambda_adv must be >= 0")
-        if self.aggregator not in AGGREGATORS:
-            raise ValueError(f"unknown aggregator {self.aggregator!r}")
-        if self.dp_epsilon <= 0 or self.dp_clip <= 0:
-            raise ValueError("dp_epsilon and dp_clip must be > 0")
-
-    @property
-    def effective_server_lr(self) -> float:
-        return 1.0 / self.num_clients if self.server_lr is None else self.server_lr
 
     @property
     def dp_noise_scale(self) -> float:
@@ -308,7 +291,7 @@ def run_experiment(config: FederationConfig, shards, eval_samples,
             # and stop, so a destroyed model reads as low accuracy, not a crash
             log.warning("round %d: all clients failed; freezing global model", t)
         else:
-            delta = aggregate_resfl(updates, config.effective_server_lr) \
+            delta = aggregate_resfl(updates, config.server_lr) \
                 if config.aggregator == "resfl" else aggregate_fedavg(updates)
             # the set is frozen, so the attribute takes no +=
             np.add(global_params.theta, delta, out=global_params.theta)

@@ -15,12 +15,12 @@ DI_CAP = 1.0
 FAVORABLE_CLASS = 1  # the "positive" outcome of every fairness metric
 
 
-def confusion_by_group(predictions, labels, groups) -> np.ndarray:
+def confusion_by_group(predictions: np.ndarray, labels: np.ndarray,
+                       groups: np.ndarray) -> np.ndarray:
     """Per-group confusion counts: one (tp, fp, tn, fn) int row per group
     that has samples, in group order; 'positive' = FAVORABLE_CLASS."""
-    pred_pos = np.asarray(predictions) == FAVORABLE_CLASS
-    actual_pos = np.asarray(labels) == FAVORABLE_CLASS
-    groups = np.asarray(groups, dtype=int)
+    pred_pos = predictions == FAVORABLE_CLASS
+    actual_pos = labels == FAVORABLE_CLASS
     if not len(pred_pos) == len(actual_pos) == len(groups):
         raise ValueError("predictions and eval set are misaligned")
     # cell 0, 1, 2, 3 = tp, fp, tn, fn
@@ -61,10 +61,10 @@ def eod(conf: np.ndarray) -> float:
     return float((np.abs(tpr[:, None] - tpr) + np.abs(fpr[:, None] - fpr)).max())
 
 
-def accuracy_by_group(predictions, labels, groups, num_groups: int):
+def accuracy_by_group(predictions: np.ndarray, labels: np.ndarray, groups: np.ndarray,
+                      num_groups: int):
     """(overall accuracy, per-group accuracy array; NaN for empty groups)."""
-    hit = np.asarray(predictions, dtype=int) == np.asarray(labels, dtype=int)
-    groups = np.asarray(groups, dtype=int)
+    hit = predictions == labels
     counts = np.bincount(groups, minlength=num_groups)
     hits = np.bincount(groups, weights=hit, minlength=num_groups)
     with np.errstate(invalid="ignore"):

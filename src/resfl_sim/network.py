@@ -29,13 +29,6 @@ class NetworkSpec:
     num_classes: int
     num_groups: int
 
-    def __post_init__(self):
-        if self.input_dim < 1 or self.num_classes < 1 or self.num_groups < 1:
-            raise ValueError("all dimensions must be >= 1")
-        if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
-            raise ValueError("hidden_dims must be non-empty positive integers")
-        object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
-
     @property
     def latent_dim(self) -> int:
         return self.hidden_dims[-1]

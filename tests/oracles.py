@@ -70,7 +70,7 @@ def adversary_forward(params: ParameterSet, h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if not np.all(np.isfinite(h)):
         raise ValueError("non-finite latent")
-    return softmax(h @ Wa.T + ba)[0]
+    return softmax((h @ Wa.T + ba)[None, :])[0]
 
 
 def adversary_loss(probs: np.ndarray, s: int) -> float:

@@ -145,7 +145,7 @@ class TestCriterion2UfmBound:
             vals = np.array([ufm(row) for row in us])
             ok &= bool(np.all(vals >= 0.0) and np.all(vals < g))
         # zero spread collapses the metric exactly
-        ok &= ufm([0.42] * 6) == 0.0
+        ok &= ufm(np.full(6, 0.42)) == 0.0
         report(2, ok, "0 <= ufm < G on 10k vectors per G in {2,3,4,8}")
 
 
@@ -177,7 +177,7 @@ class TestCriterion4HandValues:
         checks.append(abs(nll[1] - 1.125) < 1e-9)
         checks.append(abs(reg[0] - 9.0) < 1e-9)
         checks.append(abs(reg[2] - 4.2) < 1e-9)
-        us = group_uncertainties([4.0, 4.0, 2.0], [0, 0, 1], 2)
+        us = group_uncertainties(np.array([4.0, 4.0, 2.0]), np.array([0, 0, 1]), 2)
         checks.append(abs(us[0] - 0.25) < 1e-9 and abs(us[1] - 0.5) < 1e-9)
         checks.append(abs(uncertainty_variance(us) - 0.015625) < 1e-9)
         checks.append(abs(ufm(us) - 0.25 / (0.375 + 1e-6)) < 1e-9)

@@ -160,11 +160,6 @@ class TestByzantineAndPoisoning:
                                malicious_fraction=0.5, perturb_scale=0.0)
         assert report.score == 0.0
 
-    def test_byzantine_bad_fraction_rejected(self):
-        with pytest.raises(ValueError):
-            byzantine_run(self.cfg, self.shards, self.data, self.clean,
-                          malicious_fraction=1.0, perturb_scale=10.0)
-
     def test_byzantine_targets_largest_shard(self):
         report = byzantine_run(self.cfg, self.shards, self.data, self.clean,
                                malicious_fraction=0.5, perturb_scale=5.0)
@@ -180,8 +175,3 @@ class TestByzantineAndPoisoning:
         report = poisoning_run(self.cfg, self.shards, self.data, self.clean,
                                target_group=3, rate=0.3)
         assert report.auxiliary["eod_clean"] != report.auxiliary["eod_poisoned"]
-
-    def test_poisoning_bad_rate_rejected(self):
-        with pytest.raises(ValueError):
-            poisoning_run(self.cfg, self.shards, self.data, self.clean,
-                          target_group=0, rate=2.0)

@@ -36,8 +36,19 @@ byzantine_scale = 2.0
 """
 
 
-# an invalid value -> (the text of TINY it replaces, the replacement)
+# an invalid value -> (the text of TINY it replaces, the replacement); a
+# section may be reopened, so one replacement can set keys in two sections
 INVALID = {
+    "seeds = (none)": ("seeds = 1, 2", "seeds ="),
+    "algorithms = krum": ("algorithms = fedavg, resfl", "algorithms = fedavg, krum"),
+    "test_fraction = 1": ("attr_leak = 0.5", "attr_leak = 0.5\ntest_fraction = 1"),
+    "rounds = 0": ("rounds = 2", "rounds = 0"),
+    "rounds = -1": ("rounds = 2", "rounds = -1"),
+    "local_iterations = -1": ("local_iterations = 2", "local_iterations = -1"),
+    "hidden_dims = (none)": ("hidden_dims = 8", "hidden_dims ="),
+    "server_lr = -1": ("eta = 0.01", "eta = 0.01\nserver_lr = -1"),
+    "server_lr = 0": ("eta = 0.01", "eta = 0.01\nserver_lr = 0"),
+    "kinds = mia, bogus": ("[attack]", "[attack]\nkinds = mia, bogus"),
     "eta = 0": ("eta = 0.01", "eta = 0"),
     "eta_phi = 0": ("eta = 0.01", "eta = 0.01\neta_phi = 0"),
     "lambda1 = -1": ("eta = 0.01", "eta = 0.01\nlambda1 = -1"),
@@ -58,6 +69,9 @@ INVALID = {
     "byzantine_scale = -1": ("byzantine_scale = 2.0", "byzantine_scale = -1"),
     "poison_group = 4": ("poison_rate = 0.2", "poison_rate = 0.2\npoison_group = 4"),
     "poison_group = -1": ("poison_rate = 0.2", "poison_rate = 0.2\npoison_group = -1"),
+    "poison_group naming an empty group": (
+        "samples_per_group = 30, 30, 30, 30",
+        "samples_per_group = 30, 0, 30, 30\n[attack]\npoison_group = 1\n[data]"),
     "poison_rate = 1.5": ("poison_rate = 0.2", "poison_rate = 1.5"),
 }
 
@@ -219,6 +233,19 @@ class TestAttack:
         variants = {line.split(",")[1] for line in lines[1:]}
         assert variants == {"overfit", "fedavg_dp"}
         assert (o1 / "attacks.csv").read_bytes() == (o2 / "attacks.csv").read_bytes()
+
+    def test_default_poison_target_has_samples(self, tmp_path):
+        # group 1, the smallest, is empty; the default target must be a
+        # group with samples to clone (group 3, the smallest of the rest)
+        p = tmp_path / "gap.cfg"
+        p.write_text(TINY.replace("samples_per_group = 30, 30, 30, 30",
+                                  "samples_per_group = 60, 0, 40, 30"))
+        out = tmp_path / "out"
+        assert main(["attack", "--config", str(p), "--kind", "poisoning",
+                     "--out", str(out), "--seed", "1"]) == 0
+        rows = (out / "attacks.csv").read_text().strip().splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [["poisoning", "fedavg"],
+                                                    ["poisoning", "resfl"]]
 
     def test_paired_runs_train_the_configured_network(self, cfg_path, tmp_path,
                                                       monkeypatch):

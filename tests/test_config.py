@@ -12,6 +12,7 @@ from resfl_sim.config import (
     normalized_text,
     parse_config_text,
 )
+from resfl_sim.datasets import SynthSpec
 from resfl_sim.federation import AGGREGATORS, ByzantineSpec, FederationConfig
 from resfl_sim.network import NetworkSpec
 
@@ -75,9 +76,6 @@ class TestParsing:
         assert fc.lambda_adv == 0.5
         fc_dp = cfg.federation_config("fedavg_dp", seed=1)
         assert fc_dp.dp_epsilon == 0.1 and fc_dp.dp_clip == 1.0
-        # load_config rejects it under [experiment]; FederationConfig again
-        with pytest.raises(ValueError, match="krum"):
-            cfg.federation_config("krum", seed=0)
 
 
 # every [federation] key, each set to a value that is not its default
@@ -112,7 +110,29 @@ class TestSingleSourceOfDefaults:
     def test_unset_rates_resolve_in_one_place(self):
         fc = ExperimentConfig(seeds=(1,), eta=0.03, num_clients=5).federation_config(
             "resfl", seed=1)
-        assert fc.eta_phi == 0.03 and fc.effective_server_lr == 1.0 / 5
+        assert fc.eta_phi == 0.03 and fc.server_lr == 1.0 / 5
+
+    def test_no_setting_is_none_after_load(self, tmp_path):
+        # GOOD leaves out data_seed, poison_group, eta_phi and server_lr,
+        # whose defaults derive from other settings
+        cfg = load_config(write_cfg(tmp_path, GOOD))
+        unset = {f.name for f in dataclasses.fields(cfg) if getattr(cfg, f.name) is None}
+        # the two rates follow eta and num_clients, also through a
+        # dataclasses.replace of those, so federation_config resolves them
+        assert unset == {"eta_phi", "server_lr"}
+        assert (cfg.data_seed, cfg.poison_group) == (1, 0)
+        for algo in AGGREGATORS:
+            fc = cfg.federation_config(algo, seed=2)
+            assert [f.name for f in dataclasses.fields(fc) if getattr(fc, f.name) is None] == []
+            assert (fc.eta_phi, fc.server_lr) == (0.005, 0.25)
+
+    def test_default_poison_group_is_the_smallest_group_with_samples(self):
+        def target(*counts):
+            return ExperimentConfig(
+                seeds=(1,), synth=SynthSpec(samples_per_group=counts)).poison_group
+        assert target(60, 0, 40, 30) == 3
+        assert target(5, 0, 3, 3) == 2  # the lowest id on a tie
+        assert target(2000, 1500, 1000, 500) == 3
 
 
 class TestErrors:
@@ -155,6 +175,14 @@ class TestErrors:
         with pytest.raises(ConfigError, match=r"\[data\]"):
             load_config(write_cfg(tmp_path, bad))
 
+    @pytest.mark.parametrize("field, value", [
+        ("eta_phi", 0.0), ("eta_phi", -0.1), ("lambda1", -1.0), ("lambda_adv", -0.01),
+        # checked whatever the algorithms; apply_dp trusts them
+        ("dp_epsilon", 0.0), ("dp_clip", -1.0)])
+    def test_rates_and_weights_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=rf"\[federation\] {field} must be"):
+            ExperimentConfig(seeds=(1,), **{field: value})
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.cfg")
@@ -183,7 +211,7 @@ class TestSweep:
 
     def test_negative_grid_rejected(self, tmp_path):
         text = GOOD + "\n[sweep]\nlambda1_grid = -1\n"
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"\[sweep\]"):
             load_config(write_cfg(tmp_path, text))
 
 

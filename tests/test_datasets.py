@@ -268,7 +268,3 @@ class TestPoison:
         pure = self.shard[self.shard.s == 0]
         with pytest.raises(ValueError):
             poison(pure, target_group=3, rate=0.1, seed=0, num_classes=2)
-
-    def test_bad_rate(self):
-        with pytest.raises(ValueError):
-            poison(self.shard, 1, 1.5, seed=0, num_classes=2)

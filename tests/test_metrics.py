@@ -44,7 +44,7 @@ def samples_from_counts(counts):
 class TestConfusion:
     def test_hand_counts(self):
         y, s = labels_groups((1, 0), (1, 0), (0, 0), (1, 1), (0, 1))
-        preds = [1, 0, 1, 1, 0]
+        preds = np.array([1, 0, 1, 1, 0])
         c = confusion_by_group(preds, y, s)
         np.testing.assert_array_equal(c, [[1, 1, 0, 1], [1, 0, 1, 0]])
 
@@ -59,12 +59,12 @@ class TestConfusion:
     def test_groups_without_samples_dropped(self):
         # groups 1 and 3 have no samples; rows stay in group order
         y, s = labels_groups((1, 2), (0, 0), (0, 2), (1, 4))
-        c = confusion_by_group([1, 1, 0, 0], y, s)
+        c = confusion_by_group(np.array([1, 1, 0, 0]), y, s)
         np.testing.assert_array_equal(c, [[0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]])
         assert c.dtype.kind == "i"
 
     def test_no_samples_empty_table(self):
-        c = confusion_by_group([], [], [])
+        c = confusion_by_group(*[np.array([], dtype=int)] * 3)
         assert c.shape == (0, 4)
         with pytest.raises(ValueError):
             di_deviation(c)
@@ -73,12 +73,12 @@ class TestConfusion:
         # with three classes, any non-favorable prediction of a
         # non-favorable label is a true negative, even when they differ
         y, s = labels_groups((0, 0), (2, 0), (FAVORABLE_CLASS, 0), (2, 0))
-        c = confusion_by_group([2, 0, FAVORABLE_CLASS, FAVORABLE_CLASS], y, s)
+        c = confusion_by_group(np.array([2, 0, FAVORABLE_CLASS, FAVORABLE_CLASS]), y, s)
         np.testing.assert_array_equal(c, [[1, 1, 2, 0]])
 
     def test_misaligned_rejected(self):
         with pytest.raises(ValueError):
-            confusion_by_group([1], *labels_groups((1, 0), (0, 0)))
+            confusion_by_group(np.array([1]), *labels_groups((1, 0), (0, 0)))
 
 
 class TestDiDeviation:
@@ -177,7 +177,7 @@ class TestAgainstPairwiseReference:
 class TestAccuracyByGroup:
     def test_hand_values_and_nan(self):
         y, s = labels_groups((1, 0), (0, 0), (1, 2))
-        overall, per_group = accuracy_by_group([1, 1, 1], y, s, num_groups=3)
+        overall, per_group = accuracy_by_group(np.array([1, 1, 1]), y, s, num_groups=3)
         assert overall == pytest.approx(2 / 3)
         assert per_group[0] == pytest.approx(0.5)
         assert np.isnan(per_group[1])

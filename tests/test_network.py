@@ -25,13 +25,6 @@ def random_params(spec, seed=0):
 
 
 class TestSpecAndParams:
-    def test_dimension_validation(self):
-        for bad in (dict(input_dim=0), dict(hidden_dims=()), dict(hidden_dims=(4, 0)),
-                    dict(num_classes=0), dict(num_groups=0)):
-            with pytest.raises(ValueError):
-                NetworkSpec(**{**dict(input_dim=2, hidden_dims=(4,), num_classes=2,
-                                      num_groups=2), **bad})
-
     def test_segment_sizes(self):
         spec = small_spec()
         assert spec.feature_size == (4 * 3 + 4) + (3 * 4 + 3)
