@@ -55,7 +55,9 @@ def train_centralized(samples, network: NetworkSpec, steps: int, batch_size: int
 
 def _best_threshold(member_conf: np.ndarray, nonmember_conf: np.ndarray) -> float:
     """Threshold maximizing balanced accuracy of rule conf >= tau."""
-    candidates = np.unique(np.concatenate([member_conf, nonmember_conf]))
+    # the sorted distinct confidences; np.unique would import numpy.ma
+    conf = np.sort(np.concatenate([member_conf, nonmember_conf]))
+    candidates = conf[np.concatenate(([True], conf[1:] != conf[:-1]))]
     mids = (candidates[:-1] + candidates[1:]) / 2.0
     candidates = np.concatenate([[candidates[0] - 1e-9], mids, [candidates[-1] + 1e-9]])
     best_tau, best_bal = candidates[0], -1.0

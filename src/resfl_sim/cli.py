@@ -25,7 +25,7 @@ from .attacks import ATTACK_KINDS, aia_run, byzantine_run, mia_run, mia_threshol
     poisoning_run, train_centralized
 from .config import ConfigError, ExperimentConfig, load_config, normalized_text
 from .datasets import generate_dataset, partition
-from .federation import FederationConfig, run_experiment
+from .federation import run_experiment
 from .metrics import SCALAR_COLUMNS, MetricsRow, read_metrics, write_metrics
 from .network import init_params
 
@@ -161,12 +161,11 @@ def cmd_attack(cfg: ExperimentConfig, out: Path, kind: str | None) -> int:
                 target = train_centralized(members, net,
                                            steps=cfg.mia_overfit_steps,
                                            batch_size=32, eta=0.1, seed=seed)
-                dp_fed = FederationConfig(
-                    num_clients=1, rounds=1,
-                    local_iterations=cfg.mia_overfit_steps, batch_size=32,
-                    eta=0.1, eta_phi=0.1, lambda1=cfg.lambda1, lambda_adv=0.0,
-                    aggregator="fedavg_dp", dp_epsilon=cfg.dp_epsilon,
-                    dp_clip=cfg.dp_clip, server_lr=1.0, seed=seed)
+                dp_fed = replace(
+                    cfg.federation_config("fedavg_dp", seed), num_clients=1,
+                    rounds=1, local_iterations=cfg.mia_overfit_steps,
+                    batch_size=32, eta=0.1, eta_phi=0.1, lambda_adv=0.0,
+                    server_lr=1.0)
                 dp_target, _ = run_experiment(dp_fed, [members], None,
                                               network=net)
                 reports = [

@@ -282,7 +282,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def normalized_text(cfg: ExperimentConfig) -> str:
-    """Echo of the effective configuration, stable across runs."""
+    """The config file's own keys, sorted and stable across runs; neither
+    the defaults nor a ``--seed`` override show."""
     lines = []
     for section in ("experiment", "data", "federation", "attack", "sweep"):
         entries = cfg.raw.get(section, {})

@@ -164,7 +164,7 @@ def partition(dataset: Dataset, num_clients: int, beta: float, seed: int) -> lis
     rng = np.random.default_rng([int(seed), 0xD17])
     for _ in range(PARTITION_TRIES):
         rows: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
-        for g in np.unique(dataset.s):
+        for g in np.flatnonzero(np.bincount(dataset.s)):
             members = np.flatnonzero(dataset.s == g)
             props = rng.dirichlet(np.full(num_clients, beta))
             assignment = rng.choice(num_clients, size=len(members), p=props)

@@ -4,7 +4,8 @@ The package computes every loss on batches (``evidential_terms_batch``,
 ``composite_gradients``). These one-sample versions state the same
 formulas directly, so tests can compare the batch code against them and
 state properties on a single Dirichlet output. ``logits_for`` builds
-inputs for hand-value tests of the batch code. ``reference_step`` is
+inputs for hand-value tests of the batch code, and ``segment_view``
+names the three parameter segments. ``reference_step`` is
 the local SGD step written as two passes and a functional update.
 ``reference_generate_dataset`` draws the synthetic dataset one row at a
 time, the draw order ``datasets.generate_dataset`` must keep. The
@@ -66,7 +67,7 @@ def evidential_reg(y: np.ndarray, out: EvidentialOutput) -> float:
 
 def adversary_forward(params: ParameterSet, h: np.ndarray) -> np.ndarray:
     """Group probabilities from a latent vector via the linear adversary."""
-    Wa, ba = params.adversary_head()
+    Wa, ba = params.adversary_head
     h = np.asarray(h, dtype=float)
     if not np.all(np.isfinite(h)):
         raise ValueError("non-finite latent")
@@ -79,6 +80,16 @@ def adversary_loss(probs: np.ndarray, s: int) -> float:
     if not 0 <= s < probs.shape[-1]:
         raise ValueError(f"group index {s} out of range")
     return float(-np.log(max(probs[s], PROB_FLOOR)))
+
+
+def segment_view(params: ParameterSet, name: str) -> np.ndarray:
+    """View of one segment of a set's flat vector: ``theta_f`` (the
+    feature layers), ``theta_e`` (the task head) or ``phi`` (the
+    adversary head)."""
+    We, be = params.task_head
+    nf = params.spec.theta_size - We.size - be.size
+    return {"theta_f": params.theta[:nf], "theta_e": params.theta[nf:],
+            "phi": params.phi}[name]
 
 
 def logits_for(alpha) -> np.ndarray:
@@ -105,12 +116,12 @@ def reference_step(params: ParameterSet, X, y, s, eta: float, eta_phi: float,
 
     def forward(p):
         acts, pres, a = [X], [], X
-        for W, b in p.feature_layers():
+        for W, b in p.layers:
             pre = a @ W.T + b
             a = np.maximum(pre, 0.0)
             pres.append(pre)
             acts.append(a)
-        (We, be), (Wa, ba) = p.task_head(), p.adversary_head()
+        (We, be), (Wa, ba) = p.task_head, p.adversary_head
         return acts, pres, a, a @ We.T + be, a @ Wa.T + ba
 
     def one_hot(idx, width):
@@ -145,19 +156,20 @@ def reference_step(params: ParameterSet, X, y, s, eta: float, eta_phi: float,
 
     # the backward pass recomputes the forward pass, as the package does
     acts, pres, H, _, _ = forward(params)
-    (We, _), (Wa, _) = params.task_head(), params.adversary_head()
+    (We, _), (Wa, _) = params.task_head, params.adversary_head
     g_theta_e = np.concatenate([(ut.T @ H).ravel(), ut.sum(axis=0)])
     g_phi = np.concatenate([(ua.T @ H).ravel(), ua.sum(axis=0)])
     G = ut @ We + (-lambda_adv) * (ua @ Wa)
-    layers = params.feature_layers()
+    layers = params.layers
     grads_f = [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
         Gpre = G * (pres[i] > 0)
         grads_f[i] = np.concatenate([(Gpre.T @ acts[i]).ravel(), Gpre.sum(axis=0)])
         G = Gpre @ layers[i][0]
 
-    new = ParameterSet(spec, params.theta_f - eta * np.concatenate(grads_f),
-                       params.theta_e - eta * g_theta_e, params.phi - eta_phi * g_phi)
+    g_theta = np.concatenate(grads_f + [g_theta_e])
+    new = ParameterSet(spec, np.concatenate([params.theta - eta * g_theta,
+                                             params.phi - eta_phi * g_phi]))
     return new, (float(nll.mean()), float(reg.mean()), float(adv.mean()))
 
 

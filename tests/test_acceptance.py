@@ -20,7 +20,7 @@ from resfl_sim.attacks import byzantine_run, mia_run, mia_threshold, poisoning_r
 from resfl_sim.cli import main as cli_main
 from resfl_sim.config import ExperimentConfig
 from resfl_sim.datasets import SynthSpec, generate_dataset, partition
-from oracles import logits_for
+from oracles import logits_for, segment_view
 from resfl_sim.evidential import evidence_batch, evidential_terms_batch
 from resfl_sim.fairness import aggregation_weight, group_uncertainties, ufm, \
     uncertainty_variance
@@ -116,7 +116,7 @@ class TestCriterion1GradientCheck:
                 return terms.adversary
 
             for segment in ("theta_f", "theta_e", "phi"):
-                vec = getattr(params, segment)
+                vec = segment_view(params, segment)
                 fd = np.empty_like(vec)
                 for i in range(len(vec)):
                     orig = vec[i]
@@ -126,7 +126,7 @@ class TestCriterion1GradientCheck:
                     lo = scalar(params, segment)
                     vec[i] = orig
                     fd[i] = (hi - lo) / (2 * step)
-                analytic = getattr(grads, segment)
+                analytic = segment_view(grads, segment)
                 worst = max(worst, float(np.max(
                     np.abs(analytic - fd) / (np.abs(fd) + atol / rtol))))
                 np.testing.assert_allclose(analytic, fd, rtol=rtol, atol=atol)
@@ -155,7 +155,7 @@ class TestCriterion3AggregatorIdentity:
         rng = np.random.default_rng(1)
         updates = [
             ClientUpdate(client_id=i,
-                         delta=rng.standard_normal(net.feature_size + net.task_head_size),
+                         delta=rng.standard_normal(net.theta_size),
                          ufm=0.0, sample_count=25)
             for i in range(4)
         ]

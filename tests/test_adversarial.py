@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import adversary_forward, adversary_loss, evidence_from_logits, \
-    evidential_nll, evidential_reg, reference_step
+    evidential_nll, evidential_reg, reference_step, segment_view
 from resfl_sim.adversarial import (
     PROB_FLOOR,
     composite_gradients,
@@ -41,8 +41,8 @@ def batch(seed=1, n=8):
 def saturated_params():
     """Latent H = 1 for every input, adversary logits (600, 0, 0, 0)."""
     params = ParameterSet.zeros(spec4())
-    params.feature_layers()[0][1][:] = 1.0
-    params.adversary_head()[0][0, :] = 100.0
+    params.layers[0][1][:] = 1.0
+    params.adversary_head[0][0, :] = 100.0
     return params
 
 
@@ -125,8 +125,8 @@ class TestCompositeGradients:
         g0, _ = gradients(params, X, y, s, 0.1, 0.0)
         g1, _ = gradients(params, X, y, s, 0.1, 1.0)
         g3, _ = gradients(params, X, y, s, 0.1, 3.0)
-        adv_part = g1.theta_f - g0.theta_f
-        np.testing.assert_allclose(g3.theta_f, g0.theta_f + 3.0 * adv_part,
+        f0, f1, f3 = (segment_view(g, "theta_f") for g in (g0, g1, g3))
+        np.testing.assert_allclose(f3, f0 + 3.0 * (f1 - f0),
                                    rtol=1e-9, atol=1e-12)
 
     def test_phi_isolated_from_task_and_lambda(self):
@@ -141,7 +141,8 @@ class TestCompositeGradients:
         X, y, s = batch()
         g_a, _ = gradients(params, X, y, s, 0.4, 0.0)
         g_b, _ = gradients(params, X, y, s, 0.4, 2.5)
-        np.testing.assert_array_equal(g_a.theta_e, g_b.theta_e)
+        np.testing.assert_array_equal(segment_view(g_a, "theta_e"),
+                                      segment_view(g_b, "theta_e"))
 
     def test_overflow_inputs_raise(self):
         params = params4()
@@ -165,9 +166,9 @@ class TestLocalTrainStep:
         b, _ = self.step(params4(), X, y, s, 0.05, 0.05, 0.1, 2.0)
         # with lambda_adv = 0 the theta update ignores the adversary entirely
         g0, _ = gradients(params4(), X, y, s, 0.1, 0.0)
-        expect = params4().theta_f - 0.05 * g0.theta_f
-        np.testing.assert_allclose(a.theta_f, expect, rtol=1e-12)
-        assert not np.array_equal(a.theta_f, b.theta_f)
+        expect = segment_view(params4(), "theta_f") - 0.05 * segment_view(g0, "theta_f")
+        np.testing.assert_allclose(segment_view(a, "theta_f"), expect, rtol=1e-12)
+        assert not np.array_equal(segment_view(a, "theta_f"), segment_view(b, "theta_f"))
 
     def test_separate_phi_rate(self):
         X, y, s = batch()
@@ -204,6 +205,5 @@ class TestStepMatchesReference:
                                      0.05, eta_phi, 0.1, lambda_adv)
             ref, ref_terms = reference_step(ref, X[idx], y[idx], s[idx],
                                             0.05, eta_phi, 0.1, lambda_adv)
-            for segment in ("theta_f", "theta_e", "phi"):
-                assert np.array_equal(getattr(params, segment), getattr(ref, segment))
+            assert np.array_equal(params.flat, ref.flat)
             assert (terms.task, terms.uncertainty, terms.adversary) == ref_terms

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import segment_view
 from resfl_sim import fairness, network
 from resfl_sim.config import ExperimentConfig
 from resfl_sim.datasets import SynthSpec, generate_dataset, partition
@@ -110,15 +111,14 @@ class TestClientRound:
         # eta = 1e300 gives a finite first step and a non-finite second one
         shard = self.shards[0]
         phi = self.params.phi + 0.5
-        before = (self.params.theta_f.copy(), self.params.theta_e.copy(),
-                  self.params.phi.copy(), phi.copy())
+        before = (self.params.flat.copy(), phi.copy())
         with np.errstate(over="ignore", invalid="ignore"):
             client_round(self.params, phi, shard, tiny_config(local_iterations=1, eta=1e300),
                          client_rng(0, 0, 0), *workspace(self.params.spec))
         with pytest.raises(FloatingPointError):
             client_round(self.params, phi, shard, tiny_config(local_iterations=3, eta=1e300),
                          client_rng(0, 0, 0), *workspace(self.params.spec))
-        after = (self.params.theta_f, self.params.theta_e, self.params.phi, phi)
+        after = (self.params.flat, phi)
         for b, a in zip(before, after):
             np.testing.assert_array_equal(a, b)
 
@@ -139,7 +139,8 @@ class TestClientRound:
                          tiny_config(local_iterations=3, eta=1e300),
                          client_rng(0, 0, 0), *work)
         np.testing.assert_array_equal(phi_a, phi_a_before)
-        assert not np.array_equal(work[0].theta_f, self.params.theta_f)  # left stepped
+        assert not np.array_equal(segment_view(work[0], "theta_f"),
+                                  segment_view(self.params, "theta_f"))  # left stepped
         # client B on the dirty workspace and on a fresh one
         cfg = tiny_config()
         reused = client_round(self.params, self.params.phi, self.shards[1], cfg,
@@ -165,10 +166,8 @@ class TestClientRound:
                          tiny_config(), client_rng(0, 0, 0), *workspace(self.params.spec))
 
     def test_shard_ufm_finite_on_garbage_params(self):
-        bad = ParameterSet(self.params.spec,
-                           np.full_like(self.params.theta_f, 1e300),
-                           np.full_like(self.params.theta_e, 1e300),
-                           self.params.phi.copy())
+        bad = self.params.copy()
+        bad.theta[:] = 1e300
         v = shard_ufm(bad, self.shards[0])
         assert math.isfinite(v)
         assert 0.0 <= v <= self.params.spec.num_groups
@@ -255,14 +254,14 @@ class TestRunExperiment:
         params, records = run_experiment(cfg, shards, data, NET)
         assert records == []
         ref = init_params(params.spec, np.random.default_rng([0, 0x1217]))
-        np.testing.assert_array_equal(params.theta_f, ref.theta_f)
+        np.testing.assert_array_equal(params.flat, ref.flat)
 
     def test_deterministic_end_to_end(self):
         data, shards = tiny_data()
         cfg = tiny_config(rounds=3)
         pa, ra = run_experiment(cfg, shards, data, NET)
         pb, rb = run_experiment(cfg, shards, data, NET)
-        np.testing.assert_array_equal(pa.theta_f, pb.theta_f)
+        np.testing.assert_array_equal(pa.flat, pb.flat)
         assert [r.accuracy for r in ra] == [r.accuracy for r in rb]
         assert ra[-1].ufm_by_client == rb[-1].ufm_by_client
 
@@ -301,7 +300,7 @@ class TestRunExperiment:
         assert last.ufm_by_client == {} and last.omega_by_client == {}
         assert math.isnan(last.loss_task) and math.isnan(last.loss_adversary)
         assert 0.0 <= last.accuracy <= 1.0
-        assert np.all(np.isfinite(params.theta_f))
+        assert np.all(np.isfinite(params.flat))
         _, no_eval = run_experiment(cfg, shards, None, NET)
         assert [r.round for r in no_eval] == [r.round for r in recs]
         assert math.isnan(no_eval[-1].accuracy) and no_eval[-1].acc_by_group == ()
@@ -314,8 +313,8 @@ class TestRunExperiment:
                                  byzantine=ByzantineSpec(client_ids=(), scale=10.0))
         zero, _ = run_experiment(cfg, shards, data, NET,
                                  byzantine=ByzantineSpec(client_ids=(0,), scale=0.0))
-        np.testing.assert_array_equal(clean.theta_f, none.theta_f)
-        np.testing.assert_array_equal(clean.theta_f, zero.theta_f)
+        np.testing.assert_array_equal(clean.flat, none.flat)
+        np.testing.assert_array_equal(clean.flat, zero.flat)
 
     def test_byzantine_noise_changes_model_and_reports_ufm(self):
         data, shards = tiny_data()
@@ -323,7 +322,8 @@ class TestRunExperiment:
         clean, _ = run_experiment(cfg, shards, data, NET)
         hit, recs = run_experiment(cfg, shards, data, NET,
                                    byzantine=ByzantineSpec(client_ids=(0,), scale=5.0))
-        assert not np.array_equal(clean.theta_f, hit.theta_f)
+        assert not np.array_equal(segment_view(clean, "theta_f"),
+                                  segment_view(hit, "theta_f"))
         assert all(math.isfinite(r.ufm_by_client[0]) for r in recs)
 
     def test_fedavg_dp_runs_and_differs_from_fedavg(self):
@@ -332,7 +332,8 @@ class TestRunExperiment:
         noisy, _ = run_experiment(
             tiny_config(aggregator="fedavg_dp", dp_epsilon=1.0, dp_clip=1.0),
             shards, data, NET)
-        assert not np.array_equal(plain.theta_f, noisy.theta_f)
+        assert not np.array_equal(segment_view(plain, "theta_f"),
+                                  segment_view(noisy, "theta_f"))
 
 
 class TestCallCounts:

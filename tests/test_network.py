@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import segment_view
 from resfl_sim import adversarial
 from resfl_sim.adversarial import composite_gradients, local_train_step
 from resfl_sim.evidential import evidential_terms_batch
@@ -25,40 +26,38 @@ def random_params(spec, seed=0):
 
 
 class TestSpecAndParams:
-    def test_segment_sizes(self):
+    def test_layout_by_hand(self):
         spec = small_spec()
-        assert spec.feature_size == (4 * 3 + 4) + (3 * 4 + 3)
-        assert spec.task_head_size == 2 * 3 + 2
-        assert spec.adversary_size == 3 * 3 + 3
+        # (out, in): two feature layers, the task head, the adversary head
+        assert spec.layout == ((4, 3), (3, 4), (2, 3), (3, 3))
+        assert spec.theta_size == (4 * 3 + 4) + (3 * 4 + 3) + (2 * 3 + 2)
+        assert spec.size == spec.theta_size + 3 * 3 + 3
 
-    def test_wrong_lengths_rejected(self):
+    def test_wrong_length_or_strided_vector_rejected(self):
         spec = small_spec()
         good = random_params(spec)
         with pytest.raises(ValueError):
-            ParameterSet(spec, good.theta_f[:-1], good.theta_e, good.phi)
+            ParameterSet(spec, good.flat[:-1])
+        # the right length, but every other element of a longer vector
         with pytest.raises(ValueError):
-            ParameterSet(spec, good.theta_f, good.theta_e[:-1], good.phi)
-        with pytest.raises(ValueError):
-            ParameterSet(spec, good.theta_f, good.theta_e, good.phi[:-1])
+            ParameterSet(spec, np.repeat(good.flat, 2)[::2])
 
     def test_init_glorot_bounds_and_zero_biases(self):
         spec = small_spec()
         params = random_params(spec, seed=7)
-        for W, b in params.feature_layers():
+        for W, b in params.layers:
             fan_out, fan_in = W.shape
             lim = np.sqrt(6.0 / (fan_in + fan_out))
             assert np.all(np.abs(W) <= lim)
             assert np.all(b == 0.0)
-        for W, b in (params.task_head(), params.adversary_head()):
+        for W, b in (params.task_head, params.adversary_head):
             assert np.all(b == 0.0)
 
     def test_init_deterministic(self):
         spec = small_spec()
         a = random_params(spec, seed=5)
         b = random_params(spec, seed=5)
-        assert np.array_equal(a.theta_f, b.theta_f)
-        assert np.array_equal(a.theta_e, b.theta_e)
-        assert np.array_equal(a.phi, b.phi)
+        assert np.array_equal(a.flat, b.flat)
 
 
 @pytest.mark.parametrize("hidden", [(5,), (5, 4), (6, 5, 4)])
@@ -67,23 +66,23 @@ class TestLayout:
     def spec(self, hidden):
         return NetworkSpec(input_dim=3, hidden_dims=hidden, num_classes=2, num_groups=3)
 
-    def test_cached_sizes_and_shapes_equal_the_closed_forms(self, hidden):
+    def test_cached_layout_and_sizes_equal_the_closed_forms(self, hidden):
         spec = self.spec(hidden)
         dims = (3,) + hidden
-        shapes = tuple(((dims[i + 1], dims[i]), (dims[i + 1],)) for i in range(len(hidden)))
-        assert spec.feature_shapes == shapes
-        assert spec.feature_size == sum(a * b + b for a, b in zip(dims, dims[1:]))
-        assert spec.task_head_size == 2 * (hidden[-1] + 1)
-        assert spec.adversary_size == 3 * (hidden[-1] + 1)
-        assert spec.feature_shapes is spec.feature_shapes  # computed once
+        h = hidden[-1]
+        features = tuple((dims[i + 1], dims[i]) for i in range(len(hidden)))
+        assert spec.layout == features + ((2, h), (3, h))
+        assert spec.theta_size == sum(a * b + b for a, b in zip(dims, dims[1:])) + 2 * (h + 1)
+        assert spec.size == spec.theta_size + 3 * (h + 1)
+        assert spec.layout is spec.layout  # computed once
         # the cache is not a field: equality and hashing see the fields only
         fresh = self.spec(hidden)
         assert spec == fresh and hash(spec) == hash(fresh)
 
     def test_layer_and_head_views_write_through_to_flat(self, hidden):
         params = ParameterSet.zeros(self.spec(hidden))
-        views = [v for layer in params.feature_layers() for v in layer]
-        views += [*params.task_head(), *params.adversary_head()]
+        views = [v for layer in params.layers for v in layer]
+        views += [*params.task_head, *params.adversary_head]
         for view in views:
             before = params.flat.copy()
             view[...] = 7.0
@@ -91,28 +90,39 @@ class TestLayout:
         # the views tile flat
         assert (params.flat == 7.0).all()
 
-    def test_mutating_a_constructor_argument_leaves_the_set(self, hidden):
+    def test_sets_view_the_rows_of_a_block(self, hidden):
         spec = self.spec(hidden)
-        parts = [np.arange(n, dtype=float)
-                 for n in (spec.feature_size, spec.task_head_size, spec.adversary_size)]
-        params = ParameterSet(spec, *parts)
-        before = params.flat.copy()
-        for part in parts:
-            part += 100.0
-        np.testing.assert_array_equal(params.flat, before)
+        block = np.arange(3 * spec.size, dtype=float).reshape(3, spec.size)
+        sets = [ParameterSet(spec, row) for row in block]
+        for row, params in zip(block, sets):
+            assert np.shares_memory(params.flat, row)
+            assert np.shares_memory(params.layers[0][0], row)
+            assert np.shares_memory(params.adversary_head[1], row)
+        before = block.copy()
+        grads = ParameterSet.zeros(spec)
+        grads.flat[:] = 1.0
+        sgd_step(sets[1], grads, 0.5, 0.25)
+        np.testing.assert_array_equal(block[[0, 2]], before[[0, 2]])
+        np.testing.assert_array_equal(block[1, :spec.theta_size],
+                                      before[1, :spec.theta_size] - 0.5)
+        np.testing.assert_array_equal(block[1, spec.theta_size:],
+                                      before[1, spec.theta_size:] - 0.25)
+        copied = sets[1].copy()
+        assert not np.shares_memory(copied.flat, block)
+        np.testing.assert_array_equal(copied.flat, block[1])
 
-    def test_theta_is_a_view_of_theta_f_then_theta_e(self, hidden):
+    def test_theta_and_phi_split_flat_at_theta_size(self, hidden):
         params = random_params(self.spec(hidden), seed=3)
+        n = params.spec.theta_size
         assert np.shares_memory(params.theta, params.flat)
-        np.testing.assert_array_equal(
-            params.theta, np.concatenate([params.theta_f, params.theta_e]))
+        assert np.shares_memory(params.phi, params.flat)
+        np.testing.assert_array_equal(params.theta, params.flat[:n])
+        np.testing.assert_array_equal(params.phi, params.flat[n:])
         grads = ParameterSet.zeros(params.spec)
         grads.flat[:] = 1.0
-        before = params.theta.copy()
+        before = params.flat.copy()
         sgd_step(params, grads, 0.5, 0.5)  # in place
-        np.testing.assert_array_equal(params.theta, before - 0.5)
-        np.testing.assert_array_equal(
-            params.theta, np.concatenate([params.theta_f, params.theta_e]))
+        np.testing.assert_array_equal(params.flat, before - 0.5)
 
 
 def forward_one(params, x):
@@ -126,10 +136,10 @@ class TestForward:
         spec = small_spec()
         params = ParameterSet.zeros(spec)
         # plant known biases in every segment
-        layers = params.feature_layers()
+        layers = params.layers
         layers[-1][1][:] = [0.5, -1.0, 2.0]
-        params.task_head()[1][:] = [3.0, -4.0]
-        params.adversary_head()[1][:] = [1.0, 2.0, 3.0]
+        params.task_head[1][:] = [3.0, -4.0]
+        params.adversary_head[1][:] = [1.0, 2.0, 3.0]
         h, z_task, z_adv = forward_one(params, np.array([9.0, -9.0, 1.0]))
         np.testing.assert_allclose(h, [0.5, 0.0, 2.0])
         np.testing.assert_allclose(z_task, [3.0, -4.0])
@@ -138,7 +148,7 @@ class TestForward:
     def test_identity_layer_relu(self):
         spec = NetworkSpec(input_dim=2, hidden_dims=(2,), num_classes=2, num_groups=2)
         params = ParameterSet.zeros(spec)
-        W, _ = params.feature_layers()[0]
+        W, _ = params.layers[0]
         W[:] = np.eye(2)
         h, _, _ = forward_one(params, np.array([1.0, -1.0]))
         np.testing.assert_array_equal(h, [1.0, 0.0])
@@ -149,10 +159,10 @@ class TestForward:
         rng = np.random.default_rng(4)
         x = rng.standard_normal(spec.input_dim)
         a = x
-        for W, b in params.feature_layers():
+        for W, b in params.layers:
             a = np.maximum(W @ a + b, 0.0)
-        We, be = params.task_head()
-        Wa, ba = params.adversary_head()
+        We, be = params.task_head
+        Wa, ba = params.adversary_head
         h, z_task, z_adv = forward_one(params, x)
         np.testing.assert_allclose(h, a, rtol=1e-12)
         np.testing.assert_allclose(z_task, We @ a + be, rtol=1e-12)
@@ -166,7 +176,7 @@ class TestForward:
 
 def fd_segment(params, segment, scalar_fn, step=1e-5):
     """Central finite differences of scalar_fn over one parameter segment."""
-    vec = getattr(params, segment)
+    vec = segment_view(params, segment)
     out = np.empty_like(vec)
     for i in range(len(vec)):
         orig = vec[i]
@@ -199,8 +209,7 @@ class TestBackward:
                             ParameterSet.zeros(self.spec))
         g1 = backward_batch(self.params, self.X, self.ut, self.ua, 0.0,
                             ParameterSet.zeros(self.spec))
-        np.testing.assert_array_equal(g0.theta_f, g1.theta_f)
-        np.testing.assert_array_equal(g0.theta_e, g1.theta_e)
+        np.testing.assert_array_equal(g0.theta, g1.theta)
 
     def test_sign_flip_with_zero_task_upstream(self):
         zero_t = np.zeros_like(self.ut)
@@ -209,14 +218,15 @@ class TestBackward:
                                ParameterSet.zeros(self.spec))
             base = backward_batch(self.params, self.X, zero_t, self.ua, 1.0,
                                   ParameterSet.zeros(self.spec))
-            np.testing.assert_allclose(g.theta_f, c * base.theta_f, rtol=1e-12)
+            np.testing.assert_allclose(segment_view(g, "theta_f"),
+                                       c * segment_view(base, "theta_f"), rtol=1e-12)
         # unit lambda equals the exact negation of the un-reversed backprop
         unrev = fd_segment(
             self.params, "theta_f",
             lambda p: float(np.sum(self.ua * forward_batch(p, self.X)[4])))
         g1 = backward_batch(self.params, self.X, zero_t, self.ua, 1.0,
                             ParameterSet.zeros(self.spec))
-        np.testing.assert_allclose(g1.theta_f, -unrev, rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(segment_view(g1, "theta_f"), -unrev, rtol=1e-6, atol=1e-8)
 
     def test_adversary_upstream_linearity(self):
         zero_t = np.zeros_like(self.ut)
@@ -224,7 +234,8 @@ class TestBackward:
                             ParameterSet.zeros(self.spec))
         g3 = backward_batch(self.params, self.X, zero_t, 3.0 * self.ua, 1.0,
                             ParameterSet.zeros(self.spec))
-        np.testing.assert_allclose(g3.theta_f, 3.0 * g1.theta_f, rtol=1e-12)
+        np.testing.assert_allclose(segment_view(g3, "theta_f"),
+                                   3.0 * segment_view(g1, "theta_f"), rtol=1e-12)
         np.testing.assert_allclose(g3.phi, 3.0 * g1.phi, rtol=1e-12)
 
     def test_finite_difference_all_segments(self):
@@ -248,7 +259,7 @@ class TestBackward:
                             ("theta_e", scalar_theta_e),
                             ("phi", scalar_phi)):
             fd = fd_segment(self.params, segment, fn)
-            np.testing.assert_allclose(getattr(g, segment), fd, rtol=1e-4, atol=1e-7)
+            np.testing.assert_allclose(segment_view(g, segment), fd, rtol=1e-4, atol=1e-7)
 
     def test_non_finite_upstream_raises(self, monkeypatch):
         # backward_batch leaves the upstream unchecked: the step's one
@@ -272,24 +283,23 @@ class TestSgdStep:
         params = random_params(small_spec())
         new = params.copy()
         sgd_step(new, ParameterSet.zeros(params.spec), 0.1, 0.1)
-        np.testing.assert_array_equal(new.theta_f, params.theta_f)
-        np.testing.assert_array_equal(new.phi, params.phi)
+        np.testing.assert_array_equal(new.flat, params.flat)
 
     def test_one_step_arithmetic(self):
         params = random_params(small_spec())
-        params.theta_f[:] = 1.0
+        params.theta[:] = 1.0
         grads = ParameterSet.zeros(params.spec)
-        grads.theta_f[:] = 2.0
+        grads.theta[:] = 2.0
         sgd_step(params, grads, 0.1, 0.1)
-        np.testing.assert_allclose(params.theta_f, 0.8)
+        np.testing.assert_allclose(params.theta, 0.8)
 
     def test_elementwise_recomputation(self):
         params = random_params(small_spec(), seed=1)
         grads = random_params(small_spec(), seed=2)
         new = params.copy()
         sgd_step(new, grads, 0.05, 0.2)
-        for i in range(len(params.theta_f)):
-            assert new.theta_f[i] == params.theta_f[i] - 0.05 * grads.theta_f[i]
+        for i in range(len(params.theta)):
+            assert new.theta[i] == params.theta[i] - 0.05 * grads.theta[i]
         for i in range(len(params.phi)):
             assert new.phi[i] == params.phi[i] - 0.2 * grads.phi[i]
 
@@ -298,7 +308,7 @@ class TestSgdStep:
         # sgd_step can touch the parameters
         def backward_with_bad_gradient(*args):
             grads = backward_batch(*args)
-            grads.theta_e[0] = np.nan
+            segment_view(grads, "theta_e")[0] = np.nan
             return grads
 
         monkeypatch.setattr(adversarial, "backward_batch", backward_with_bad_gradient)
