@@ -18,11 +18,11 @@ from .adversarial import local_train_step
 from .datasets import poison
 from .evidential import evidence_batch
 from .federation import ByzantineSpec, FederationConfig, RoundRecord, run_experiment
-from .network import NetworkSpec, ParameterSet, forward_batch, init_params
+from .network import NetworkSpec, ParameterSet, forward_batch
 
 ATTACK_KINDS = ("mia", "aia", "byzantine", "poisoning")
 
-LAMBDA1 = 0.1  # evidential regulariser weight of the attacks' own SGD
+LAMBDA1 = 0.1  # evidential regulariser weight of the MIA models and AIA probes
 
 
 @dataclass(frozen=True)
@@ -37,20 +37,6 @@ def _confidences(params: ParameterSet, samples) -> np.ndarray:
     _, _, _, Zt, _ = forward_batch(params, samples.X)
     A = evidence_batch(Zt)
     return (A / A.sum(axis=1, keepdims=True)).max(axis=1)
-
-
-def train_centralized(samples, network: NetworkSpec, steps: int, batch_size: int,
-                      eta: float, seed: int) -> ParameterSet:
-    """Plain centralized evidential SGD (no adversary), for shadow/overfit models."""
-    rng = np.random.default_rng([int(seed), 0xCE27])
-    params = init_params(network, rng)
-    grads = ParameterSet.zeros(network)
-    for _ in range(steps):
-        idx = rng.choice(len(samples), size=min(batch_size, len(samples)), replace=False)
-        batch = samples[idx]
-        local_train_step(params, grads, batch.X, batch.y, batch.s,
-                         eta, eta, LAMBDA1, 0.0)
-    return params
 
 
 def _best_threshold(member_conf: np.ndarray, nonmember_conf: np.ndarray) -> float:
@@ -70,24 +56,24 @@ def _best_threshold(member_conf: np.ndarray, nonmember_conf: np.ndarray) -> floa
     return best_tau
 
 
-def mia_threshold(network: NetworkSpec, member_count: int, shadow_pool,
-                  seed: int, shadow_steps: int) -> float:
+def mia_threshold(config: FederationConfig, network: NetworkSpec, member_count: int,
+                  shadow_pool) -> float:
     """Confidence threshold of shadow-model membership inference.
 
     A shadow model is trained on a slice of the shadow pool matching the
     target's training-set size (capped at half the pool), so its
-    member/non-member confidence gap mimics the target's. The threshold
-    sees only the shadow model, so it serves every such target.
+    member/non-member confidence gap mimics the target's. It is the
+    1-client ``run_experiment`` cell of ``config``, trained as the
+    targets are. The threshold sees only the shadow model, so it serves
+    every such target.
     """
     if member_count < 1 or len(shadow_pool) < 4:
         raise ValueError("member_count must be >= 1 and the shadow pool >= 4 samples")
     shadow_size = min(member_count, len(shadow_pool) // 2)
-    order = np.random.default_rng([int(seed), 0x314]).permutation(len(shadow_pool))
+    order = np.random.default_rng([config.seed, 0x314]).permutation(len(shadow_pool))
     shadow_members = shadow_pool[order[:shadow_size]]
     shadow_nonmembers = shadow_pool[order[shadow_size:]]
-    shadow_model = train_centralized(
-        shadow_members, network, steps=shadow_steps,
-        batch_size=min(32, len(shadow_members)), eta=0.1, seed=seed)
+    shadow_model, _ = run_experiment(config, [shadow_members], None, network=network)
     return _best_threshold(_confidences(shadow_model, shadow_members),
                            _confidences(shadow_model, shadow_nonmembers))
 

@@ -21,11 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import ATTACK_KINDS, aia_run, byzantine_run, mia_run, mia_threshold, \
-    poisoning_run, train_centralized
+from .attacks import ATTACK_KINDS, LAMBDA1, aia_run, byzantine_run, mia_run, \
+    mia_threshold, poisoning_run
 from .config import ConfigError, ExperimentConfig, load_config, normalized_text
 from .datasets import generate_dataset, partition
-from .federation import run_experiment
+from .federation import FederationConfig, run_experiment
 from .metrics import SCALAR_COLUMNS, MetricsRow, read_metrics, write_metrics
 from .network import init_params
 
@@ -106,16 +106,28 @@ def cmd_run(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
+def _mia_config(cfg: ExperimentConfig, seed: int, aggregator: str) -> FederationConfig:
+    """The 1-client, 1-round cell that trains every MIA model: the shadow
+    model and the ``overfit`` target with ``fedavg``, the DP target with
+    ``fedavg_dp``. The two targets share init and batches, so they differ
+    only in the DP clip and noise."""
+    return replace(cfg.federation_config(aggregator, seed), num_clients=1, rounds=1,
+                   local_iterations=cfg.mia_overfit_steps, batch_size=32, eta=0.1,
+                   eta_phi=0.1, lambda1=LAMBDA1, lambda_adv=0.0, server_lr=1.0)
+
+
 def _mia_setup(cfg: ExperimentConfig, train, test, seed: int):
     """(members, non-members, shadow threshold) of the MIA on ``seed``; the
-    members are the overfit target's training set. The threshold depends
-    on neither target nor lambda, so one serves every target of the seed."""
+    members are the targets' training set, the non-members a seeded random
+    draw of as many test samples. The threshold depends on neither target
+    nor lambda, so one serves every target of the seed."""
     order = np.random.default_rng([seed, 0x517A]).permutation(len(train))
     members = train[order[:cfg.mia_overfit_size]]
     shadow = train[order[cfg.mia_overfit_size:cfg.mia_overfit_size + 400]]
-    tau = mia_threshold(cfg.network(), len(members), shadow, seed,
-                        shadow_steps=cfg.mia_overfit_steps)
-    return members, test[:len(members)], tau
+    draw = np.random.default_rng([seed, 0x4E4D]).permutation(len(test))
+    tau = mia_threshold(_mia_config(cfg, seed, "fedavg"), cfg.network(),
+                        len(members), shadow)
+    return members, test[draw[:len(members)]], tau
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
@@ -158,22 +170,12 @@ def cmd_attack(cfg: ExperimentConfig, out: Path, kind: str | None) -> int:
         for seed in cfg.seeds:
             if k == "mia":
                 members, nonmembers, tau = _mia_setup(cfg, train, test, seed)
-                target = train_centralized(members, net,
-                                           steps=cfg.mia_overfit_steps,
-                                           batch_size=32, eta=0.1, seed=seed)
-                dp_fed = replace(
-                    cfg.federation_config("fedavg_dp", seed), num_clients=1,
-                    rounds=1, local_iterations=cfg.mia_overfit_steps,
-                    batch_size=32, eta=0.1, eta_phi=0.1, lambda_adv=0.0,
-                    server_lr=1.0)
-                dp_target, _ = run_experiment(dp_fed, [members], None,
-                                              network=net)
-                reports = [
-                    ("mia", "overfit", seed,
-                     mia_run(target, members, nonmembers, tau).score, {}),
-                    ("mia", "fedavg_dp", seed,
-                     mia_run(dp_target, members, nonmembers, tau).score, {}),
-                ]
+                reports = []
+                for name, aggregator in (("overfit", "fedavg"), ("fedavg_dp", "fedavg_dp")):
+                    target, _ = run_experiment(_mia_config(cfg, seed, aggregator),
+                                               [members], None, network=net)
+                    reports.append(("mia", name, seed,
+                                    mia_run(target, members, nonmembers, tau).score, {}))
             elif k == "aia":
                 params = init_params(net, np.random.default_rng([seed, 0x1217]))
                 rep = aia_run(params, train, cfg.synth.num_groups, seed=seed,

@@ -30,8 +30,8 @@ def softplus_derivative(Z: np.ndarray) -> np.ndarray:
 def evidential_terms_batch(Z: np.ndarray, y: np.ndarray):
     """Per-sample NLL and regularizer values plus their logit gradients.
 
-    nll = sum_c (y_c - p_hat_c)^2, a Brier-style loss (its Dirichlet
-    variance term y_c(1-y_c)/(alpha0+1) vanishes for one-hot labels);
+    nll = sum_c (y_c - p_hat_c)^2, the Brier score, without Sensoy's
+    variance term p_hat_c(1-p_hat_c)/(alpha0+1) (Sensoy et al. 2018, Eq. 5);
     reg = sum_c |y_c - p_hat_c| * (2*alpha0 + 1), an overconfidence penalty.
 
     Z: (n, C) logits; y: (n,) class labels, whose one-hot rows are the

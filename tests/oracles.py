@@ -52,7 +52,9 @@ def evidence_from_logits(z: np.ndarray) -> EvidentialOutput:
 
 
 def evidential_nll(y: np.ndarray, out: EvidentialOutput) -> float:
-    """Brier-style NLL: sum_c (y_c - p_hat_c)^2 + y_c(1-y_c)/(alpha0+1)."""
+    """The Brier score sum_c (y_c - p_hat_c)^2, without Sensoy's variance
+    term p_hat_c(1-p_hat_c)/(alpha0+1); the y_c(1-y_c)/(alpha0+1) added
+    here is 0 for one-hot y and is not that term."""
     y = np.asarray(y, dtype=float)
     p = out.p_hat
     a0 = out.total_evidence

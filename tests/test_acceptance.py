@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from resfl_sim.adversarial import composite_gradients
-from resfl_sim.attacks import byzantine_run, mia_run, mia_threshold, poisoning_run, \
-    train_centralized
+from resfl_sim.attacks import byzantine_run, mia_run, mia_threshold, poisoning_run
 from resfl_sim.cli import main as cli_main
 from resfl_sim.config import ExperimentConfig
 from resfl_sim.datasets import SynthSpec, generate_dataset, partition
@@ -246,15 +245,17 @@ class TestCriterion7Membership:
             order = rng.permutation(len(train))
             members = train[order[:30]]
             shadow = train[order[30:430]]
-            nonmembers = test[:30]
-            target = train_centralized(members, net, steps=3000, batch_size=32,
-                                       eta=0.1, seed=seed)
-            dp_cfg = FederationConfig(
+            nonmembers = test[np.random.default_rng([seed, 0x4E4D]).permutation(
+                len(test))[:30]]
+            # the shadow and both targets: one 1-client cell, DP or not
+            cfg = FederationConfig(
                 num_clients=1, rounds=1, local_iterations=3000, batch_size=32,
-                eta=0.1, eta_phi=0.1, lambda1=0.1, lambda_adv=0.0, aggregator="fedavg_dp",
+                eta=0.1, eta_phi=0.1, lambda1=0.1, lambda_adv=0.0, aggregator="fedavg",
                 dp_epsilon=0.1, dp_clip=1.0, server_lr=1.0, seed=seed)
-            dp_target, _ = run_experiment(dp_cfg, [members], None, network=net)
-            tau = mia_threshold(net, len(members), shadow, seed=seed, shadow_steps=3000)
+            target, _ = run_experiment(cfg, [members], None, network=net)
+            dp_target, _ = run_experiment(replace(cfg, aggregator="fedavg_dp"),
+                                          [members], None, network=net)
+            tau = mia_threshold(cfg, net, len(members), shadow)
             over_scores.append(mia_run(target, members, nonmembers, tau).score)
             dp_scores.append(mia_run(dp_target, members, nonmembers, tau).score)
         over, dp = float(np.mean(over_scores)), float(np.mean(dp_scores))
@@ -270,9 +271,8 @@ class TestCriterion8Byzantine:
             train, test = disparity_data(seed)
             shards = partition(train, 4, beta=0.5, seed=seed)
             for algo in ("fedavg", "resfl"):
-                cfg = fed_config(algo, seed)
-                clean = run_experiment(cfg, shards, test, NET)
-                rep = byzantine_run(cfg, shards, test, clean,
+                rep = byzantine_run(fed_config(algo, seed), shards, test,
+                                    disparity_run(algo, seed),
                                     malicious_fraction=0.25, perturb_scale=10.0)
                 degr[algo].append(rep.score)
         wins = sum(r < f for f, r in zip(degr["fedavg"], degr["resfl"]))
@@ -290,9 +290,8 @@ class TestCriterion9Poisoning:
         for seed in SEEDS:
             train, test = disparity_data(seed)
             shards = partition(train, 4, beta=0.5, seed=seed)
-            cfg = fed_config("fedavg", seed)
-            rep = poisoning_run(cfg, shards, test, run_experiment(cfg, shards, test, NET),
-                                target_group=3, rate=0.2)
+            rep = poisoning_run(fed_config("fedavg", seed), shards, test,
+                                disparity_run("fedavg", seed), target_group=3, rate=0.2)
             shifts.append(rep.score)
         mean_shift = float(np.mean(shifts))
 

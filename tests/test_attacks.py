@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from resfl_sim.attacks import (
+    LAMBDA1,
     _best_threshold,
     aia_run,
     byzantine_run,
     mia_run,
     mia_threshold,
     poisoning_run,
-    train_centralized,
 )
 from resfl_sim.datasets import SynthSpec, generate_dataset, partition
 from resfl_sim.config import ExperimentConfig
-from resfl_sim.federation import run_experiment
+from resfl_sim.federation import FederationConfig, run_experiment
 from resfl_sim.network import NetworkSpec
 from probe import probe_accuracy
 
@@ -26,6 +26,21 @@ def small_dataset(seed=0, per_group=40, **kw):
 
 def net8():
     return NetworkSpec(input_dim=8, hidden_dims=(32, 32), num_classes=2, num_groups=4)
+
+
+def one_client_config(steps, batch_size, eta, seed) -> FederationConfig:
+    """A 1-client, 1-round plain evidential SGD cell (no adversary), the
+    shape of the MIA models."""
+    return ExperimentConfig(
+        seeds=(seed,), num_clients=1, rounds=1, local_iterations=steps,
+        batch_size=batch_size, eta=eta, lambda1=LAMBDA1, lambda_adv=0.0,
+        server_lr=1.0).federation_config("fedavg", seed)
+
+
+def train_one_client(samples, steps, batch_size, eta, seed):
+    params, _ = run_experiment(one_client_config(steps, batch_size, eta, seed),
+                               [samples], None, net8())
+    return params
 
 
 class TestProbe:
@@ -57,17 +72,17 @@ class TestThreshold:
         assert acc == pytest.approx(0.5)
 
 
-class TestTrainCentralized:
+class TestOneClientTraining:
     def test_deterministic(self):
         data = small_dataset()
-        a = train_centralized(data, net8(), steps=20, batch_size=16, eta=0.05, seed=3)
-        b = train_centralized(data, net8(), steps=20, batch_size=16, eta=0.05, seed=3)
+        a = train_one_client(data, steps=20, batch_size=16, eta=0.05, seed=3)
+        b = train_one_client(data, steps=20, batch_size=16, eta=0.05, seed=3)
         np.testing.assert_array_equal(a.flat, b.flat)
 
     def test_learns_separable_data(self):
         data = small_dataset(noise_std=0.3)
-        params = train_centralized(data, net8(), steps=300, batch_size=32,
-                                   eta=0.1, seed=0)
+        params = train_one_client(data, steps=300, batch_size=32,
+                                  eta=0.1, seed=0)
         from resfl_sim.evidential import evidence_batch
         from resfl_sim.network import forward_batch
         preds = np.argmax(evidence_batch(forward_batch(params, data.X)[3]), axis=1)
@@ -82,16 +97,17 @@ class TestMia:
         members = data[order[:30]]
         nonmembers = data[order[30:60]]
         shadow = data[order[60:460]]
-        target = train_centralized(members, net8(), steps=3000, batch_size=32,
-                                   eta=0.1, seed=0)
-        tau = mia_threshold(net8(), len(members), shadow, seed=0, shadow_steps=3000)
+        target = train_one_client(members, steps=3000, batch_size=32,
+                                  eta=0.1, seed=0)
+        tau = mia_threshold(one_client_config(3000, 32, 0.1, seed=0), net8(),
+                            len(members), shadow)
         report = mia_run(target, members, nonmembers, tau)
         assert report.score > 0.6
 
     def test_empty_pools_rejected(self):
         data = small_dataset()
-        target = train_centralized(data[:10], net8(), steps=1, batch_size=4,
-                                   eta=0.01, seed=0)
+        target = train_one_client(data[:10], steps=1, batch_size=4,
+                                  eta=0.01, seed=0)
         with pytest.raises(ValueError):
             mia_run(target, data[:0], data[:5], 0.5)
         with pytest.raises(ValueError):
@@ -100,30 +116,30 @@ class TestMia:
     def test_small_shadow_pool_rejected(self):
         data = small_dataset()
         with pytest.raises(ValueError):
-            mia_threshold(net8(), 5, data[:3], seed=0, shadow_steps=10)
+            mia_threshold(one_client_config(10, 32, 0.1, seed=0), net8(), 5, data[:3])
         with pytest.raises(ValueError):
-            mia_threshold(net8(), 0, data[:20], seed=0, shadow_steps=10)
+            mia_threshold(one_client_config(10, 32, 0.1, seed=0), net8(), 0, data[:20])
 
 
 class TestAia:
     def test_full_leak_far_above_chance(self):
         data = small_dataset(attr_leak=1.0)
-        params = train_centralized(data, net8(), steps=50, batch_size=32,
-                                   eta=0.05, seed=0)
+        params = train_one_client(data, steps=50, batch_size=32,
+                                  eta=0.05, seed=0)
         report = aia_run(params, data, num_groups=4, seed=0, trials=60)
         assert report.score > 0.5
 
     def test_zero_leak_near_chance(self):
         data = small_dataset(attr_leak=0.0, per_group=100)
-        params = train_centralized(data, net8(), steps=50, batch_size=32,
-                                   eta=0.05, seed=0)
+        params = train_one_client(data, steps=50, batch_size=32,
+                                  eta=0.05, seed=0)
         report = aia_run(params, data, num_groups=4, seed=0, trials=100)
         assert report.score == pytest.approx(0.25, abs=0.15)
 
     def test_global_params_not_modified(self):
         data = small_dataset()
-        params = train_centralized(data, net8(), steps=5, batch_size=16,
-                                   eta=0.05, seed=0)
+        params = train_one_client(data, steps=5, batch_size=16,
+                                  eta=0.05, seed=0)
         before = params.copy()
         aia_run(params, data, num_groups=4, seed=0, trials=5)
         np.testing.assert_array_equal(params.flat, before.flat)
@@ -131,8 +147,8 @@ class TestAia:
     def test_missing_group_rejected(self):
         data = small_dataset()
         data = data[data.s != 2]
-        params = train_centralized(data, net8(), steps=1, batch_size=8,
-                                   eta=0.01, seed=0)
+        params = train_one_client(data, steps=1, batch_size=8,
+                                  eta=0.01, seed=0)
         with pytest.raises(ValueError):
             aia_run(params, data, num_groups=4, seed=0, trials=5)
 

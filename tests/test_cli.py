@@ -3,11 +3,16 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from resfl_sim import cli
 from resfl_sim.cli import main
+from resfl_sim.config import load_config
+from resfl_sim.federation import ClientUpdate, apply_dp, run_experiment
+from resfl_sim.network import init_params
 
 TINY = """\
 [experiment]
@@ -233,6 +238,34 @@ class TestAttack:
         variants = {line.split(",")[1] for line in lines[1:]}
         assert variants == {"overfit", "fedavg_dp"}
         assert (o1 / "attacks.csv").read_bytes() == (o2 / "attacks.csv").read_bytes()
+
+    def test_dp_target_differs_from_overfit_only_in_dp(self, cfg_path):
+        # both MIA targets train from one init on the same batches, so the
+        # DP target's update is the overfit target's, clipped and noised
+        # with the round-0 stream of client 0
+        cfg, seed = load_config(cfg_path), 1
+        members, _, _ = cli._mia_setup(cfg, *cli.build_data(cfg), seed)
+        net = cfg.network()
+        init = init_params(net, np.random.default_rng([seed, 0x1217])).theta
+        fed_cfg, dp_cfg = (cli._mia_config(cfg, seed, a) for a in ("fedavg", "fedavg_dp"))
+        overfit, _ = run_experiment(fed_cfg, [members], None, net)
+        dp_target, _ = run_experiment(dp_cfg, [members], None, net)
+        update = ClientUpdate(0, overfit.theta - init, 0.0, len(members))
+        expected = apply_dp(update, dp_cfg.dp_clip, dp_cfg.dp_noise_scale,
+                            np.random.default_rng([seed, 0, 0, 0xDF])).delta
+        np.testing.assert_allclose(dp_target.theta - init, expected, rtol=0, atol=1e-12)
+
+    def test_mia_nonmembers_are_a_seeded_test_draw(self, cfg_path):
+        # the test split is ordered by group, so its head is one group; the
+        # pool is a seeded random draw, never larger than the test split
+        cfg = load_config(cfg_path)
+        train, test = cli.build_data(cfg)
+        draw = np.random.default_rng([1, 0x4E4D]).permutation(len(test))
+        for n in (cfg.mia_overfit_size, len(test) + 5):
+            _, nonmembers, _ = cli._mia_setup(replace(cfg, mia_overfit_size=n),
+                                              train, test, 1)
+            np.testing.assert_array_equal(nonmembers.X, test.X[draw[:n]])
+        assert len(nonmembers) == len(test)
 
     def test_default_poison_target_has_samples(self, tmp_path):
         # group 1, the smallest, is empty; the default target must be a

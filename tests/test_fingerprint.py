@@ -67,10 +67,10 @@ EXPECTED = {
         "summary": "4a9df55ed43e263ef2c756d34688c00bb025f0f5848582d6460e47630d9c18bd",
     },
     "attack": {
-        "attacks.csv": "c890d092c5c8ce8caf71a6317f363d792a828074ae1aed234313ba5a7283d7b5",
+        "attacks.csv": "ed79b0780e26d8e24c77cc372a97727cb917131486aac9673be75cb28173d6bf",
     },
     "sweep": {
-        "sweep.csv": "cedd48118076be9688be678c9a59f2d53f8748b9f990def4906742bee8ef4eb1",
+        "sweep.csv": "25421cea82711a8bff63bf493d9df064d9afcd908ef109684fb9eaa56ab540b9",
     },
     "run_wide": {
         "metrics.csv": "2cc3f994cb7171932d3cd061277ec40b06fa6fd05b22d1f3cb3b2e3dffdbad65",
