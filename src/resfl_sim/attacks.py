@@ -46,14 +46,10 @@ def _best_threshold(member_conf: np.ndarray, nonmember_conf: np.ndarray) -> floa
     candidates = conf[np.concatenate(([True], conf[1:] != conf[:-1]))]
     mids = (candidates[:-1] + candidates[1:]) / 2.0
     candidates = np.concatenate([[candidates[0] - 1e-9], mids, [candidates[-1] + 1e-9]])
-    best_tau, best_bal = candidates[0], -1.0
-    for tau in candidates:
-        tpr = float(np.mean(member_conf >= tau))
-        tnr = float(np.mean(nonmember_conf < tau))
-        bal = 0.5 * (tpr + tnr)
-        if bal > best_bal:
-            best_bal, best_tau = bal, float(tau)
-    return best_tau
+    tpr = (member_conf >= candidates[:, None]).mean(axis=1)
+    tnr = (nonmember_conf < candidates[:, None]).mean(axis=1)
+    # argmax keeps the first of tied maxima
+    return float(candidates[np.argmax(0.5 * (tpr + tnr))])
 
 
 def mia_threshold(config: FederationConfig, network: NetworkSpec, member_count: int,

@@ -74,8 +74,6 @@ _SCHEMA: dict[str, dict[str, object]] = {
         "poison_rate": float,
     },
     "sweep": {
-        "lambda1_grid": _parse_floats,
-        "lambda_adv_grid": _parse_floats,
         "rows": lambda t: tuple(tuple(float(v) for v in row.split(","))
                                 for row in t.split(";")),
     },
@@ -274,10 +272,6 @@ def load_config(path) -> ExperimentConfig:
               **{("attack_kinds" if k == "kinds" else k): v for k, v in atk.items()}}
     if "rows" in sweep:
         kwargs["sweep_rows"] = sweep["rows"]
-    elif "lambda1_grid" in sweep or "lambda_adv_grid" in sweep:
-        g1 = sweep.get("lambda1_grid", (ExperimentConfig.lambda1,))
-        g2 = sweep.get("lambda_adv_grid", (ExperimentConfig.lambda_adv,))
-        kwargs["sweep_rows"] = tuple((a, b) for a in g1 for b in g2)
     return ExperimentConfig(raw=raw, synth=synth, **kwargs)
 
 

@@ -3,17 +3,21 @@
 Each round: clients copy the global theta, run local SGD steps on their
 shard (keeping a private adversary head between rounds), and report
 one theta delta (theta_f then theta_e) plus their local
-uncertainty-fairness value. Each aggregator returns the global delta,
-which the round loop adds to theta_G in place:
+uncertainty-fairness value. Per-client state is rows indexed by client
+id: a (K, theta_size) delta block allocated once per run and a (K,
+phi_size) block of the private adversary heads; each client writes its
+own two rows. Each aggregator takes the reporting clients' delta rows
+and returns the global delta, which the round loop adds to theta_G in
+place:
 
   - fedavg:   sample-count-weighted mean of deltas
-  - fedavg_dp: per-update clip + Gaussian noise, then fedavg
+  - fedavg_dp: each row clipped and noised in place, then fedavg
   - resfl:    eta_srv * sum_i 1/(1+ufm_i) * delta_i
 
 The resfl sum is unnormalized by design; eta_srv defaults to 1/K so
 that all-zero ufm reproduces FedAvg over equal shards exactly.
 
-A Byzantine client's delta is replaced by noise scaled to the
+A Byzantine client's delta row is overwritten with noise scaled to the
 first-round mean honest-update norm before aggregation. A round in
 which every client drops leaves the model frozen, is recorded like any
 other, and ends the run.
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,14 +69,6 @@ class FederationConfig:
         return math.sqrt(2.0 * math.log(1.25 / DP_DELTA)) / self.dp_epsilon
 
 
-@dataclass
-class ClientUpdate:
-    client_id: int
-    delta: np.ndarray  # theta_f then theta_e, as ParameterSet.theta
-    ufm: float
-    sample_count: int
-
-
 @dataclass(frozen=True)
 class ByzantineSpec:
     """Malicious clients replace their reported deltas with Gaussian noise.
@@ -109,16 +105,19 @@ def client_rng(seed: int, client_id: int, round_idx: int) -> np.random.Generator
 
 def client_round(global_params: ParameterSet, phi: np.ndarray, shard,
                  config: FederationConfig, rng: np.random.Generator,
-                 params: ParameterSet, grads: ParameterSet):
+                 params: ParameterSet, grads: ParameterSet, delta: np.ndarray):
     """Local training for one client.
 
     ``params`` and ``grads`` are the run's local-training workspace: the
     global theta and ``phi`` are loaded into ``params``, which is stepped
     in place, and ``grads`` receives each step's gradients. Clients train
     one at a time, so one workspace serves every client round of a run;
-    its contents on entry are never read. Returns (ClientUpdate, new_phi,
-    mean CompositeLossTerms tuple). phi persists client-side; only theta
-    deltas travel to the server.
+    its contents on entry are never read. After the last step the theta
+    delta (theta_f then theta_e) is written into ``delta`` and the new
+    adversary head into ``phi``, the client's rows; a client that raises
+    leaves both as they were. Returns (ufm, mean CompositeLossTerms
+    tuple). phi persists client-side; only theta deltas travel to the
+    server.
     """
     if not shard:
         raise ValueError("empty shard")
@@ -139,12 +138,9 @@ def client_round(global_params: ParameterSet, phi: np.ndarray, shard,
             unc += terms.uncertainty
             adv += terms.adversary
     n_iter = max(config.local_iterations, 1)
-    local_ufm = shard_ufm(params, shard)
-
-    update = ClientUpdate(client_id=-1, delta=params.theta - global_params.theta,
-                          ufm=local_ufm, sample_count=len(shard))
-    # a copy: the workspace is overwritten by the next client
-    return update, params.phi.copy(), (task / n_iter, unc / n_iter, adv / n_iter)
+    np.subtract(params.theta, global_params.theta, out=delta)
+    np.copyto(phi, params.phi)
+    return shard_ufm(params, shard), (task / n_iter, unc / n_iter, adv / n_iter)
 
 
 def shard_ufm(params: ParameterSet, shard) -> float:
@@ -162,43 +158,41 @@ def shard_ufm(params: ParameterSet, shard) -> float:
     return value if math.isfinite(value) else float(params.spec.num_groups)
 
 
-def _weighted_delta_sum(updates, weights):
-    """sum_k weights[k] * delta_k, accumulated in client order.
+def _weighted_delta_sum(rows, weights):
+    """sum_k weights[k] * rows[k], accumulated in client order.
 
     Shared by all aggregators so equal-weight paths are bit-identical.
     """
-    total = np.zeros_like(updates[0].delta)
-    for u, w in zip(updates, weights):
-        total += w * u.delta
+    total = np.zeros_like(rows[0])
+    for row, w in zip(rows, weights):
+        total += w * row
     return total
 
 
-def aggregate_fedavg(updates) -> np.ndarray:
-    """Global delta weighted by each client's sample count."""
-    if not updates:
+def aggregate_fedavg(rows, counts) -> np.ndarray:
+    """Global delta of the delta ``rows`` weighted by each client's sample
+    count."""
+    if not len(rows):
         raise ValueError("no updates")
-    total = sum(u.sample_count for u in updates)
-    return _weighted_delta_sum(updates, [u.sample_count / total for u in updates])
+    total = sum(counts)
+    return _weighted_delta_sum(rows, [c / total for c in counts])
 
 
-def aggregate_resfl(updates, server_lr: float) -> np.ndarray:
+def aggregate_resfl(rows, ufms, server_lr: float) -> np.ndarray:
     """Global delta eta_srv * sum_i omega_i * delta_i (unnormalized weights)."""
-    if not updates:
+    if not len(rows):
         raise ValueError("no updates")
-    return _weighted_delta_sum(
-        updates, [server_lr * aggregation_weight(u.ufm) for u in updates])
+    return _weighted_delta_sum(rows, [server_lr * aggregation_weight(u) for u in ufms])
 
 
-def apply_dp(update: ClientUpdate, clip: float, noise_scale: float,
-             rng: np.random.Generator) -> ClientUpdate:
-    """Clip the full theta delta to L2 norm ``clip`` (> 0), add
+def apply_dp(delta: np.ndarray, clip: float, noise_scale: float,
+             rng: np.random.Generator) -> None:
+    """Clip the theta delta row in place to L2 norm ``clip`` (> 0) and add
     N(0, (scale*clip)^2 I) for a ``noise_scale`` >= 0."""
-    norm = float(np.linalg.norm(update.delta))
-    factor = min(1.0, clip / norm) if norm > 0 else 1.0
-    delta = update.delta * factor
+    norm = float(np.linalg.norm(delta))
+    delta *= min(1.0, clip / norm) if norm > 0 else 1.0
     if noise_scale > 0:
-        delta = delta + noise_scale * clip * rng.standard_normal(delta.shape)
-    return replace(update, delta=delta)
+        delta += noise_scale * clip * rng.standard_normal(delta.shape)
 
 
 def _nan_if_undefined(metric, conf) -> float:
@@ -236,67 +230,68 @@ def run_experiment(config: FederationConfig, shards, eval_samples,
     if len(shards) != config.num_clients:
         raise ValueError("shards must match num_clients")
     global_params = init_params(network, np.random.default_rng([config.seed, 0x1217]))
-    phis = [global_params.phi.copy() for _ in range(config.num_clients)]
+    K = config.num_clients
+    # per-client rows: the private adversary heads, and the theta deltas
+    # each round rewrites for the clients that report
+    phis = np.tile(global_params.phi, (K, 1))
+    deltas = np.empty((K, network.theta_size))
     # the local-training workspace, shared by every client round of the run
     local, grads = ParameterSet.zeros(network), ParameterSet.zeros(network)
 
     ref_norm = 0.0
     records: list[RoundRecord] = []
     for t in range(config.rounds):
-        updates: list[ClientUpdate] = []
-        dropped: list[int] = []
+        alive: list[int] = []
+        ufms: list[float] = []
         losses = []
-        for cid in range(config.num_clients):
+        for cid in range(K):
             rng = client_rng(config.seed, cid, t)
             try:
-                # phis[cid] is replaced only if the client returns
-                update, phis[cid], loss = client_round(
-                    global_params, phis[cid], shards[cid], config, rng,
-                    local, grads)
+                ufm, loss = client_round(global_params, phis[cid], shards[cid], config,
+                                         rng, local, grads, deltas[cid])
             except FloatingPointError as exc:
                 log.warning("round %d: dropping client %d (%s)", t, cid, exc)
-                dropped.append(cid)
                 continue
-            update.client_id = cid
-            updates.append(update)
+            alive.append(cid)
+            ufms.append(ufm)
             losses.append(loss)
 
-        if updates and byzantine is not None and byzantine.client_ids:
+        if alive and byzantine is not None and byzantine.client_ids:
             if t == 0:
                 # honest first-round norm, frozen as the reference
                 # magnitude of the Byzantine noise
-                ref_norm = float(np.mean([np.linalg.norm(u.delta) for u in updates]))
-            dim = updates[0].delta.size
+                ref_norm = float(np.mean([np.linalg.norm(deltas[k]) for k in alive]))
+            dim = deltas.shape[1]
             std = byzantine.scale * max(ref_norm, 1e-12) / math.sqrt(dim)
-            for u in updates:
-                if u.client_id in byzantine.client_ids and std > 0:
-                    arng = np.random.default_rng(
-                        [config.seed, t, u.client_id, 0xBAD])
-                    u.delta = std * arng.standard_normal(dim)
+            for i, k in enumerate(alive):
+                if k in byzantine.client_ids and std > 0:
+                    arng = np.random.default_rng([config.seed, t, k, 0xBAD])
+                    deltas[k] = std * arng.standard_normal(dim)
                     # the corrupted local model is what the ufm report
                     # reflects, so uncertainty-aware weighting can react;
                     # it is built in the workspace, free after the clients
-                    np.add(global_params.theta, u.delta, out=local.theta)
-                    np.copyto(local.phi, phis[u.client_id])
-                    u.ufm = shard_ufm(local, shards[u.client_id])
+                    np.add(global_params.theta, deltas[k], out=local.theta)
+                    np.copyto(local.phi, phis[k])
+                    ufms[i] = shard_ufm(local, shards[k])
 
         if config.aggregator == "fedavg_dp":
-            updates = [
-                apply_dp(u, config.dp_clip, config.dp_noise_scale,
-                         np.random.default_rng([config.seed, t, u.client_id, 0xDF]))
-                for u in updates
-            ]
-        if not updates:
+            for k in alive:
+                apply_dp(deltas[k], config.dp_clip, config.dp_noise_scale,
+                         np.random.default_rng([config.seed, t, k, 0xDF]))
+        if not alive:
             # nothing can move the global model anymore: record it frozen
             # and stop, so a destroyed model reads as low accuracy, not a crash
             log.warning("round %d: all clients failed; freezing global model", t)
         else:
-            delta = aggregate_resfl(updates, config.server_lr) \
-                if config.aggregator == "resfl" else aggregate_fedavg(updates)
+            # row views, not deltas[alive], which would copy the block
+            rows = [deltas[k] for k in alive]
+            delta = aggregate_resfl(rows, ufms, config.server_lr) \
+                if config.aggregator == "resfl" else \
+                aggregate_fedavg(rows, [len(shards[k]) for k in alive])
             # the set is frozen, so the attribute takes no +=
             np.add(global_params.theta, delta, out=global_params.theta)
 
-        ufms = {u.client_id: u.ufm for u in updates}
+        ufm_by_client = dict(zip(alive, ufms))
         acc, acc_g, dd, dep, eo, mean_u, var_u = _evaluate(global_params, eval_samples)
         mean_losses = [float(np.mean(col)) for col in zip(*losses)] or [float("nan")] * 3
         records.append(RoundRecord(
@@ -306,15 +301,15 @@ def run_experiment(config: FederationConfig, shards, eval_samples,
             di_dev=dd,
             delta_eop=dep,
             eod=eo,
-            ufm_by_client=ufms,
-            omega_by_client={c: aggregation_weight(v) for c, v in ufms.items()},
+            ufm_by_client=ufm_by_client,
+            omega_by_client={c: aggregation_weight(v) for c, v in ufm_by_client.items()},
             mean_uncertainty=mean_u,
             uncertainty_var=var_u,
             loss_task=mean_losses[0],
             loss_uncertainty=mean_losses[1],
             loss_adversary=mean_losses[2],
-            dropped_clients=tuple(dropped),
+            dropped_clients=tuple(k for k in range(K) if k not in alive),
         ))
-        if not updates:
+        if not alive:
             break
     return global_params, records

@@ -23,8 +23,8 @@ from oracles import logits_for, segment_view
 from resfl_sim.evidential import evidence_batch, evidential_terms_batch
 from resfl_sim.fairness import aggregation_weight, group_uncertainties, ufm, \
     uncertainty_variance
-from resfl_sim.federation import ClientUpdate, FederationConfig, aggregate_fedavg, \
-    aggregate_resfl, run_experiment
+from resfl_sim.federation import FederationConfig, aggregate_fedavg, aggregate_resfl, \
+    run_experiment
 from resfl_sim.metrics import eod
 from resfl_sim.network import NetworkSpec, ParameterSet, forward_batch, init_params
 from probe import probe_accuracy
@@ -152,15 +152,10 @@ class TestCriterion3AggregatorIdentity:
     def test_3_resfl_bitwise_fedavg_when_fair(self):
         net = NetworkSpec(input_dim=4, hidden_dims=(5,), num_classes=2, num_groups=2)
         rng = np.random.default_rng(1)
-        updates = [
-            ClientUpdate(client_id=i,
-                         delta=rng.standard_normal(net.theta_size),
-                         ufm=0.0, sample_count=25)
-            for i in range(4)
-        ]
+        deltas = np.stack([rng.standard_normal(net.theta_size) for _ in range(4)])
         # both global deltas are added to theta_G the same way
-        ok = np.array_equal(aggregate_resfl(updates, server_lr=0.25),
-                            aggregate_fedavg(updates))
+        ok = np.array_equal(aggregate_resfl(deltas, [0.0] * 4, server_lr=0.25),
+                            aggregate_fedavg(deltas, [25] * 4))
         report(3, ok, "ufm=0 equal shards: resfl == fedavg bit-for-bit")
 
 

@@ -11,7 +11,7 @@ import pytest
 from resfl_sim import cli
 from resfl_sim.cli import main
 from resfl_sim.config import load_config
-from resfl_sim.federation import ClientUpdate, apply_dp, run_experiment
+from resfl_sim.federation import apply_dp, run_experiment
 from resfl_sim.network import init_params
 
 TINY = """\
@@ -250,9 +250,9 @@ class TestAttack:
         fed_cfg, dp_cfg = (cli._mia_config(cfg, seed, a) for a in ("fedavg", "fedavg_dp"))
         overfit, _ = run_experiment(fed_cfg, [members], None, net)
         dp_target, _ = run_experiment(dp_cfg, [members], None, net)
-        update = ClientUpdate(0, overfit.theta - init, 0.0, len(members))
-        expected = apply_dp(update, dp_cfg.dp_clip, dp_cfg.dp_noise_scale,
-                            np.random.default_rng([seed, 0, 0, 0xDF])).delta
+        expected = overfit.theta - init  # a copy, clipped and noised in place
+        apply_dp(expected, dp_cfg.dp_clip, dp_cfg.dp_noise_scale,
+                 np.random.default_rng([seed, 0, 0, 0xDF]))
         np.testing.assert_allclose(dp_target.theta - init, expected, rtol=0, atol=1e-12)
 
     def test_mia_nonmembers_are_a_seeded_test_draw(self, cfg_path):
@@ -305,9 +305,9 @@ class TestAttack:
 
 
 class TestSweepAndReport:
-    def test_sweep_grid(self, tmp_path):
+    def test_sweep_rows(self, tmp_path):
         p = tmp_path / "sweep.cfg"
-        p.write_text(TINY + "\n[sweep]\nlambda1_grid = 0, 1\nlambda_adv_grid = 0, 1\n")
+        p.write_text(TINY + "\n[sweep]\nrows = 1,1; 0,1; 1,0; 0,0\n")
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(p), "--out", str(out),
                      "--seed", "1"]) == 0

@@ -1,4 +1,4 @@
-"""Config file parsing: schema validation, defaults, sweep grids."""
+"""Config file parsing: schema validation, defaults, sweep rows."""
 
 import dataclasses
 
@@ -189,10 +189,12 @@ class TestErrors:
 
 
 class TestSweep:
-    def test_grid_cross_product(self, tmp_path):
-        text = GOOD + "\n[sweep]\nlambda1_grid = 0, 1\nlambda_adv_grid = 0, 1\n"
-        cfg = load_config(write_cfg(tmp_path, text))
-        assert cfg.sweep_rows == ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
+    @pytest.mark.parametrize("key", ["lambda1_grid", "lambda_adv_grid"])
+    def test_grid_keys_rejected(self, tmp_path, key):
+        # rows is the one [sweep] format; a grid key is unknown, even beside rows
+        text = GOOD + f"\n[sweep]\nrows = 0.1,0.01\n{key} = 0, 1\n"
+        with pytest.raises(ConfigError, match=rf"unknown key '{key}' in \[sweep\]"):
+            load_config(write_cfg(tmp_path, text))
 
     def test_explicit_rows(self, tmp_path):
         text = GOOD + "\n[sweep]\nrows = 0.1,0.01; 1,1\n"
@@ -209,8 +211,8 @@ class TestSweep:
         with pytest.raises(ConfigError, match="pairs"):
             load_config(write_cfg(tmp_path, text))
 
-    def test_negative_grid_rejected(self, tmp_path):
-        text = GOOD + "\n[sweep]\nlambda1_grid = -1\n"
+    def test_negative_row_value_rejected(self, tmp_path):
+        text = GOOD + "\n[sweep]\nrows = 0.1,0.01; -1,1\n"
         with pytest.raises(ConfigError, match=r"\[sweep\]"):
             load_config(write_cfg(tmp_path, text))
 

@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from oracles import segment_view
-from resfl_sim import fairness, network
+from resfl_sim import fairness, federation, network
 from resfl_sim.config import ExperimentConfig
 from resfl_sim.datasets import SynthSpec, generate_dataset, partition
 from resfl_sim.adversarial import local_train_step
 from resfl_sim.federation import (
     ByzantineSpec,
-    ClientUpdate,
     FederationConfig,
     aggregate_fedavg,
     aggregate_resfl,
@@ -55,9 +54,14 @@ def workspace(spec):
     return ParameterSet.zeros(spec), ParameterSet.zeros(spec)
 
 
-def mk_update(cid, delta, ufm=0.0, n=1):
-    return ClientUpdate(client_id=cid, delta=np.asarray(delta, dtype=float), ufm=ufm,
-                        sample_count=n)
+def train(global_params, shard, cfg, rng, work=None, phi=None):
+    """One client_round into fresh delta and phi rows (phi starts as the
+    global head unless given); returns (delta, phi, ufm, losses)."""
+    delta = np.full(global_params.spec.theta_size, np.nan)
+    phi = (global_params.phi if phi is None else phi).copy()
+    work = workspace(global_params.spec) if work is None else work
+    ufm, losses = client_round(global_params, phi, shard, cfg, rng, *work, delta)
+    return delta, phi, ufm, losses
 
 
 class TestConfig:
@@ -78,26 +82,20 @@ class TestClientRound:
 
     def test_zero_iterations_zero_delta(self):
         cfg = tiny_config(local_iterations=0)
-        u, phi, _ = client_round(self.params, self.params.phi, self.shards[0],
-                                 cfg, client_rng(0, 0, 0), *workspace(self.params.spec))
-        assert not u.delta.any()
+        delta, phi, _, _ = train(self.params, self.shards[0], cfg, client_rng(0, 0, 0))
+        assert not delta.any()
         np.testing.assert_array_equal(phi, self.params.phi)
-        assert u.sample_count == len(self.shards[0])
 
     def test_deterministic(self):
         cfg = tiny_config()
-        a = client_round(self.params, self.params.phi, self.shards[0],
-                         cfg, client_rng(0, 0, 0), *workspace(self.params.spec))[0]
-        b = client_round(self.params, self.params.phi, self.shards[0],
-                         cfg, client_rng(0, 0, 0), *workspace(self.params.spec))[0]
-        np.testing.assert_array_equal(a.delta, b.delta)
-        assert a.ufm == b.ufm
+        a = train(self.params, self.shards[0], cfg, client_rng(0, 0, 0))
+        b = train(self.params, self.shards[0], cfg, client_rng(0, 0, 0))
+        self.assert_same_round(a, b)
 
     def test_one_iteration_matches_manual_step(self):
         cfg = tiny_config(local_iterations=1)
         shard = self.shards[0]
-        u, _, _ = client_round(self.params, self.params.phi, shard,
-                               cfg, client_rng(0, 0, 0), *workspace(self.params.spec))
+        delta, phi, _, _ = train(self.params, shard, cfg, client_rng(0, 0, 0))
         rng = client_rng(0, 0, 0)
         idx = rng.choice(len(shard), size=min(cfg.batch_size, len(shard)),
                          replace=False)
@@ -105,28 +103,49 @@ class TestClientRound:
         manual = self.params.copy()  # local_train_step steps it in place
         local_train_step(manual, ParameterSet.zeros(manual.spec), batch.X, batch.y,
                          batch.s, cfg.eta, cfg.eta_phi, cfg.lambda1, cfg.lambda_adv)
-        np.testing.assert_array_equal(u.delta, manual.theta - self.params.theta)
+        np.testing.assert_array_equal(delta, manual.theta - self.params.theta)
+        np.testing.assert_array_equal(phi, manual.phi)
+
+    def test_writes_only_its_own_rows(self):
+        # the client's delta and phi rows of a (K, .) block change; the
+        # other rows and the global model do not
+        cfg = tiny_config()
+        spec = self.params.spec
+        deltas = np.full((3, spec.theta_size), 7.0)
+        phis = np.tile(self.params.phi, (3, 1))
+        before = (self.params.flat.copy(), deltas.copy(), phis.copy())
+        ufm, losses = client_round(self.params, phis[1], self.shards[0], cfg,
+                                   client_rng(0, 0, 0), *workspace(spec), deltas[1])
+        delta, phi, ufm_ref, losses_ref = train(self.params, self.shards[0], cfg,
+                                                client_rng(0, 0, 0))
+        np.testing.assert_array_equal(deltas[1], delta)
+        np.testing.assert_array_equal(phis[1], phi)
+        assert (ufm, losses) == (ufm_ref, losses_ref)
+        np.testing.assert_array_equal(self.params.flat, before[0])
+        for block, b in ((deltas, before[1]), (phis, before[2])):
+            np.testing.assert_array_equal(block[[0, 2]], b[[0, 2]])
 
     def test_client_diverging_after_its_first_step_leaves_inputs_untouched(self):
         # eta = 1e300 gives a finite first step and a non-finite second one
         shard = self.shards[0]
         phi = self.params.phi + 0.5
-        before = (self.params.flat.copy(), phi.copy())
+        delta = np.full(self.params.spec.theta_size, 7.0)
+        before = (self.params.flat.copy(), phi.copy(), delta.copy())
         with np.errstate(over="ignore", invalid="ignore"):
-            client_round(self.params, phi, shard, tiny_config(local_iterations=1, eta=1e300),
-                         client_rng(0, 0, 0), *workspace(self.params.spec))
+            train(self.params, shard, tiny_config(local_iterations=1, eta=1e300),
+                  client_rng(0, 0, 0), phi=phi)
         with pytest.raises(FloatingPointError):
             client_round(self.params, phi, shard, tiny_config(local_iterations=3, eta=1e300),
-                         client_rng(0, 0, 0), *workspace(self.params.spec))
-        after = (self.params.flat, phi)
+                         client_rng(0, 0, 0), *workspace(self.params.spec), delta)
+        after = (self.params.flat, phi, delta)
         for b, a in zip(before, after):
             np.testing.assert_array_equal(a, b)
 
     def assert_same_round(self, a, b):
-        (ua, phi_a, loss_a), (ub, phi_b, loss_b) = a, b
-        np.testing.assert_array_equal(ua.delta, ub.delta)
+        (delta_a, phi_a, ufm_a, loss_a), (delta_b, phi_b, ufm_b, loss_b) = a, b
+        np.testing.assert_array_equal(delta_a, delta_b)
         np.testing.assert_array_equal(phi_a, phi_b)
-        assert (ua.ufm, ua.sample_count, loss_a) == (ub.ufm, ub.sample_count, loss_b)
+        assert (ufm_a, loss_a) == (ufm_b, loss_b)
 
     def test_workspace_reused_after_a_client_diverges_mid_round(self):
         spec = self.params.spec
@@ -137,33 +156,29 @@ class TestClientRound:
         with pytest.raises(FloatingPointError):
             client_round(self.params, phi_a, self.shards[0],
                          tiny_config(local_iterations=3, eta=1e300),
-                         client_rng(0, 0, 0), *work)
+                         client_rng(0, 0, 0), *work, np.empty(spec.theta_size))
         np.testing.assert_array_equal(phi_a, phi_a_before)
         assert not np.array_equal(segment_view(work[0], "theta_f"),
                                   segment_view(self.params, "theta_f"))  # left stepped
         # client B on the dirty workspace and on a fresh one
         cfg = tiny_config()
-        reused = client_round(self.params, self.params.phi, self.shards[1], cfg,
-                              client_rng(0, 1, 0), *work)
-        fresh = client_round(self.params, self.params.phi, self.shards[1], cfg,
-                             client_rng(0, 1, 0), *workspace(spec))
+        reused = train(self.params, self.shards[1], cfg, client_rng(0, 1, 0), work=work)
+        fresh = train(self.params, self.shards[1], cfg, client_rng(0, 1, 0))
         self.assert_same_round(reused, fresh)
 
     def test_workspace_contents_on_entry_are_never_read(self):
         cfg = tiny_config()
-        fresh = client_round(self.params, self.params.phi, self.shards[0], cfg,
-                             client_rng(0, 0, 0), *workspace(self.params.spec))
+        fresh = train(self.params, self.shards[0], cfg, client_rng(0, 0, 0))
         params, grads = workspace(self.params.spec)
         params.flat[:] = np.nan
         grads.flat[:] = np.nan
-        dirty = client_round(self.params, self.params.phi, self.shards[0], cfg,
-                             client_rng(0, 0, 0), params, grads)
+        dirty = train(self.params, self.shards[0], cfg, client_rng(0, 0, 0),
+                      work=(params, grads))
         self.assert_same_round(dirty, fresh)
 
     def test_empty_shard_rejected(self):
         with pytest.raises(ValueError):
-            client_round(self.params, self.params.phi, self.shards[0][:0],
-                         tiny_config(), client_rng(0, 0, 0), *workspace(self.params.spec))
+            train(self.params, self.shards[0][:0], tiny_config(), client_rng(0, 0, 0))
 
     def test_shard_ufm_finite_on_garbage_params(self):
         bad = self.params.copy()
@@ -175,75 +190,86 @@ class TestClientRound:
 
 class TestAggregators:
     def test_fedavg_weighted_mean(self):
-        ups = [mk_update(0, [4.0, 0.0], n=1), mk_update(1, [0.0, 8.0], n=3)]
-        delta = aggregate_fedavg(ups)
+        delta = aggregate_fedavg(np.array([[4.0, 0.0], [0.0, 8.0]]), [1, 3])
         assert delta[0] == pytest.approx(1.0, abs=1e-15)
         assert delta[1] == pytest.approx(6.0, abs=1e-15)
 
     def test_fedavg_identical_updates_passthrough(self):
-        ups = [mk_update(i, [2.0, -1.0, 0.5], n=7) for i in range(3)]
-        np.testing.assert_allclose(aggregate_fedavg(ups), [2.0, -1.0, 0.5], rtol=1e-15)
+        rows = np.tile([2.0, -1.0, 0.5], (3, 1))
+        np.testing.assert_allclose(aggregate_fedavg(rows, [7] * 3), [2.0, -1.0, 0.5],
+                                   rtol=1e-15)
 
     def test_resfl_hand_value(self):
-        ups = [mk_update(0, [2.0, 2.0, 0.0], ufm=0.0),
-               mk_update(1, [2.0, 2.0, 0.0], ufm=1.0)]
+        rows = np.array([[2.0, 2.0, 0.0], [2.0, 2.0, 0.0]])
         # eta_srv=0.5: 0.5 * (1*2 + 0.5*2) = 1.5
-        delta = aggregate_resfl(ups, server_lr=0.5)
+        delta = aggregate_resfl(rows, [0.0, 1.0], server_lr=0.5)
         np.testing.assert_allclose(delta[:2], 1.5, rtol=1e-15)
         assert delta[2] == 0.0
 
     def test_resfl_bit_identical_to_fedavg_when_fair(self):
-        rng = np.random.default_rng(3)
-        ups = [mk_update(i, rng.standard_normal(9), ufm=0.0, n=10) for i in range(4)]
-        assert np.array_equal(aggregate_resfl(ups, server_lr=0.25), aggregate_fedavg(ups))
+        rows = np.random.default_rng(3).standard_normal((4, 9))
+        assert np.array_equal(aggregate_resfl(rows, [0.0] * 4, server_lr=0.25),
+                              aggregate_fedavg(rows, [10] * 4))
 
     def test_resfl_weight_linearity(self):
-        up = mk_update(0, np.ones(9), ufm=0.5)
-        one = aggregate_resfl([up], server_lr=1.0)
-        two = aggregate_resfl([up, up], server_lr=1.0)
+        row = np.ones(9)
+        one = aggregate_resfl([row], [0.5], server_lr=1.0)
+        two = aggregate_resfl([row, row], [0.5, 0.5], server_lr=1.0)
         np.testing.assert_allclose(two, 2.0 * one, rtol=1e-12)
 
     def test_result_is_a_new_array_and_updates_untouched(self):
-        ups = [mk_update(0, [1.0, -2.0, 3.0], ufm=0.5, n=2),
-               mk_update(1, [0.5, 0.0, -1.0], ufm=0.0, n=1)]
-        before = [u.delta.copy() for u in ups]
-        for delta in (aggregate_fedavg(ups), aggregate_resfl(ups, server_lr=1.0)):
+        block = np.array([[1.0, -2.0, 3.0], [0.5, 0.0, -1.0]])
+        before = block.copy()
+        rows = [block[0], block[1]]  # run_experiment passes row views
+        for delta in (aggregate_fedavg(rows, [2, 1]),
+                      aggregate_resfl(rows, [0.5, 0.0], server_lr=1.0)):
             delta += 100.0  # run_experiment adds it to theta in place
-            assert all(not np.shares_memory(delta, u.delta) for u in ups)
-        for u, b in zip(ups, before):
-            np.testing.assert_array_equal(u.delta, b)
+            assert not np.shares_memory(delta, block)
+        np.testing.assert_array_equal(block, before)
 
     def test_empty_updates_rejected(self):
         with pytest.raises(ValueError):
-            aggregate_fedavg([])
+            aggregate_fedavg([], [])
         with pytest.raises(ValueError):
-            aggregate_resfl([], 1.0)
+            aggregate_resfl([], [], 1.0)
 
 
 class TestApplyDp:
     def test_clip_only_halves_long_update(self):
-        u = mk_update(0, [3.0, 0.0, 0.0, 4.0])  # norm 5
-        out = apply_dp(u, clip=2.5, noise_scale=0.0, rng=np.random.default_rng(0))
-        np.testing.assert_allclose(out.delta, [1.5, 0.0, 0.0, 2.0], rtol=1e-15)
+        delta = np.array([3.0, 0.0, 0.0, 4.0])  # norm 5
+        assert apply_dp(delta, clip=2.5, noise_scale=0.0,
+                        rng=np.random.default_rng(0)) is None
+        np.testing.assert_allclose(delta, [1.5, 0.0, 0.0, 2.0], rtol=1e-15)
 
     def test_short_update_untouched_without_noise(self):
-        u = mk_update(0, [0.1, 0.0, 0.0, 0.1])
-        out = apply_dp(u, clip=10.0, noise_scale=0.0, rng=np.random.default_rng(0))
-        np.testing.assert_array_equal(out.delta, u.delta)
+        delta = np.array([0.1, 0.0, 0.0, 0.1])
+        before = delta.copy()
+        apply_dp(delta, clip=10.0, noise_scale=0.0, rng=np.random.default_rng(0))
+        np.testing.assert_array_equal(delta, before)
 
     def test_noise_statistics(self):
         # Monte-Carlo oracle: mean ~ clipped delta, std ~ noise_scale * clip
-        u = mk_update(0, np.zeros(6))
         rng = np.random.default_rng(0)
-        draws = np.stack([apply_dp(u, 1.0, 0.5, rng).delta for _ in range(4000)])
+        draws = np.zeros((4000, 6))
+        for row in draws:
+            apply_dp(row, 1.0, 0.5, rng)
         assert abs(draws.mean()) < 0.02
         assert draws.std() == pytest.approx(0.5, rel=0.05)
 
     def test_dp_noise_deterministic_by_rng(self):
-        u = mk_update(0, [1.0, 2.0])
-        a = apply_dp(u, 1.0, 0.3, np.random.default_rng(42))
-        b = apply_dp(u, 1.0, 0.3, np.random.default_rng(42))
-        np.testing.assert_array_equal(a.delta, b.delta)
+        a, b = np.array([1.0, 2.0]), np.array([1.0, 2.0])
+        apply_dp(a, 1.0, 0.3, np.random.default_rng(42))
+        apply_dp(b, 1.0, 0.3, np.random.default_rng(42))
+        np.testing.assert_array_equal(a, b)
+
+    def test_row_of_a_block_changes_alone(self):
+        block = np.arange(12.0).reshape(3, 4)
+        before = block.copy()
+        apply_dp(block[1], 1.0, 0.3, np.random.default_rng(42))
+        expected = before[1].copy()
+        apply_dp(expected, 1.0, 0.3, np.random.default_rng(42))
+        np.testing.assert_array_equal(block[1], expected)
+        np.testing.assert_array_equal(block[[0, 2]], before[[0, 2]])
 
 
 class TestRunExperiment:
@@ -273,9 +299,8 @@ class TestRunExperiment:
         # replay: one client, full-weight aggregation == its local endpoint
         net = params.spec
         start = init_params(net, np.random.default_rng([0, 0x1217]))
-        manual, _, _ = client_round(start, start.phi, data, cfg, client_rng(0, 0, 0),
-                                    *workspace(net))
-        np.testing.assert_array_equal(params.theta, start.theta + manual.delta)
+        delta, _, _, _ = train(start, data, cfg, client_rng(0, 0, 0))
+        np.testing.assert_array_equal(params.theta, start.theta + delta)
 
     def test_round_records_report_weights(self):
         data, shards = tiny_data()
@@ -304,6 +329,28 @@ class TestRunExperiment:
         _, no_eval = run_experiment(cfg, shards, None, NET)
         assert [r.round for r in no_eval] == [r.round for r in recs]
         assert math.isnan(no_eval[-1].accuracy) and no_eval[-1].acc_by_group == ()
+
+    def test_partial_drop_leaves_the_dropped_rows_and_aggregates_the_rest(
+            self, monkeypatch):
+        # client 0's huge features give a finite first step and a raising
+        # second one, which drops it after its workspace has moved; client 1 trains
+        data, shards = tiny_data()
+        shards = [replace(shards[0], X=shards[0].X * 1e200), shards[1]]
+        cfg = tiny_config(rounds=1, aggregator="fedavg")
+        phi_rows = []  # the run's phi row views, in client order
+
+        def recording(global_params, phi, *args):
+            phi_rows.append(phi)
+            return client_round(global_params, phi, *args)
+
+        monkeypatch.setattr(federation, "client_round", recording)
+        params, (rec,) = run_experiment(cfg, shards, data, NET)
+        assert rec.dropped_clients == (0,)
+        assert set(rec.ufm_by_client) == {1}
+        start = init_params(NET, np.random.default_rng([0, 0x1217]))
+        np.testing.assert_array_equal(phi_rows[0], start.phi)
+        delta, _, _, _ = train(start, shards[1], cfg, client_rng(0, 1, 0))
+        np.testing.assert_array_equal(params.theta, start.theta + delta)
 
     def test_byzantine_empty_or_zero_scale_is_clean(self):
         data, shards = tiny_data()
