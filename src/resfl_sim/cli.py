@@ -38,13 +38,13 @@ def build_data(cfg: ExperimentConfig):
     trains on the same data as the full run."""
     scale = 1.0 / (1.0 - cfg.test_fraction)
     spg = tuple(max(int(round(n * scale)), n + 1 if n else 0)
-                for n in cfg.synth.samples_per_group)
-    full = generate_dataset(replace(cfg.synth, samples_per_group=spg),
+                for n in cfg.samples_per_group)
+    full = generate_dataset(replace(cfg.synth(), samples_per_group=spg),
                             seed=cfg.data_seed)
     # each group is one contiguous block; train on its head, test on its tail
     starts = np.cumsum(spg) - spg
     rank = np.arange(len(full)) - starts[full.s]
-    is_train = rank < np.asarray(cfg.synth.samples_per_group)[full.s]
+    is_train = rank < np.asarray(cfg.samples_per_group)[full.s]
     return full[is_train], full[~is_train]
 
 
@@ -100,7 +100,7 @@ def cmd_run(cfg: ExperimentConfig, out: Path) -> int:
     train, test = build_data(cfg)
     rows = [row for algo in cfg.algorithms for seed in cfg.seeds
             for row in _single_run(cfg, algo, seed, train, test)[1]]
-    write_metrics(rows, out / "metrics.csv", num_groups=cfg.synth.num_groups)
+    write_metrics(rows, out / "metrics.csv", num_groups=cfg.num_groups)
     write_summary(rows, cfg.seeds, out)
     (out / "config.cfg").write_text(normalized_text(cfg), encoding="utf-8")
     return 0
@@ -146,7 +146,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
             dds.append(final.di_dev)
             eops.append(final.delta_eop)
             mias.append(mia_run(params, *mia[seed]).score)
-            aias.append(aia_run(params, train, cfg.synth.num_groups, seed=seed,
+            aias.append(aia_run(params, train, cfg.num_groups, seed=seed,
                                 trials=cfg.aia_trials).score)
         return tuple(float(np.mean(v)) for v in (accs, dds, eops, mias, aias))
 
@@ -178,7 +178,7 @@ def cmd_attack(cfg: ExperimentConfig, out: Path, kind: str | None) -> int:
                                     mia_run(target, members, nonmembers, tau).score, {}))
             elif k == "aia":
                 params = init_params(net, np.random.default_rng([seed, 0x1217]))
-                rep = aia_run(params, train, cfg.synth.num_groups, seed=seed,
+                rep = aia_run(params, train, cfg.num_groups, seed=seed,
                               trials=cfg.aia_trials)
                 reports = [("aia", "init", seed, rep.score, rep.auxiliary)]
             else:

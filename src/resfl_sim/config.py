@@ -7,7 +7,8 @@ rejected with the offending line number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 from .attacks import ATTACK_KINDS
 from .datasets import SynthSpec
@@ -19,8 +20,15 @@ class ConfigError(Exception):
     pass
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()} is not a finite number")
+    return value
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.replace(",", " ").split())
+    return tuple(_parse_float(v) for v in text.replace(",", " ").split())
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -31,10 +39,14 @@ def _parse_matrix(text: str) -> tuple[tuple[float, ...], ...]:
     return tuple(_parse_floats(row) for row in text.split(";"))
 
 
+def _parse_names(text: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in text.split(","))
+
+
 _SCHEMA: dict[str, dict[str, object]] = {
     "experiment": {
         "seeds": _parse_ints,
-        "algorithms": lambda t: tuple(a.strip() for a in t.split(",")),
+        "algorithms": _parse_names,
         "out_dir": str,
     },
     "data": {
@@ -43,41 +55,45 @@ _SCHEMA: dict[str, dict[str, object]] = {
         "num_groups": int,
         "samples_per_group": _parse_ints,
         "group_means": _parse_matrix,
-        "noise_std": float,
-        "attr_leak": float,
+        "noise_std": _parse_float,
+        "attr_leak": _parse_float,
         "label_flip_noise": _parse_floats,
-        "partition_beta": float,
-        "test_fraction": float,
+        "partition_beta": _parse_float,
+        "test_fraction": _parse_float,
     },
     "federation": {
         "num_clients": int,
         "rounds": int,
         "local_iterations": int,
         "batch_size": int,
-        "eta": float,
-        "eta_phi": float,
-        "lambda1": float,
-        "lambda_adv": float,
-        "dp_epsilon": float,
-        "dp_clip": float,
-        "server_lr": float,
+        "eta": _parse_float,
+        "eta_phi": _parse_float,
+        "lambda1": _parse_float,
+        "lambda_adv": _parse_float,
+        "dp_epsilon": _parse_float,
+        "dp_clip": _parse_float,
+        "server_lr": _parse_float,
         "hidden_dims": _parse_ints,
     },
     "attack": {
-        "kinds": lambda t: tuple(a.strip() for a in t.split(",")),
+        "kinds": _parse_names,
         "mia_overfit_size": int,
         "mia_overfit_steps": int,
         "aia_trials": int,
-        "byzantine_fraction": float,
-        "byzantine_scale": float,
+        "byzantine_fraction": _parse_float,
+        "byzantine_scale": _parse_float,
         "poison_group": int,
-        "poison_rate": float,
+        "poison_rate": _parse_float,
     },
     "sweep": {
-        "rows": lambda t: tuple(tuple(float(v) for v in row.split(","))
-                                for row in t.split(";")),
+        "rows": _parse_matrix,
     },
 }
+
+_SECTION = {key: section for section, keys in _SCHEMA.items() for key in keys}
+
+# the two keys named unlike their ExperimentConfig field
+_FIELD = {"kinds": "attack_kinds", "rows": "sweep_rows"}
 
 _REQUIRED = {("experiment", "seeds")}
 
@@ -91,10 +107,9 @@ DEFAULT_SWEEP_ROWS = (
 @dataclass
 class ExperimentConfig:
     """The run settings. Its field defaults are the only defaults of the
-    config keys, except ``[data]``'s generator keys, whose defaults and
-    checks are ``SynthSpec``'s. ``__post_init__`` checks every other value,
-    once; the functions they configure take them as required arguments and
-    trust them."""
+    config keys, and the table in ``__post_init__`` is the only check of
+    their ranges, made once; the functions they configure take them as
+    required arguments and trust them."""
     seeds: tuple[int, ...]
     # the dataset's seed: the first of ``seeds`` as loaded, kept when a
     # --seed override replaces ``seeds``
@@ -103,7 +118,15 @@ class ExperimentConfig:
     out_dir: str = "out"
     raw: dict[str, dict[str, object]] = field(default_factory=dict)
 
-    synth: SynthSpec = field(default_factory=SynthSpec)
+    input_dim: int = 20
+    num_classes: int = 2
+    num_groups: int = 4
+    samples_per_group: tuple[int, ...] = (2000, 1500, 1000, 500)
+    # G x C class-amplitude offsets; None: zeros
+    group_means: tuple[tuple[float, ...], ...] | None = None
+    noise_std: float = 1.0
+    attr_leak: float = 0.5  # fraction of coords carrying group signal
+    label_flip_noise: tuple[float, ...] | None = None  # per group; None: zeros
     partition_beta: float = 0.5
     test_fraction: float = 0.2
     hidden_dims: tuple[int, ...] = (32, 32)
@@ -132,68 +155,84 @@ class ExperimentConfig:
     sweep_rows: tuple[tuple[float, ...], ...] = DEFAULT_SWEEP_ROWS
 
     def __post_init__(self):
-        spg = self.synth.samples_per_group
+        G, C = self.num_groups, self.num_classes
+        spg, gm, lf = self.samples_per_group, self.group_means, self.label_flip_noise
         filled = [g for g, n in enumerate(spg) if n > 0]
-        # every range but those of [data]'s generator keys, which SynthSpec
-        # checks; the DP values are checked whatever the algorithms, since
-        # attack's MIA target is a fedavg_dp run
-        checks = (  # (section, key, value, allowed range, in range)
-            ("experiment", "seeds", self.seeds, "non-empty", len(self.seeds) > 0),
-            ("experiment", "algorithms", self.algorithms,
-             f"among {', '.join(AGGREGATORS)}", set(self.algorithms) <= set(AGGREGATORS)),
-            ("data", "partition_beta", self.partition_beta, "> 0", self.partition_beta > 0),
-            ("data", "test_fraction", self.test_fraction, "in (0, 1)",
+        # every key's range, in the positive form, so a nan fails it. All
+        # rows are evaluated before the first is read, so each must be safe
+        # to evaluate when an earlier one fails. The DP values are checked
+        # whatever the algorithms, since attack's MIA target is a fedavg_dp run
+        checks = (  # (key, value, allowed range, in range)
+            ("seeds", self.seeds, "non-empty", len(self.seeds) > 0),
+            ("algorithms", self.algorithms, f"among {', '.join(AGGREGATORS)}",
+             set(self.algorithms) <= set(AGGREGATORS)),
+            ("input_dim", self.input_dim, ">= 1", self.input_dim >= 1),
+            ("num_classes", C, ">= 2", C >= 2),
+            ("num_groups", G, ">= 2", G >= 2),
+            ("samples_per_group", spg, f"{G} counts, each >= 0, two or more > 0",
+             len(spg) == G and all(n >= 0 for n in spg) and len(filled) >= 2),
+            ("group_means", gm, f"{G} rows of {C} values",
+             gm is None or (len(gm) == G and all(len(row) == C for row in gm))),
+            ("noise_std", self.noise_std, ">= 0", self.noise_std >= 0),
+            ("attr_leak", self.attr_leak, "in [0, 1]", 0.0 <= self.attr_leak <= 1.0),
+            ("label_flip_noise", lf, f"{G} values, each in [0, 0.5)",
+             lf is None or (len(lf) == G and all(0.0 <= v < 0.5 for v in lf))),
+            ("partition_beta", self.partition_beta, "> 0", self.partition_beta > 0),
+            ("test_fraction", self.test_fraction, "in (0, 1)",
              0.0 < self.test_fraction < 1.0),
-            ("federation", "hidden_dims", self.hidden_dims, "non-empty, each >= 1",
+            ("hidden_dims", self.hidden_dims, "non-empty, each >= 1",
              len(self.hidden_dims) > 0 and min(self.hidden_dims) >= 1),
-            ("federation", "num_clients", self.num_clients, ">= 1", self.num_clients >= 1),
+            ("num_clients", self.num_clients, ">= 1", self.num_clients >= 1),
             # >= 1: summary and the paired attacks read each cell's last round
-            ("federation", "rounds", self.rounds, ">= 1", self.rounds >= 1),
-            ("federation", "local_iterations", self.local_iterations, ">= 0",
+            ("rounds", self.rounds, ">= 1", self.rounds >= 1),
+            ("local_iterations", self.local_iterations, ">= 0",
              self.local_iterations >= 0),
-            ("federation", "batch_size", self.batch_size, ">= 1", self.batch_size >= 1),
-            ("federation", "eta", self.eta, "> 0", self.eta > 0),
-            ("federation", "eta_phi", self.eta_phi, "> 0",
-             self.eta_phi is None or self.eta_phi > 0),
-            ("federation", "lambda1", self.lambda1, ">= 0", self.lambda1 >= 0),
-            ("federation", "lambda_adv", self.lambda_adv, ">= 0", self.lambda_adv >= 0),
-            ("federation", "dp_epsilon", self.dp_epsilon, "> 0", self.dp_epsilon > 0),
-            ("federation", "dp_clip", self.dp_clip, "> 0", self.dp_clip > 0),
-            ("federation", "server_lr", self.server_lr, "> 0",
+            ("batch_size", self.batch_size, ">= 1", self.batch_size >= 1),
+            ("eta", self.eta, "> 0", self.eta > 0),
+            ("eta_phi", self.eta_phi, "> 0", self.eta_phi is None or self.eta_phi > 0),
+            ("lambda1", self.lambda1, ">= 0", self.lambda1 >= 0),
+            ("lambda_adv", self.lambda_adv, ">= 0", self.lambda_adv >= 0),
+            ("dp_epsilon", self.dp_epsilon, "> 0", self.dp_epsilon > 0),
+            ("dp_clip", self.dp_clip, "> 0", self.dp_clip > 0),
+            ("server_lr", self.server_lr, "> 0",
              self.server_lr is None or self.server_lr > 0),
-            ("attack", "kinds", self.attack_kinds, f"among {', '.join(ATTACK_KINDS)}",
+            ("kinds", self.attack_kinds, f"among {', '.join(ATTACK_KINDS)}",
              set(self.attack_kinds) <= set(ATTACK_KINDS)),
-            ("attack", "mia_overfit_size", self.mia_overfit_size, ">= 1",
-             self.mia_overfit_size >= 1),
-            ("attack", "mia_overfit_steps", self.mia_overfit_steps, ">= 0",
+            ("mia_overfit_size", self.mia_overfit_size, ">= 1", self.mia_overfit_size >= 1),
+            ("mia_overfit_steps", self.mia_overfit_steps, ">= 0",
              self.mia_overfit_steps >= 0),
-            ("attack", "aia_trials", self.aia_trials, ">= 1", self.aia_trials >= 1),
-            ("attack", "byzantine_fraction", self.byzantine_fraction, "in [0, 1)",
+            ("aia_trials", self.aia_trials, ">= 1", self.aia_trials >= 1),
+            ("byzantine_fraction", self.byzantine_fraction, "in [0, 1)",
              0.0 <= self.byzantine_fraction < 1.0),
-            ("attack", "byzantine_scale", self.byzantine_scale, ">= 0",
-             self.byzantine_scale >= 0),
-            ("attack", "poison_group", self.poison_group,
-             f"a group with samples, one of {filled}",
+            ("byzantine_scale", self.byzantine_scale, ">= 0", self.byzantine_scale >= 0),
+            ("poison_group", self.poison_group, f"a group with samples, one of {filled}",
              self.poison_group is None or self.poison_group in filled),
-            ("attack", "poison_rate", self.poison_rate, "in [0, 1]",
-             0.0 <= self.poison_rate <= 1.0),
-            ("sweep", "rows", self.sweep_rows, "'lambda1,lambda_adv' pairs of values >= 0",
+            ("poison_rate", self.poison_rate, "in [0, 1]", 0.0 <= self.poison_rate <= 1.0),
+            ("rows", self.sweep_rows, "'lambda1,lambda_adv' pairs of values >= 0",
              all(len(r) == 2 and min(r) >= 0 for r in self.sweep_rows)),
         )
-        for section, key, value, allowed, ok in checks:
+        for key, value, allowed, ok in checks:
+            section = _SECTION[key]  # for every row, so a misspelt key always fails
             if not ok:
                 raise ConfigError(f"[{section}] {key} must be {allowed}, got {value}")
         # the settings derived from others, each resolved after its check
         if self.data_seed is None:
             self.data_seed = self.seeds[0]
+        if gm is None:
+            self.group_means = ((0.0,) * C,) * G
+        if lf is None:
+            self.label_flip_noise = (0.0,) * G
         if self.poison_group is None:
             self.poison_group = min(filled, key=spg.__getitem__)  # lowest id on a tie
 
+    def synth(self) -> SynthSpec:
+        return SynthSpec(**{f.name: getattr(self, f.name) for f in fields(SynthSpec)})
+
     def network(self) -> NetworkSpec:
-        return NetworkSpec(input_dim=self.synth.input_dim,
+        return NetworkSpec(input_dim=self.input_dim,
                            hidden_dims=self.hidden_dims,
-                           num_classes=self.synth.num_classes,
-                           num_groups=self.synth.num_groups)
+                           num_classes=self.num_classes,
+                           num_groups=self.num_groups)
 
     def federation_config(self, algorithm: str, seed: int) -> FederationConfig:
         return FederationConfig(
@@ -253,33 +292,17 @@ def load_config(path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     raw = parse_config_text(text)
-
-    data = raw.get("data", {})
-    synth_kwargs = {k: v for k, v in data.items()
-                    if k not in ("partition_beta", "test_fraction")}
-    try:
-        synth = SynthSpec(**synth_kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid [data] section: {exc}") from exc
-
-    exp = raw.get("experiment", {})
-    fed = raw.get("federation", {})
-    atk = raw.get("attack", {})
-    sweep = raw.get("sweep", {})
     # only the keys in the file; ExperimentConfig's fields hold the defaults
-    kwargs = {**exp, **fed,
-              **{k: v for k, v in data.items() if k not in synth_kwargs},
-              **{("attack_kinds" if k == "kinds" else k): v for k, v in atk.items()}}
-    if "rows" in sweep:
-        kwargs["sweep_rows"] = sweep["rows"]
-    return ExperimentConfig(raw=raw, synth=synth, **kwargs)
+    return ExperimentConfig(raw=raw, **{_FIELD.get(key, key): value
+                                        for entries in raw.values()
+                                        for key, value in entries.items()})
 
 
 def normalized_text(cfg: ExperimentConfig) -> str:
     """The config file's own keys, sorted and stable across runs; neither
     the defaults nor a ``--seed`` override show."""
     lines = []
-    for section in ("experiment", "data", "federation", "attack", "sweep"):
+    for section in _SCHEMA:
         entries = cfg.raw.get(section, {})
         if not entries:
             continue

@@ -42,48 +42,16 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SynthSpec:
-    input_dim: int = 20
-    num_classes: int = 2
-    num_groups: int = 4
-    samples_per_group: tuple[int, ...] = (2000, 1500, 1000, 500)
-    group_means: tuple[tuple[float, ...], ...] | None = None  # G x C amplitude offsets
-    noise_std: float = 1.0
-    attr_leak: float = 0.5  # fraction of coords carrying group signal
-    label_flip_noise: tuple[float, ...] | None = None  # per group, in [0, 0.5)
-
-    def __post_init__(self):
-        if self.input_dim < 1 or self.num_classes < 2 or self.num_groups < 1:
-            raise ValueError("bad dimensions")
-        if len(self.samples_per_group) != self.num_groups:
-            raise ValueError("samples_per_group length must equal num_groups")
-        if any(n < 0 for n in self.samples_per_group):
-            raise ValueError("samples_per_group must be >= 0")
-        if sum(n > 0 for n in self.samples_per_group) < 2:
-            raise ValueError("need at least two groups with samples")
-        if not 0.0 <= self.attr_leak <= 1.0:
-            raise ValueError("attr_leak must be in [0, 1]")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
-        gm = self.group_means
-        if gm is None:
-            gm = tuple(tuple(0.0 for _ in range(self.num_classes))
-                       for _ in range(self.num_groups))
-        else:
-            gm = tuple(tuple(float(v) for v in row) for row in gm)
-            if len(gm) != self.num_groups or any(len(r) != self.num_classes for r in gm):
-                raise ValueError("group_means must be G x C")
-        object.__setattr__(self, "group_means", gm)
-        lf = self.label_flip_noise
-        if lf is None:
-            lf = tuple(0.0 for _ in range(self.num_groups))
-        else:
-            lf = tuple(float(v) for v in lf)
-            if len(lf) != self.num_groups:
-                raise ValueError("label_flip_noise length must equal num_groups")
-            if any(not 0.0 <= v < 0.5 for v in lf):
-                raise ValueError("label_flip_noise entries must be in [0, 0.5)")
-        object.__setattr__(self, "label_flip_noise", lf)
-        object.__setattr__(self, "samples_per_group", tuple(self.samples_per_group))
+    """The generator settings of one dataset draw, all required;
+    ``ExperimentConfig`` holds their defaults and checks their ranges."""
+    input_dim: int
+    num_classes: int
+    num_groups: int
+    samples_per_group: tuple[int, ...]
+    group_means: tuple[tuple[float, ...], ...]
+    noise_std: float
+    attr_leak: float
+    label_flip_noise: tuple[float, ...]
 
     def spec_hash(self) -> str:
         text = repr((self.input_dim, self.num_classes, self.num_groups,

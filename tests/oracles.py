@@ -7,6 +7,7 @@ state properties on a single Dirichlet output. ``logits_for`` builds
 inputs for hand-value tests of the batch code, and ``segment_view``
 names the three parameter segments. ``reference_step`` is
 the local SGD step written as two passes and a functional update.
+``synth_spec`` builds a generator spec the way a config does, and
 ``reference_generate_dataset`` draws the synthetic dataset one row at a
 time, the draw order ``datasets.generate_dataset`` must keep. The
 ``reference_*`` fairness metrics reduce per-group counts one group or
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from resfl_sim.adversarial import PROB_FLOOR, softmax
+from resfl_sim.config import ExperimentConfig
 from resfl_sim.datasets import Dataset, SynthSpec, _signal_directions
 from resfl_sim.metrics import DI_CAP
 from resfl_sim.network import ParameterSet
@@ -173,6 +175,12 @@ def reference_step(params: ParameterSet, X, y, s, eta: float, eta_phi: float,
     new = ParameterSet(spec, np.concatenate([params.theta - eta * g_theta,
                                              params.phi - eta_phi * g_phi]))
     return new, (float(nll.mean()), float(reg.mean()), float(adv.mean()))
+
+
+def synth_spec(**kw) -> SynthSpec:
+    """The generator spec of a config setting ``kw``, checked and with
+    every other key at its default."""
+    return ExperimentConfig(seeds=(1,), **kw).synth()
 
 
 def reference_generate_dataset(spec: SynthSpec, seed: int) -> Dataset:

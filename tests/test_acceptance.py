@@ -19,7 +19,7 @@ from resfl_sim.attacks import byzantine_run, mia_run, mia_threshold, poisoning_r
 from resfl_sim.cli import main as cli_main
 from resfl_sim.config import ExperimentConfig
 from resfl_sim.datasets import SynthSpec, generate_dataset, partition
-from oracles import logits_for, segment_view
+from oracles import logits_for, segment_view, synth_spec
 from resfl_sim.evidential import evidence_batch, evidential_terms_batch
 from resfl_sim.fairness import aggregation_weight, group_uncertainties, ufm, \
     uncertainty_variance
@@ -31,7 +31,7 @@ from probe import probe_accuracy
 
 SEEDS = (1, 2, 3, 4, 5)
 
-# the network of the default SynthSpec's 20 features, 2 classes and 4 groups
+# the network of the default config's 20 features, 2 classes and 4 groups
 NET = NetworkSpec(input_dim=20, hidden_dims=(32, 32), num_classes=2, num_groups=4)
 
 # amplitude disparity: group 3 gets the weakest class signal
@@ -65,7 +65,7 @@ def fed_config(algo: str, seed: int, **overrides) -> FederationConfig:
 
 @functools.lru_cache(maxsize=None)
 def disparity_data(seed: int):
-    return build_data(SynthSpec(group_means=GROUP_MEANS), seed)
+    return build_data(synth_spec(group_means=GROUP_MEANS), seed)
 
 
 @functools.lru_cache(maxsize=None)
@@ -184,7 +184,7 @@ class TestCriterion4HandValues:
 class TestCriterion5AttributeLeakage:
     def test_5_adversary_suppresses_group_probe(self):
         t0 = time.monotonic()
-        spec = SynthSpec(attr_leak=1.0)  # full group leak, no amplitude disparity
+        spec = synth_spec(attr_leak=1.0)  # full group leak, no amplitude disparity
         fed_probe, res_probe = [], []
         chance = None
         for seed in SEEDS:

@@ -12,15 +12,16 @@ from resfl_sim.attacks import (
     mia_threshold,
     poisoning_run,
 )
-from resfl_sim.datasets import SynthSpec, generate_dataset, partition
+from resfl_sim.datasets import generate_dataset, partition
 from resfl_sim.config import ExperimentConfig
 from resfl_sim.federation import FederationConfig, run_experiment
 from resfl_sim.network import NetworkSpec
+from oracles import synth_spec
 from probe import probe_accuracy
 
 
 def small_dataset(seed=0, per_group=40, **kw):
-    spec = SynthSpec(input_dim=8, samples_per_group=(per_group,) * 4, **kw)
+    spec = synth_spec(input_dim=8, samples_per_group=(per_group,) * 4, **kw)
     return generate_dataset(spec, seed=seed)
 
 

@@ -78,6 +78,27 @@ INVALID = {
         "samples_per_group = 30, 30, 30, 30",
         "samples_per_group = 30, 0, 30, 30\n[attack]\npoison_group = 1\n[data]"),
     "poison_rate = 1.5": ("poison_rate = 0.2", "poison_rate = 1.5"),
+    "input_dim = 0": ("input_dim = 6", "input_dim = 0"),
+    "num_classes = 1": ("attr_leak = 0.5", "attr_leak = 0.5\nnum_classes = 1"),
+    "num_groups = 3 (4 counts)": ("attr_leak = 0.5", "attr_leak = 0.5\nnum_groups = 3"),
+    "num_groups = 0, samples_per_group = (none)": (
+        "samples_per_group = 30, 30, 30, 30", "samples_per_group =\nnum_groups = 0"),
+    "samples_per_group = 30, 0, 0, 0": ("samples_per_group = 30, 30, 30, 30",
+                                        "samples_per_group = 30, 0, 0, 0"),
+    "samples_per_group = 30, -1, 30, 30": ("samples_per_group = 30, 30, 30, 30",
+                                           "samples_per_group = 30, -1, 30, 30"),
+    "group_means of one class": ("attr_leak = 0.5", "attr_leak = 0.5\ngroup_means = 0; 0; 0; 0"),
+    "group_means with a nan": ("attr_leak = 0.5",
+                               "attr_leak = 0.5\ngroup_means = 0,0; 0,nan; 0,0; 0,0"),
+    "noise_std = -1": ("attr_leak = 0.5", "attr_leak = 0.5\nnoise_std = -1"),
+    "noise_std = nan": ("attr_leak = 0.5", "attr_leak = 0.5\nnoise_std = nan"),
+    "attr_leak = 1.5": ("attr_leak = 0.5", "attr_leak = 1.5"),
+    "label_flip_noise = 0.5, 0, 0, 0": ("attr_leak = 0.5",
+                                        "attr_leak = 0.5\nlabel_flip_noise = 0.5, 0, 0, 0"),
+    # a non-finite rate would run: eta = inf freezes the model, and
+    # dp_epsilon = inf adds no DP noise to a run reported as DP
+    "eta = inf": ("eta = 0.01", "eta = inf"),
+    "dp_epsilon = inf": ("eta = 0.01", "eta = 0.01\ndp_epsilon = inf"),
 }
 
 

@@ -5,6 +5,8 @@ import dataclasses
 import pytest
 
 from resfl_sim.config import (
+    _FIELD,
+    _SCHEMA,
     DEFAULT_SWEEP_ROWS,
     ConfigError,
     ExperimentConfig,
@@ -46,9 +48,9 @@ class TestParsing:
         cfg = load_config(write_cfg(tmp_path, GOOD))
         assert cfg.seeds == (1, 2, 3)
         assert cfg.algorithms == ("fedavg", "resfl")
-        assert cfg.synth.input_dim == 10
-        assert cfg.synth.samples_per_group == (100, 100, 100, 100)
-        assert cfg.synth.group_means[3] == (-0.4, -0.4)
+        assert cfg.input_dim == 10
+        assert cfg.samples_per_group == (100, 100, 100, 100)
+        assert cfg.group_means[3] == (-0.4, -0.4)
         assert cfg.rounds == 20
         assert cfg.eta == 0.005
         assert cfg.hidden_dims == (16, 16)
@@ -83,13 +85,45 @@ FEDERATION_VALUES = dict(
     num_clients=3, rounds=7, local_iterations=4, batch_size=8, eta=0.02, eta_phi=0.3,
     lambda1=0.7, lambda_adv=0.9, dp_epsilon=0.5, dp_clip=2.5, server_lr=0.4)
 
+# every config key, each set to a valid value that is not its default
+EVERY_KEY = {
+    "experiment": {"seeds": "3, 4", "algorithms": "fedavg_dp", "out_dir": "elsewhere"},
+    "data": {"input_dim": "5", "num_classes": "3", "num_groups": "3",
+             "samples_per_group": "10, 0, 20", "group_means": "0,0,0; 0,0,0; 0,-0.1,-0.2",
+             "noise_std": "0.5", "attr_leak": "0.25", "label_flip_noise": "0, 0.1, 0.2",
+             "partition_beta": "2", "test_fraction": "0.3"},
+    "federation": {**FEDERATION_VALUES, "hidden_dims": "12, 6"},
+    "attack": {"kinds": "aia, mia", "mia_overfit_size": "5", "mia_overfit_steps": "7",
+               "aia_trials": "9", "byzantine_fraction": "0.5", "byzantine_scale": "3",
+               "poison_group": "0", "poison_rate": "0.5"},
+    "sweep": {"rows": "0.5,0.5"},
+}
+
 
 class TestSingleSourceOfDefaults:
-    @pytest.mark.parametrize("cls", [FederationConfig, NetworkSpec, ByzantineSpec])
+    @pytest.mark.parametrize("cls", [FederationConfig, NetworkSpec, ByzantineSpec, SynthSpec])
     def test_library_settings_have_no_defaults(self, cls):
         for f in dataclasses.fields(cls):
             assert f.default is dataclasses.MISSING, f.name
             assert f.default_factory is dataclasses.MISSING, f.name
+
+    def test_every_key_has_one_field_and_sets_it(self, tmp_path):
+        assert {s: set(keys) for s, keys in EVERY_KEY.items()} == {
+            s: set(keys) for s, keys in _SCHEMA.items()}
+        # the field of each key, through the one rename map; every field but
+        # the two the loader fills is a key's
+        fields = {_FIELD.get(key, key) for keys in _SCHEMA.values() for key in keys}
+        assert fields == {f.name for f in dataclasses.fields(ExperimentConfig)} - {
+            "data_seed", "raw"}
+        text = "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                       for section, keys in EVERY_KEY.items())
+        cfg = load_config(write_cfg(tmp_path, text))
+        defaults = ExperimentConfig(seeds=(1,))
+        for section, keys in _SCHEMA.items():
+            for key in keys:
+                name = _FIELD.get(key, key)
+                value = cfg.raw[section][key]
+                assert getattr(cfg, name) == value != getattr(defaults, name), key
 
     def test_every_federation_key_reaches_the_cell(self, tmp_path):
         text = "[experiment]\nseeds = 1\n[federation]\nhidden_dims = 12, 6\n" + "".join(
@@ -129,7 +163,7 @@ class TestSingleSourceOfDefaults:
     def test_default_poison_group_is_the_smallest_group_with_samples(self):
         def target(*counts):
             return ExperimentConfig(
-                seeds=(1,), synth=SynthSpec(samples_per_group=counts)).poison_group
+                seeds=(1,), samples_per_group=counts).poison_group
         assert target(60, 0, 40, 30) == 3
         assert target(5, 0, 3, 3) == 2  # the lowest id on a tie
         assert target(2000, 1500, 1000, 500) == 3
@@ -182,6 +216,15 @@ class TestErrors:
     def test_rates_and_weights_rejected(self, field, value):
         with pytest.raises(ConfigError, match=rf"\[federation\] {field} must be"):
             ExperimentConfig(seeds=(1,), **{field: value})
+
+    @pytest.mark.parametrize("section, line", [
+        ("federation", "eta = inf"), ("data", "noise_std = nan"),
+        ("data", "label_flip_noise = 0, -inf, 0, 0"), ("data", "group_means = 0,0; 0,nan"),
+        ("sweep", "rows = 0.1,inf")])
+    def test_non_finite_float_line_anchored(self, section, line):
+        key = line.split(" =")[0]
+        with pytest.raises(ConfigError, match=rf"line 2: bad value for '{key}': .* finite"):
+            parse_config_text(f"[{section}]\n{line}\n")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

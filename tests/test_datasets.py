@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import reference_generate_dataset
+from oracles import reference_generate_dataset, synth_spec
 from resfl_sim.datasets import (
     PARTITION_TRIES,
-    SynthSpec,
     generate_dataset,
     partition,
     poison,
@@ -34,7 +33,7 @@ def same_rows(a, b):
 
 class TestGeneration:
     def test_deterministic(self):
-        spec = SynthSpec(samples_per_group=(50, 50, 50, 50))
+        spec = synth_spec(samples_per_group=(50, 50, 50, 50))
         a = generate_dataset(spec, seed=3)
         b = generate_dataset(spec, seed=3)
         assert len(a) == len(b) == 200
@@ -42,43 +41,43 @@ class TestGeneration:
         assert np.array_equal(a.y, b.y) and np.array_equal(a.s, b.s)
 
     def test_different_seeds_differ(self):
-        spec = SynthSpec(samples_per_group=(50, 50, 50, 50))
+        spec = synth_spec(samples_per_group=(50, 50, 50, 50))
         a = generate_dataset(spec, seed=3)
         b = generate_dataset(spec, seed=4)
         assert not np.array_equal(a.X[0], b.X[0])
 
     def test_exact_group_counts(self):
-        spec = SynthSpec(samples_per_group=(2000, 1500, 1000, 500))
+        spec = synth_spec(samples_per_group=(2000, 1500, 1000, 500))
         data = generate_dataset(spec, seed=0)
         counts = np.bincount(data.s, minlength=4)
         np.testing.assert_array_equal(counts, [2000, 1500, 1000, 500])
 
     def test_labels_and_groups_in_range(self):
-        spec = SynthSpec(samples_per_group=(100, 100, 100, 100))
+        spec = synth_spec(samples_per_group=(100, 100, 100, 100))
         data = generate_dataset(spec, seed=1)
         assert np.all((0 <= data.y) & (data.y < spec.num_classes))
         assert np.all((0 <= data.s) & (data.s < spec.num_groups))
 
     def test_noiseless_data_linearly_separable(self):
-        spec = SynthSpec(samples_per_group=(200, 200, 200, 200), noise_std=0.0,
-                         attr_leak=0.0)
+        spec = synth_spec(samples_per_group=(200, 200, 200, 200), noise_std=0.0,
+                          attr_leak=0.0)
         data = generate_dataset(spec, seed=0)
         assert probe_on(data, target="y") == 1.0
 
     def test_zero_leak_probe_near_chance(self):
-        spec = SynthSpec(samples_per_group=(500, 500, 500, 500), attr_leak=0.0)
+        spec = synth_spec(samples_per_group=(500, 500, 500, 500), attr_leak=0.0)
         data = generate_dataset(spec, seed=0)
         assert probe_on(data, target="s") == pytest.approx(0.25, abs=0.05)
 
     def test_full_leak_probe_near_perfect(self):
-        spec = SynthSpec(samples_per_group=(500, 500, 500, 500), attr_leak=1.0)
+        spec = synth_spec(samples_per_group=(500, 500, 500, 500), attr_leak=1.0)
         data = generate_dataset(spec, seed=0)
         assert probe_on(data, target="s") > 0.95
 
     def test_label_flip_noise_caps_accuracy(self):
-        clean = SynthSpec(samples_per_group=(400, 400, 400, 400), noise_std=0.2)
-        noisy = SynthSpec(samples_per_group=(400, 400, 400, 400), noise_std=0.2,
-                          label_flip_noise=(0.4, 0.4, 0.4, 0.4))
+        clean = synth_spec(samples_per_group=(400, 400, 400, 400), noise_std=0.2)
+        noisy = synth_spec(samples_per_group=(400, 400, 400, 400), noise_std=0.2,
+                           label_flip_noise=(0.4, 0.4, 0.4, 0.4))
         acc_clean = probe_on(generate_dataset(clean, seed=0), target="y")
         acc_noisy = probe_on(generate_dataset(noisy, seed=0), target="y")
         assert acc_noisy < acc_clean - 0.2
@@ -87,27 +86,33 @@ class TestGeneration:
         ("noise_std", 1e308), ("group_means", ((1e308, 0.0),) * 4)])
     def test_overflowing_features_raise(self, field, value):
         # the one finiteness check of every model input
-        spec = SynthSpec(input_dim=6, samples_per_group=(20,) * 4, **{field: value})
+        spec = synth_spec(input_dim=6, samples_per_group=(20,) * 4, **{field: value})
         with pytest.raises(ValueError, match="non-finite features"):
             generate_dataset(spec, seed=0)
 
+    def test_spec_hash_distinguishes(self):
+        a = synth_spec()
+        b = synth_spec(attr_leak=0.4)
+        assert a.spec_hash() != b.spec_hash()
+        assert a.spec_hash() == synth_spec().spec_hash()
+
 
 DRAW_ORDER_SPECS = {
-    "no_label_noise": SynthSpec(input_dim=6, samples_per_group=(40, 30, 20, 10)),
-    "mixed_label_noise": SynthSpec(input_dim=6, samples_per_group=(40, 30, 20, 10),
-                                   label_flip_noise=(0.1, 0.0, 0.2, 0.05)),
-    "label_noise_everywhere": SynthSpec(input_dim=6, samples_per_group=(40, 30, 20, 10),
-                                        label_flip_noise=(0.3, 0.1, 0.2, 0.4)),
-    "empty_group": SynthSpec(input_dim=6, samples_per_group=(40, 0, 20, 10),
-                             label_flip_noise=(0.0, 0.2, 0.1, 0.0)),
-    "three_classes": SynthSpec(input_dim=6, num_classes=3,
-                               samples_per_group=(40, 30, 20, 10),
-                               label_flip_noise=(0.0, 0.3, 0.0, 0.1)),
-    "input_dim_1": SynthSpec(input_dim=1, samples_per_group=(40, 30, 20, 10),
-                             label_flip_noise=(0.0, 0.2, 0.0, 0.0)),
-    "no_leak": SynthSpec(input_dim=6, samples_per_group=(40, 30, 20, 10), attr_leak=0.0),
-    "every_column_leaks": SynthSpec(input_dim=6, samples_per_group=(40, 30, 20, 10),
-                                    attr_leak=1.0, label_flip_noise=(0.0, 0.2, 0.0, 0.0)),
+    "no_label_noise": synth_spec(input_dim=6, samples_per_group=(40, 30, 20, 10)),
+    "mixed_label_noise": synth_spec(input_dim=6, samples_per_group=(40, 30, 20, 10),
+                                    label_flip_noise=(0.1, 0.0, 0.2, 0.05)),
+    "label_noise_everywhere": synth_spec(input_dim=6, samples_per_group=(40, 30, 20, 10),
+                                         label_flip_noise=(0.3, 0.1, 0.2, 0.4)),
+    "empty_group": synth_spec(input_dim=6, samples_per_group=(40, 0, 20, 10),
+                              label_flip_noise=(0.0, 0.2, 0.1, 0.0)),
+    "three_classes": synth_spec(input_dim=6, num_classes=3,
+                                samples_per_group=(40, 30, 20, 10),
+                                label_flip_noise=(0.0, 0.3, 0.0, 0.1)),
+    "input_dim_1": synth_spec(input_dim=1, samples_per_group=(40, 30, 20, 10),
+                              label_flip_noise=(0.0, 0.2, 0.0, 0.0)),
+    "no_leak": synth_spec(input_dim=6, samples_per_group=(40, 30, 20, 10), attr_leak=0.0),
+    "every_column_leaks": synth_spec(input_dim=6, samples_per_group=(40, 30, 20, 10),
+                                     attr_leak=1.0, label_flip_noise=(0.0, 0.2, 0.0, 0.0)),
 }
 
 
@@ -126,43 +131,9 @@ class TestDrawOrder:
         assert np.array_equal(got.s, ref.s)
 
 
-class TestSpecValidation:
-    def test_bad_dimensions(self):
-        with pytest.raises(ValueError):
-            SynthSpec(input_dim=0)
-        with pytest.raises(ValueError):
-            SynthSpec(num_classes=1)
-
-    def test_mismatched_group_sizes(self):
-        with pytest.raises(ValueError):
-            SynthSpec(num_groups=3, samples_per_group=(10, 10))
-
-    def test_attr_leak_range(self):
-        with pytest.raises(ValueError):
-            SynthSpec(attr_leak=1.5)
-
-    def test_group_means_shape(self):
-        with pytest.raises(ValueError):
-            SynthSpec(group_means=((0.0,),) * 4)
-
-    def test_label_flip_range(self):
-        with pytest.raises(ValueError):
-            SynthSpec(label_flip_noise=(0.5, 0.0, 0.0, 0.0))
-
-    def test_need_two_populated_groups(self):
-        with pytest.raises(ValueError):
-            SynthSpec(samples_per_group=(100, 0, 0, 0))
-
-    def test_spec_hash_distinguishes(self):
-        a = SynthSpec()
-        b = SynthSpec(attr_leak=0.4)
-        assert a.spec_hash() != b.spec_hash()
-        assert a.spec_hash() == SynthSpec().spec_hash()
-
-
 class TestPartition:
     def setup_method(self):
-        self.spec = SynthSpec(samples_per_group=(300, 300, 300, 300))
+        self.spec = synth_spec(samples_per_group=(300, 300, 300, 300))
         self.data = generate_dataset(self.spec, seed=0)
 
     def test_single_client_gets_everything(self):
@@ -206,7 +177,7 @@ class TestPartition:
 
 class TestPoison:
     def setup_method(self):
-        spec = SynthSpec(samples_per_group=(25, 25, 25, 25))
+        spec = synth_spec(samples_per_group=(25, 25, 25, 25))
         self.shard = generate_dataset(spec, seed=0)  # 100 samples
 
     def test_rate_zero_is_identity(self):
@@ -251,7 +222,7 @@ class TestPoison:
     def test_wrong_labels_drawn_from_every_class(self):
         # a three-class shard that lacks class 2: the clones of class-1
         # samples must be able to take label 2 as well as label 0
-        spec = SynthSpec(num_classes=3, samples_per_group=(40, 40, 40, 40))
+        spec = synth_spec(num_classes=3, samples_per_group=(40, 40, 40, 40))
         data = generate_dataset(spec, seed=0)
         shard = data[data.y < 2]
         out = poison(shard, target_group=2, rate=0.3, seed=0, num_classes=3)

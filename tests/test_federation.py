@@ -7,10 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import segment_view
+from oracles import segment_view, synth_spec
 from resfl_sim import fairness, federation, network
 from resfl_sim.config import ExperimentConfig
-from resfl_sim.datasets import SynthSpec, generate_dataset, partition
+from resfl_sim.datasets import generate_dataset, partition
 from resfl_sim.adversarial import local_train_step
 from resfl_sim.federation import (
     ByzantineSpec,
@@ -36,7 +36,7 @@ VALID = dict(num_clients=2, rounds=2, local_iterations=3, batch_size=16, eta=0.0
 
 
 def tiny_data(seed=0, per_group=30):
-    spec = SynthSpec(input_dim=6, samples_per_group=(per_group,) * 4)
+    spec = synth_spec(input_dim=6, samples_per_group=(per_group,) * 4)
     data = generate_dataset(spec, seed=seed)
     return data, partition(data, 2, beta=0.5, seed=seed)
 
