@@ -7,7 +7,9 @@
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error. The
 RESFL_SIM_OUT environment variable overrides the default output
-directory. All outputs are deterministic given config + seeds.
+directory. A successful run, sweep or attack writes ``config.cfg``, the
+effective config, which ``--seed`` and ``--kind`` select from but do not
+change. All outputs are deterministic given config + seeds.
 """
 
 from __future__ import annotations
@@ -25,22 +27,21 @@ from .attacks import ATTACK_KINDS, LAMBDA1, aia_run, byzantine_run, mia_run, \
     mia_threshold, poisoning_run
 from .config import ConfigError, ExperimentConfig, load_config, normalized_text
 from .datasets import generate_dataset, partition
-from .federation import FederationConfig, run_experiment
+from .federation import FederationConfig, initial_params, run_experiment
 from .metrics import SCALAR_COLUMNS, MetricsRow, read_metrics, write_metrics
-from .network import init_params
 
 
 def build_data(cfg: ExperimentConfig):
     """Train/test split sharing one signal draw: per group, scale the
     sample counts up, then hold out the tail fraction of each group.
 
-    The draw uses the config file's first seed, so a ``--seed`` override
+    The draw uses the config's first seed, so a ``--seed`` selection
     trains on the same data as the full run."""
     scale = 1.0 / (1.0 - cfg.test_fraction)
     spg = tuple(max(int(round(n * scale)), n + 1 if n else 0)
                 for n in cfg.samples_per_group)
     full = generate_dataset(replace(cfg.synth(), samples_per_group=spg),
-                            seed=cfg.data_seed)
+                            seed=cfg.seeds[0])
     # each group is one contiguous block; train on its head, test on its tail
     starts = np.cumsum(spg) - spg
     rank = np.arange(len(full)) - starts[full.s]
@@ -74,10 +75,6 @@ def _resolve_out(cfg: ExperimentConfig, cli_out: str | None) -> Path:
     return path
 
 
-def _apply_seed_override(cfg: ExperimentConfig, seed: int | None) -> ExperimentConfig:
-    return cfg if seed is None else replace(cfg, seeds=(seed,))
-
-
 def write_summary(rows, seeds, out: Path) -> None:
     """Write ``summary``: per algorithm, the mean over ``seeds`` of each
     (algo, seed) cell's last row, so a cell that stopped early counts with
@@ -96,14 +93,12 @@ def write_summary(rows, seeds, out: Path) -> None:
                                  encoding="utf-8")
 
 
-def cmd_run(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_run(cfg: ExperimentConfig, seeds, out: Path) -> None:
     train, test = build_data(cfg)
-    rows = [row for algo in cfg.algorithms for seed in cfg.seeds
+    rows = [row for algo in cfg.algorithms for seed in seeds
             for row in _single_run(cfg, algo, seed, train, test)[1]]
     write_metrics(rows, out / "metrics.csv", num_groups=cfg.num_groups)
-    write_summary(rows, cfg.seeds, out)
-    (out / "config.cfg").write_text(normalized_text(cfg), encoding="utf-8")
-    return 0
+    write_summary(rows, seeds, out)
 
 
 def _mia_config(cfg: ExperimentConfig, seed: int, aggregator: str) -> FederationConfig:
@@ -130,16 +125,16 @@ def _mia_setup(cfg: ExperimentConfig, train, test, seed: int):
     return members, test[draw[:len(members)]], tau
 
 
-def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_sweep(cfg: ExperimentConfig, seeds, out: Path) -> None:
     train, test = build_data(cfg)
     rows_sorted = sorted(cfg.sweep_rows)
-    mia = {seed: _mia_setup(cfg, train, test, seed) for seed in cfg.seeds}
+    mia = {seed: _mia_setup(cfg, train, test, seed) for seed in seeds}
 
     def work(cell):
         lam1, lam_adv = cell
         cell_cfg = replace(cfg, lambda1=lam1, lambda_adv=lam_adv)
         accs, dds, eops, mias, aias = [], [], [], [], []
-        for seed in cfg.seeds:
+        for seed in seeds:
             params, rows = _single_run(cell_cfg, "resfl", seed, train, test)
             final = rows[-1]
             accs.append(final.accuracy)
@@ -156,18 +151,16 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
         for cell, (acc, dd, eop, mia, aia) in zip(rows_sorted, results):
             f.write(f"{cell[0]:g},{cell[1]:g},"
                     + ",".join(f"{v:.6f}" for v in (acc, dd, eop, mia, aia)) + "\n")
-    (out / "config.cfg").write_text(normalized_text(cfg), encoding="utf-8")
-    return 0
 
 
-def cmd_attack(cfg: ExperimentConfig, out: Path, kind: str | None) -> int:
+def cmd_attack(cfg: ExperimentConfig, seeds, out: Path, kind: str | None) -> None:
     kinds = (kind,) if kind else cfg.attack_kinds
     train, test = build_data(cfg)
     net = cfg.network()
     clean = {}  # (algo, seed) -> (fed, shards, clean run), shared by the paired attacks
     lines = []
     for k in kinds:
-        for seed in cfg.seeds:
+        for seed in seeds:
             if k == "mia":
                 members, nonmembers, tau = _mia_setup(cfg, train, test, seed)
                 reports = []
@@ -177,8 +170,7 @@ def cmd_attack(cfg: ExperimentConfig, out: Path, kind: str | None) -> int:
                     reports.append(("mia", name, seed,
                                     mia_run(target, members, nonmembers, tau).score, {}))
             elif k == "aia":
-                params = init_params(net, np.random.default_rng([seed, 0x1217]))
-                rep = aia_run(params, train, cfg.num_groups, seed=seed,
+                rep = aia_run(initial_params(net, seed), train, cfg.num_groups, seed=seed,
                               trials=cfg.aia_trials)
                 reports = [("aia", "init", seed, rep.score, rep.auxiliary)]
             else:
@@ -207,16 +199,15 @@ def cmd_attack(cfg: ExperimentConfig, out: Path, kind: str | None) -> int:
         f.write("attack,algo,seed,score,aux\n")
         for line in lines:
             f.write(line + "\n")
-    return 0
 
 
-def cmd_report(cfg: ExperimentConfig, out: Path) -> int:
+def cmd_report(cfg: ExperimentConfig, seeds, out: Path) -> int:
     metrics_path = out / "metrics.csv"
     if not metrics_path.exists():
         print(f"error: {metrics_path} not found; run 'resfl-sim run' first",
               file=sys.stderr)
         return 1
-    write_summary(read_metrics(metrics_path), cfg.seeds, out)
+    write_summary(read_metrics(metrics_path), seeds, out)
     return 0
 
 
@@ -237,15 +228,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _apply_seed_override(load_config(args.config), args.seed)
+        cfg = load_config(args.config)
+        seeds = cfg.seeds if args.seed is None else (args.seed,)
         out = _resolve_out(cfg, args.out)
+        if args.command == "report":
+            return cmd_report(cfg, seeds, out)
         if args.command == "run":
-            return cmd_run(cfg, out)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out)
-        if args.command == "attack":
-            return cmd_attack(cfg, out, args.kind)
-        return cmd_report(cfg, out)
+            cmd_run(cfg, seeds, out)
+        elif args.command == "sweep":
+            cmd_sweep(cfg, seeds, out)
+        else:
+            cmd_attack(cfg, seeds, out, args.kind)
+        (out / "config.cfg").write_text(normalized_text(cfg), encoding="utf-8")
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,7 @@ rejected with the offending line number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .attacks import ATTACK_KINDS
 from .datasets import SynthSpec
@@ -97,6 +97,11 @@ _FIELD = {"kinds": "attack_kinds", "rows": "sweep_rows"}
 
 _REQUIRED = {("experiment", "seeds")}
 
+
+def _distinct(values: tuple) -> bool:
+    return len(set(values)) == len(values)
+
+
 # Default coefficient pairs for the ablation sweep.
 DEFAULT_SWEEP_ROWS = (
     (0.0, 1.0), (0.01, 1.0), (0.1, 0.01), (0.1, 0.1),
@@ -106,17 +111,13 @@ DEFAULT_SWEEP_ROWS = (
 
 @dataclass
 class ExperimentConfig:
-    """The run settings. Its field defaults are the only defaults of the
-    config keys, and the table in ``__post_init__`` is the only check of
-    their ranges, made once; the functions they configure take them as
-    required arguments and trust them."""
-    seeds: tuple[int, ...]
-    # the dataset's seed: the first of ``seeds`` as loaded, kept when a
-    # --seed override replaces ``seeds``
-    data_seed: int | None = None
+    """The run settings, one field per config key. Its field defaults are
+    the only defaults of the keys, and the table in ``__post_init__`` is
+    the only check of their ranges, made once; the functions they
+    configure take them as required arguments and trust them."""
+    seeds: tuple[int, ...]  # the first also seeds the data
     algorithms: tuple[str, ...] = ("fedavg", "resfl")
     out_dir: str = "out"
-    raw: dict[str, dict[str, object]] = field(default_factory=dict)
 
     input_dim: int = 20
     num_classes: int = 2
@@ -163,9 +164,10 @@ class ExperimentConfig:
         # to evaluate when an earlier one fails. The DP values are checked
         # whatever the algorithms, since attack's MIA target is a fedavg_dp run
         checks = (  # (key, value, allowed range, in range)
-            ("seeds", self.seeds, "non-empty", len(self.seeds) > 0),
-            ("algorithms", self.algorithms, f"among {', '.join(AGGREGATORS)}",
-             set(self.algorithms) <= set(AGGREGATORS)),
+            ("seeds", self.seeds, "non-empty, no repeats",
+             len(self.seeds) > 0 and _distinct(self.seeds)),
+            ("algorithms", self.algorithms, f"among {', '.join(AGGREGATORS)}, no repeats",
+             set(self.algorithms) <= set(AGGREGATORS) and _distinct(self.algorithms)),
             ("input_dim", self.input_dim, ">= 1", self.input_dim >= 1),
             ("num_classes", C, ">= 2", C >= 2),
             ("num_groups", G, ">= 2", G >= 2),
@@ -196,8 +198,8 @@ class ExperimentConfig:
             ("dp_clip", self.dp_clip, "> 0", self.dp_clip > 0),
             ("server_lr", self.server_lr, "> 0",
              self.server_lr is None or self.server_lr > 0),
-            ("kinds", self.attack_kinds, f"among {', '.join(ATTACK_KINDS)}",
-             set(self.attack_kinds) <= set(ATTACK_KINDS)),
+            ("kinds", self.attack_kinds, f"among {', '.join(ATTACK_KINDS)}, no repeats",
+             set(self.attack_kinds) <= set(ATTACK_KINDS) and _distinct(self.attack_kinds)),
             ("mia_overfit_size", self.mia_overfit_size, ">= 1", self.mia_overfit_size >= 1),
             ("mia_overfit_steps", self.mia_overfit_steps, ">= 0",
              self.mia_overfit_steps >= 0),
@@ -208,16 +210,15 @@ class ExperimentConfig:
             ("poison_group", self.poison_group, f"a group with samples, one of {filled}",
              self.poison_group is None or self.poison_group in filled),
             ("poison_rate", self.poison_rate, "in [0, 1]", 0.0 <= self.poison_rate <= 1.0),
-            ("rows", self.sweep_rows, "'lambda1,lambda_adv' pairs of values >= 0",
-             all(len(r) == 2 and min(r) >= 0 for r in self.sweep_rows)),
+            ("rows", self.sweep_rows, "'lambda1,lambda_adv' pairs of values >= 0, no repeats",
+             all(len(r) == 2 and min(r) >= 0 for r in self.sweep_rows)
+             and _distinct(self.sweep_rows)),
         )
         for key, value, allowed, ok in checks:
             section = _SECTION[key]  # for every row, so a misspelt key always fails
             if not ok:
                 raise ConfigError(f"[{section}] {key} must be {allowed}, got {value}")
         # the settings derived from others, each resolved after its check
-        if self.data_seed is None:
-            self.data_seed = self.seeds[0]
         if gm is None:
             self.group_means = ((0.0,) * C,) * G
         if lf is None:
@@ -291,26 +292,25 @@ def load_config(path) -> ExperimentConfig:
             text = f.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    raw = parse_config_text(text)
     # only the keys in the file; ExperimentConfig's fields hold the defaults
-    return ExperimentConfig(raw=raw, **{_FIELD.get(key, key): value
-                                        for entries in raw.values()
-                                        for key, value in entries.items()})
+    return ExperimentConfig(**{_FIELD.get(key, key): value
+                               for entries in parse_config_text(text).values()
+                               for key, value in entries.items()})
 
 
 def normalized_text(cfg: ExperimentConfig) -> str:
-    """The config file's own keys, sorted and stable across runs; neither
-    the defaults nor a ``--seed`` override show."""
+    """The effective config: every key's value, defaults included, keys
+    sorted within each section. It loads back equal to ``cfg``: a None
+    (a rate that follows another) is left out, and ``str`` is exact."""
     lines = []
-    for section in _SCHEMA:
-        entries = cfg.raw.get(section, {})
-        if not entries:
-            continue
+    for section, keys in _SCHEMA.items():
         lines.append(f"[{section}]")
-        for key in sorted(entries):
-            val = entries[key]
+        for key in sorted(keys):
+            val = getattr(cfg, _FIELD.get(key, key))
+            if val is None:
+                continue
             if isinstance(val, tuple) and val and isinstance(val[0], tuple):
-                text = "; ".join(",".join(f"{x:g}" for x in row) for row in val)
+                text = "; ".join(",".join(str(x) for x in row) for row in val)
             elif isinstance(val, tuple):
                 text = ", ".join(str(v) for v in val)
             else:

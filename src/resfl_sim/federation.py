@@ -103,6 +103,10 @@ def client_rng(seed: int, client_id: int, round_idx: int) -> np.random.Generator
     return np.random.default_rng([int(seed), int(round_idx), int(client_id)])
 
 
+def initial_params(network: NetworkSpec, seed: int) -> ParameterSet:
+    return init_params(network, np.random.default_rng([seed, 0x1217]))
+
+
 def client_round(global_params: ParameterSet, phi: np.ndarray, shard,
                  config: FederationConfig, rng: np.random.Generator,
                  params: ParameterSet, grads: ParameterSet, delta: np.ndarray):
@@ -229,7 +233,7 @@ def run_experiment(config: FederationConfig, shards, eval_samples,
     ``eval_samples`` may be None, which leaves the metrics NaN."""
     if len(shards) != config.num_clients:
         raise ValueError("shards must match num_clients")
-    global_params = init_params(network, np.random.default_rng([config.seed, 0x1217]))
+    global_params = initial_params(network, config.seed)
     K = config.num_clients
     # per-client rows: the private adversary heads, and the theta deltas
     # each round rewrites for the clients that report

@@ -11,8 +11,7 @@ import pytest
 from resfl_sim import cli
 from resfl_sim.cli import main
 from resfl_sim.config import load_config
-from resfl_sim.federation import apply_dp, run_experiment
-from resfl_sim.network import init_params
+from resfl_sim.federation import apply_dp, initial_params, run_experiment
 
 TINY = """\
 [experiment]
@@ -45,7 +44,9 @@ byzantine_scale = 2.0
 # section may be reopened, so one replacement can set keys in two sections
 INVALID = {
     "seeds = (none)": ("seeds = 1, 2", "seeds ="),
+    "seeds = 1, 1": ("seeds = 1, 2", "seeds = 1, 1"),
     "algorithms = krum": ("algorithms = fedavg, resfl", "algorithms = fedavg, krum"),
+    "algorithms = resfl, resfl": ("algorithms = fedavg, resfl", "algorithms = resfl, resfl"),
     "test_fraction = 1": ("attr_leak = 0.5", "attr_leak = 0.5\ntest_fraction = 1"),
     "rounds = 0": ("rounds = 2", "rounds = 0"),
     "rounds = -1": ("rounds = 2", "rounds = -1"),
@@ -54,6 +55,7 @@ INVALID = {
     "server_lr = -1": ("eta = 0.01", "eta = 0.01\nserver_lr = -1"),
     "server_lr = 0": ("eta = 0.01", "eta = 0.01\nserver_lr = 0"),
     "kinds = mia, bogus": ("[attack]", "[attack]\nkinds = mia, bogus"),
+    "kinds = aia, aia": ("[attack]", "[attack]\nkinds = aia, aia"),
     "eta = 0": ("eta = 0.01", "eta = 0"),
     "eta_phi = 0": ("eta = 0.01", "eta = 0.01\neta_phi = 0"),
     "lambda1 = -1": ("eta = 0.01", "eta = 0.01\nlambda1 = -1"),
@@ -65,6 +67,8 @@ INVALID = {
     "dp_epsilon = 0": ("eta = 0.01", "eta = 0.01\ndp_epsilon = 0"),
     "rows = -1,0.5": ("[attack]", "[sweep]\nrows = -1,0.5\n\n[attack]"),
     "rows = 0.1,-1": ("[attack]", "[sweep]\nrows = 0.1,-1\n\n[attack]"),
+    # one pair, written two ways
+    "rows = 0.1,1; 0.10,1.0": ("[attack]", "[sweep]\nrows = 0.1,1; 0.10,1.0\n\n[attack]"),
     "partition_beta = 0": ("attr_leak = 0.5", "attr_leak = 0.5\npartition_beta = 0"),
     "mia_overfit_size = 0": ("mia_overfit_size = 10", "mia_overfit_size = 0"),
     "mia_overfit_steps = -5": ("mia_overfit_steps = 30", "mia_overfit_steps = -5"),
@@ -121,7 +125,7 @@ class TestRun:
         summary = json.loads((out / "summary").read_text())
         assert set(summary) == {"fedavg", "resfl"}
         assert summary["resfl"]["seeds"] == [1, 2]
-        assert (out / "config.cfg").exists()
+        assert load_config(out / "config.cfg") == load_config(cfg_path)
 
     def test_rerun_byte_identical(self, cfg_path, tmp_path):
         o1, o2 = tmp_path / "o1", tmp_path / "o2"
@@ -148,6 +152,19 @@ class TestRun:
         single_rows = (single / "metrics.csv").read_text().splitlines()
         assert single_rows[0] == full_rows[0]
         assert single_rows[1:] == [r for r in full_rows[1:] if r.split(",")[1] == "2"]
+
+    def test_rerun_from_the_written_config_byte_identical(self, tmp_path):
+        # the data are drawn from the first seed and a group mean that a
+        # 6-digit echo would round, so both must reach config.cfg exactly
+        cfg = tmp_path / "means.cfg"
+        cfg.write_text(TINY.replace("attr_leak = 0.5", "attr_leak = 0.5\n"
+                                    "group_means = 0,0; -0.1234567,0; 0,0; 0,0"))
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["run", "--config", str(cfg), "--out", str(first), "--seed", "2"]) == 0
+        assert main(["run", "--config", str(first / "config.cfg"), "--out", str(second),
+                     "--seed", "2"]) == 0
+        for name in ("metrics.csv", "summary", "config.cfg"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_early_stop_kept_in_summary(self, tmp_path):
         # an absurd step size makes every client's second local step
@@ -249,6 +266,8 @@ class TestAttack:
         assert lines[0] == "attack,algo,seed,score,aux"
         algos = {line.split(",")[1] for line in lines[1:]}
         assert algos == {"fedavg", "resfl"}
+        # --seed and --kind select; the written config is the file's
+        assert load_config(out / "config.cfg") == load_config(cfg_path)
 
     def test_mia_rows_and_rerun_identical(self, cfg_path, tmp_path):
         o1, o2 = tmp_path / "o1", tmp_path / "o2"
@@ -267,7 +286,7 @@ class TestAttack:
         cfg, seed = load_config(cfg_path), 1
         members, _, _ = cli._mia_setup(cfg, *cli.build_data(cfg), seed)
         net = cfg.network()
-        init = init_params(net, np.random.default_rng([seed, 0x1217])).theta
+        init = initial_params(net, seed).theta
         fed_cfg, dp_cfg = (cli._mia_config(cfg, seed, a) for a in ("fedavg", "fedavg_dp"))
         overfit, _ = run_experiment(fed_cfg, [members], None, net)
         dp_target, _ = run_experiment(dp_cfg, [members], None, net)
@@ -336,6 +355,7 @@ class TestSweepAndReport:
         assert lines[0] == "lambda1,lambda_adv,accuracy,di_dev,delta_eop,mia_sr,aia_sr"
         cells = [tuple(line.split(",")[:2]) for line in lines[1:]]
         assert cells == [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
+        assert load_config(out / "config.cfg") == load_config(p)
 
     def test_report_recomputes_summary(self, cfg_path, tmp_path):
         out = tmp_path / "out"
@@ -371,3 +391,5 @@ class TestSweepAndReport:
         assert summary["resfl"]["accuracy"] == pytest.approx(0.65, abs=1e-12)
         assert summary["resfl"]["eod"] == pytest.approx(0.25, abs=1e-12)
         assert math.isnan(summary["resfl"]["ufm_mean"])
+        # report trains nothing, so it writes no config
+        assert not (out / "config.cfg").exists()

@@ -1,6 +1,7 @@
 """Config file parsing: schema validation, defaults, sweep rows."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -61,8 +62,7 @@ class TestParsing:
     def test_absent_keys_take_the_field_defaults(self, tmp_path):
         text = "[experiment]\nseeds = 7\n[attack]\nkinds = mia\n"
         cfg = load_config(write_cfg(tmp_path, text))
-        assert cfg == ExperimentConfig(seeds=(7,), attack_kinds=("mia",),
-                                       raw=parse_config_text(text))
+        assert cfg == ExperimentConfig(seeds=(7,), attack_kinds=("mia",))
 
     def test_comments_and_blank_lines_ignored(self):
         parsed = parse_config_text(
@@ -98,6 +98,8 @@ EVERY_KEY = {
                "poison_group": "0", "poison_rate": "0.5"},
     "sweep": {"rows": "0.5,0.5"},
 }
+EVERY_KEY_TEXT = "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                         for section, keys in EVERY_KEY.items())
 
 
 class TestSingleSourceOfDefaults:
@@ -110,19 +112,16 @@ class TestSingleSourceOfDefaults:
     def test_every_key_has_one_field_and_sets_it(self, tmp_path):
         assert {s: set(keys) for s, keys in EVERY_KEY.items()} == {
             s: set(keys) for s, keys in _SCHEMA.items()}
-        # the field of each key, through the one rename map; every field but
-        # the two the loader fills is a key's
+        # the field of each key, through the one rename map; every field is a key's
         fields = {_FIELD.get(key, key) for keys in _SCHEMA.values() for key in keys}
-        assert fields == {f.name for f in dataclasses.fields(ExperimentConfig)} - {
-            "data_seed", "raw"}
-        text = "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
-                       for section, keys in EVERY_KEY.items())
-        cfg = load_config(write_cfg(tmp_path, text))
+        assert fields == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        parsed = parse_config_text(EVERY_KEY_TEXT)
+        cfg = load_config(write_cfg(tmp_path, EVERY_KEY_TEXT))
         defaults = ExperimentConfig(seeds=(1,))
         for section, keys in _SCHEMA.items():
             for key in keys:
                 name = _FIELD.get(key, key)
-                value = cfg.raw[section][key]
+                value = parsed[section][key]
                 assert getattr(cfg, name) == value != getattr(defaults, name), key
 
     def test_every_federation_key_reaches_the_cell(self, tmp_path):
@@ -147,14 +146,14 @@ class TestSingleSourceOfDefaults:
         assert fc.eta_phi == 0.03 and fc.server_lr == 1.0 / 5
 
     def test_no_setting_is_none_after_load(self, tmp_path):
-        # GOOD leaves out data_seed, poison_group, eta_phi and server_lr,
-        # whose defaults derive from other settings
+        # GOOD leaves out poison_group, eta_phi and server_lr, whose
+        # defaults derive from other settings
         cfg = load_config(write_cfg(tmp_path, GOOD))
         unset = {f.name for f in dataclasses.fields(cfg) if getattr(cfg, f.name) is None}
         # the two rates follow eta and num_clients, also through a
         # dataclasses.replace of those, so federation_config resolves them
         assert unset == {"eta_phi", "server_lr"}
-        assert (cfg.data_seed, cfg.poison_group) == (1, 0)
+        assert cfg.poison_group == 0
         for algo in AGGREGATORS:
             fc = cfg.federation_config(algo, seed=2)
             assert [f.name for f in dataclasses.fields(fc) if getattr(fc, f.name) is None] == []
@@ -267,6 +266,23 @@ class TestNormalizedText:
         assert a == b
         assert "[experiment]" in a and "seeds = 1, 2, 3" in a
         # keys are sorted within a section
-        fed = a.split("[federation]")[1]
+        fed = a.split("[federation]")[1].split("[")[0]
         keys = [ln.split(" =")[0] for ln in fed.strip().splitlines()]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("text", [
+        (Path(__file__).resolve().parents[1] / "configs" / "default.cfg").read_text(),
+        EVERY_KEY_TEXT, "[experiment]\nseeds = 4, 2\n",
+        # a value that a 6-digit echo would round
+        GOOD.replace("-0.1,-0.1", "-0.1234567,-0.1")],
+        ids=["default.cfg", "every-key", "seeds-only", "seven-digit-mean"])
+    def test_written_config_sets_every_key_and_loads_back_equal(self, tmp_path, text):
+        cfg = load_config(write_cfg(tmp_path, text))
+        written = tmp_path / "config.cfg"
+        written.write_text(normalized_text(cfg))
+        assert load_config(written) == cfg
+        # every key, defaults included, but the rates left to follow others
+        parsed = parse_config_text(written.read_text())
+        assert {key for keys in parsed.values() for key in keys} == {
+            key for keys in _SCHEMA.values() for key in keys
+            if getattr(cfg, _FIELD.get(key, key)) is not None}

@@ -20,6 +20,7 @@ from resfl_sim.federation import (
     apply_dp,
     client_rng,
     client_round,
+    initial_params,
     run_experiment,
     shard_ufm,
 )
@@ -279,7 +280,7 @@ class TestRunExperiment:
         cfg = FederationConfig(**{**VALID, "rounds": 0})
         params, records = run_experiment(cfg, shards, data, NET)
         assert records == []
-        ref = init_params(params.spec, np.random.default_rng([0, 0x1217]))
+        ref = initial_params(params.spec, 0)
         np.testing.assert_array_equal(params.flat, ref.flat)
 
     def test_deterministic_end_to_end(self):
@@ -298,7 +299,7 @@ class TestRunExperiment:
         params, _ = run_experiment(cfg, [data], data, NET)
         # replay: one client, full-weight aggregation == its local endpoint
         net = params.spec
-        start = init_params(net, np.random.default_rng([0, 0x1217]))
+        start = initial_params(net, 0)
         delta, _, _, _ = train(start, data, cfg, client_rng(0, 0, 0))
         np.testing.assert_array_equal(params.theta, start.theta + delta)
 
@@ -347,7 +348,7 @@ class TestRunExperiment:
         params, (rec,) = run_experiment(cfg, shards, data, NET)
         assert rec.dropped_clients == (0,)
         assert set(rec.ufm_by_client) == {1}
-        start = init_params(NET, np.random.default_rng([0, 0x1217]))
+        start = initial_params(NET, 0)
         np.testing.assert_array_equal(phi_rows[0], start.phi)
         delta, _, _, _ = train(start, shards[1], cfg, client_rng(0, 1, 0))
         np.testing.assert_array_equal(params.theta, start.theta + delta)
