@@ -16,9 +16,9 @@ import numpy as np
 
 from .adversarial import local_train_step
 from .datasets import poison
-from .evidential import evidence_batch
+from .evidential import model_evidence
 from .federation import ByzantineSpec, FederationConfig, RoundRecord, run_experiment
-from .network import NetworkSpec, ParameterSet, forward_batch
+from .network import NetworkSpec, ParameterSet
 
 ATTACK_KINDS = ("mia", "aia", "byzantine", "poisoning")
 
@@ -33,10 +33,10 @@ class AttackReport:
 
 
 def _confidences(params: ParameterSet, samples) -> np.ndarray:
-    """Max Dirichlet-mean probability per sample."""
-    _, _, _, Zt, _ = forward_batch(params, samples.X)
-    A = evidence_batch(Zt)
-    return (A / A.sum(axis=1, keepdims=True)).max(axis=1)
+    """Max Dirichlet-mean probability per sample; NaN if its evidence is not finite."""
+    A = model_evidence(params, samples.X)
+    with np.errstate(invalid="ignore"):
+        return (A / A.sum(axis=1, keepdims=True)).max(axis=1)
 
 
 def _best_threshold(member_conf: np.ndarray, nonmember_conf: np.ndarray) -> float:
@@ -77,12 +77,14 @@ def mia_threshold(config: FederationConfig, network: NetworkSpec, member_count: 
 def mia_run(target_params: ParameterSet, member_pool, nonmember_pool,
             threshold: float) -> AttackReport:
     """Membership inference by the rule confidence >= ``threshold`` (from
-    :func:`mia_threshold`), applied to the target's confidences on the
-    true pools; the score is the rule's accuracy."""
+    :func:`mia_threshold`) on the target's confidences on the true pools;
+    the score is the rule's accuracy, NaN if a confidence is not finite."""
     if not member_pool or not nonmember_pool:
         raise ValueError("pools must be non-empty")
     m_conf = _confidences(target_params, member_pool)
     n_conf = _confidences(target_params, nonmember_pool)
+    if not (np.isfinite(m_conf).all() and np.isfinite(n_conf).all()):
+        return AttackReport("mia", float("nan"), {"threshold": threshold})
     tp = int(np.sum(m_conf >= threshold))
     fn = len(m_conf) - tp
     tn = int(np.sum(n_conf < threshold))
@@ -97,7 +99,8 @@ def aia_run(global_params: ParameterSet, dataset, num_groups: int, seed: int,
 
     Builds a one-step update signature per group from group-pure probe
     batches, then classifies fresh group-pure updates by nearest
-    signature in L2. Score is the fraction of correct inferences.
+    signature in L2. Score is the fraction of correct inferences, NaN
+    when a probe step raises FloatingPointError (a degenerate model).
     """
     by_group = {g: dataset[dataset.s == g] for g in range(num_groups)}
     if any(not v for v in by_group.values()):
@@ -116,14 +119,19 @@ def aia_run(global_params: ParameterSet, dataset, num_groups: int, seed: int,
         pool = by_group[g]
         return pool[rng.integers(0, len(pool), size=min(32, len(pool)))]
 
-    signatures = {g: one_step_delta(pure_batch(g)) for g in range(num_groups)}
     correct = 0
-    for _ in range(trials):
-        true_g = int(rng.integers(0, num_groups))
-        observed = one_step_delta(pure_batch(true_g))
-        guess = min(signatures,
-                    key=lambda g: float(np.linalg.norm(observed - signatures[g])))
-        correct += guess == true_g
+    # as in client_round, a step's FloatingPointError reports an overflow
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            signatures = {g: one_step_delta(pure_batch(g)) for g in range(num_groups)}
+            for _ in range(trials):
+                true_g = int(rng.integers(0, num_groups))
+                observed = one_step_delta(pure_batch(true_g))
+                guess = min(signatures,
+                            key=lambda g: float(np.linalg.norm(observed - signatures[g])))
+                correct += guess == true_g
+        except FloatingPointError:
+            return AttackReport("aia", float("nan"), {"trials": trials})
     return AttackReport("aia", correct / trials, {"trials": trials})
 
 

@@ -53,18 +53,17 @@ def _single_run(cfg: ExperimentConfig, algo: str, seed: int, train, test):
     shards = partition(train, cfg.num_clients, cfg.partition_beta, seed=seed)
     fed = cfg.federation_config(algo, seed)
     params, records = run_experiment(fed, shards, test, network=cfg.network())
-    rows = [
-        MetricsRow(
+    rows = []
+    for r in records:
+        # the reporting clients' UFM in client order; a frozen round has none
+        reported = r.ufm[~np.isnan(r.ufm)]
+        rows.append(MetricsRow(
             algo=algo, seed=seed, round=r.round, accuracy=r.accuracy,
             acc_by_group=r.acc_by_group, di_dev=r.di_dev,
             delta_eop=r.delta_eop, eod=r.eod,
-            # a frozen round has no client reports
-            ufm_mean=float(np.mean(list(r.ufm_by_client.values())))
-            if r.ufm_by_client else float("nan"),
+            ufm_mean=float(np.mean(reported)) if reported.size else float("nan"),
             unc_var=r.uncertainty_var,
-        )
-        for r in records
-    ]
+        ))
     return params, rows
 
 

@@ -11,10 +11,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from .network import ParameterSet, forward_batch
+
 
 def evidence_batch(Z: np.ndarray) -> np.ndarray:
     """Batched alpha from logits, shape preserved."""
     return 1.0 + np.logaddexp(0.0, Z)
+
+
+def model_evidence(params: ParameterSet, X: np.ndarray) -> np.ndarray:
+    """alpha of the model ``params`` on the rows of ``X``. A degenerate
+    model's overflow gives inf or NaN entries, which NumPy does not report."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return evidence_batch(forward_batch(params, X)[3])
 
 
 @np.errstate(over="ignore")

@@ -4,11 +4,11 @@ Each round: clients copy the global theta, run local SGD steps on their
 shard (keeping a private adversary head between rounds), and report
 one theta delta (theta_f then theta_e) plus their local
 uncertainty-fairness value. Per-client state is rows indexed by client
-id: a (K, theta_size) delta block allocated once per run and a (K,
-phi_size) block of the private adversary heads; each client writes its
-own two rows. Each aggregator takes the reporting clients' delta rows
-and returns the global delta, which the round loop adds to theta_G in
-place:
+id: a (K, theta_size) delta block allocated once per run, a (K,
+phi_size) block of the private adversary heads, and each round's (K,)
+UFM and (K, 3) loss rows; each client writes its own rows. Each
+aggregator takes the reporting clients' delta rows and returns the
+global delta, which the round loop adds to theta_G in place:
 
   - fedavg:   sample-count-weighted mean of deltas
   - fedavg_dp: each row clipped and noised in place, then fedavg
@@ -32,11 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversarial import local_train_step
-from .evidential import evidence_batch
+from .evidential import model_evidence
 from .fairness import aggregation_weight, group_uncertainties, \
     ufm as ufm_metric, uncertainty_variance
 from .metrics import accuracy_by_group, confusion_by_group, delta_eop, di_deviation, eod
-from .network import NetworkSpec, ParameterSet, forward_batch, init_params
+from .network import NetworkSpec, ParameterSet, init_params
 
 log = logging.getLogger(__name__)
 
@@ -81,22 +81,20 @@ class ByzantineSpec:
     scale: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: no element-wise ==
 class RoundRecord:
+    """One round: the global model's evaluation, and per client its UFM,
+    ``ufm`` (K,), and mean task, uncertainty and adversary losses,
+    ``losses`` (K, 3); a client dropped in the round has NaN rows."""
     round: int
     accuracy: float
     acc_by_group: tuple[float, ...]
     di_dev: float
     delta_eop: float
     eod: float
-    ufm_by_client: dict[int, float]
-    omega_by_client: dict[int, float]
-    mean_uncertainty: float
     uncertainty_var: float
-    loss_task: float
-    loss_uncertainty: float
-    loss_adversary: float
-    dropped_clients: tuple[int, ...] = ()
+    ufm: np.ndarray
+    losses: np.ndarray
 
 
 def client_rng(seed: int, client_id: int, round_idx: int) -> np.random.Generator:
@@ -109,19 +107,20 @@ def initial_params(network: NetworkSpec, seed: int) -> ParameterSet:
 
 def client_round(global_params: ParameterSet, phi: np.ndarray, shard,
                  config: FederationConfig, rng: np.random.Generator,
-                 params: ParameterSet, grads: ParameterSet, delta: np.ndarray):
-    """Local training for one client.
+                 params: ParameterSet, grads: ParameterSet, delta: np.ndarray,
+                 losses: np.ndarray) -> float:
+    """Local training for one client; returns its UFM (:func:`shard_ufm`).
 
     ``params`` and ``grads`` are the run's local-training workspace: the
     global theta and ``phi`` are loaded into ``params``, which is stepped
     in place, and ``grads`` receives each step's gradients. Clients train
     one at a time, so one workspace serves every client round of a run;
     its contents on entry are never read. After the last step the theta
-    delta (theta_f then theta_e) is written into ``delta`` and the new
-    adversary head into ``phi``, the client's rows; a client that raises
-    leaves both as they were. Returns (ufm, mean CompositeLossTerms
-    tuple). phi persists client-side; only theta deltas travel to the
-    server.
+    delta (theta_f then theta_e) is written into ``delta``, the new
+    adversary head into ``phi`` and the mean task, uncertainty and
+    adversary losses into ``losses``, the client's rows; a client that
+    raises leaves all three as they were. phi persists client-side; only
+    theta deltas travel to the server.
     """
     if not shard:
         raise ValueError("empty shard")
@@ -144,22 +143,18 @@ def client_round(global_params: ParameterSet, phi: np.ndarray, shard,
     n_iter = max(config.local_iterations, 1)
     np.subtract(params.theta, global_params.theta, out=delta)
     np.copyto(phi, params.phi)
-    return shard_ufm(params, shard), (task / n_iter, unc / n_iter, adv / n_iter)
+    losses[:] = task / n_iter, unc / n_iter, adv / n_iter
+    return shard_ufm(params, shard)
 
 
 def shard_ufm(params: ParameterSet, shard) -> float:
-    """Uncertainty-fairness value of ``params`` evaluated on a shard.
-
-    Non-finite evaluations (a degenerate model) report the UFM upper
-    bound, i.e. maximal group disparity.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, _, _, Zt, _ = forward_batch(params, shard.X)
-        alpha0 = np.add.reduce(evidence_batch(Zt), axis=1)  # .sum's own call
-        if not np.all(np.isfinite(alpha0)):
-            alpha0 = np.where(np.isfinite(alpha0), alpha0, np.finfo(float).max)
-        value = ufm_metric(group_uncertainties(alpha0, shard.s, params.spec.num_groups))
-    return value if math.isfinite(value) else float(params.spec.num_groups)
+    """Uncertainty-fairness value of ``params`` on a shard. A degenerate
+    model, whose total evidence is not finite on some sample, reports the
+    upper bound G (the number of groups), the smallest ``resfl`` weight."""
+    alpha0 = np.add.reduce(model_evidence(params, shard.X), axis=1)  # .sum's own call
+    if not np.all(np.isfinite(alpha0)):
+        return float(params.spec.num_groups)
+    return ufm_metric(group_uncertainties(alpha0, shard.s, params.spec.num_groups))
 
 
 def _weighted_delta_sum(rows, weights):
@@ -189,11 +184,22 @@ def aggregate_resfl(rows, ufms, server_lr: float) -> np.ndarray:
     return _weighted_delta_sum(rows, [server_lr * aggregation_weight(u) for u in ufms])
 
 
+def _l2_norm(row: np.ndarray) -> float:
+    """L2 norm of ``row``; a finite row whose sum of squares overflows is
+    divided by its largest |entry| first, so its norm is finite."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(row))
+    if math.isinf(norm) and np.isfinite(row).all():
+        big = float(np.abs(row).max())
+        norm = big * float(np.linalg.norm(row / big))
+    return norm
+
+
 def apply_dp(delta: np.ndarray, clip: float, noise_scale: float,
              rng: np.random.Generator) -> None:
     """Clip the theta delta row in place to L2 norm ``clip`` (> 0) and add
     N(0, (scale*clip)^2 I) for a ``noise_scale`` >= 0."""
-    norm = float(np.linalg.norm(delta))
+    norm = _l2_norm(delta)
     delta *= min(1.0, clip / norm) if norm > 0 else 1.0
     if noise_scale > 0:
         delta += noise_scale * clip * rng.standard_normal(delta.shape)
@@ -207,14 +213,12 @@ def _nan_if_undefined(metric, conf) -> float:
 
 
 def _evaluate(params: ParameterSet, eval_samples):
-    """Accuracy, per-group accuracies, DI deviation, delta EOP, EOD, and the
-    mean and variance of group uncertainty; all NaN without eval samples."""
+    """Accuracy, per-group accuracies, DI deviation, delta EOP, EOD and the
+    variance of group uncertainty (``RoundRecord``'s order), NaN without samples."""
     if eval_samples is None:
         nan = float("nan")
-        return nan, (), nan, nan, nan, nan, nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, _, _, Zt, _ = forward_batch(params, eval_samples.X)
-        alpha = evidence_batch(Zt)
+        return nan, (), nan, nan, nan, nan
+    alpha = model_evidence(params, eval_samples.X)
     preds = np.argmax(alpha, axis=1)
     acc, acc_g = accuracy_by_group(preds, eval_samples.y, eval_samples.s,
                                    params.spec.num_groups)
@@ -223,7 +227,7 @@ def _evaluate(params: ParameterSet, eval_samples):
     de = _nan_if_undefined(delta_eop, conf)
     eo = _nan_if_undefined(eod, conf)
     us = group_uncertainties(alpha.sum(axis=1), eval_samples.s, params.spec.num_groups)
-    return acc, tuple(acc_g), dd, de, eo, float(np.mean(us)), uncertainty_variance(us)
+    return acc, tuple(acc_g), dd, de, eo, uncertainty_variance(us)
 
 
 def run_experiment(config: FederationConfig, shards, eval_samples,
@@ -245,29 +249,26 @@ def run_experiment(config: FederationConfig, shards, eval_samples,
     ref_norm = 0.0
     records: list[RoundRecord] = []
     for t in range(config.rounds):
-        alive: list[int] = []
-        ufms: list[float] = []
-        losses = []
+        # the round's reports; a dropped client's rows stay NaN
+        ufm = np.full(K, np.nan)
+        losses = np.full((K, 3), np.nan)
         for cid in range(K):
             rng = client_rng(config.seed, cid, t)
             try:
-                ufm, loss = client_round(global_params, phis[cid], shards[cid], config,
-                                         rng, local, grads, deltas[cid])
+                ufm[cid] = client_round(global_params, phis[cid], shards[cid], config,
+                                        rng, local, grads, deltas[cid], losses[cid])
             except FloatingPointError as exc:
                 log.warning("round %d: dropping client %d (%s)", t, cid, exc)
-                continue
-            alive.append(cid)
-            ufms.append(ufm)
-            losses.append(loss)
+        alive = np.flatnonzero(~np.isnan(ufm)).tolist()  # shard_ufm is never NaN
 
         if alive and byzantine is not None and byzantine.client_ids:
             if t == 0:
                 # honest first-round norm, frozen as the reference
                 # magnitude of the Byzantine noise
-                ref_norm = float(np.mean([np.linalg.norm(deltas[k]) for k in alive]))
+                ref_norm = float(np.mean([_l2_norm(deltas[k]) for k in alive]))
             dim = deltas.shape[1]
             std = byzantine.scale * max(ref_norm, 1e-12) / math.sqrt(dim)
-            for i, k in enumerate(alive):
+            for k in alive:
                 if k in byzantine.client_ids and std > 0:
                     arng = np.random.default_rng([config.seed, t, k, 0xBAD])
                     deltas[k] = std * arng.standard_normal(dim)
@@ -276,7 +277,7 @@ def run_experiment(config: FederationConfig, shards, eval_samples,
                     # it is built in the workspace, free after the clients
                     np.add(global_params.theta, deltas[k], out=local.theta)
                     np.copyto(local.phi, phis[k])
-                    ufms[i] = shard_ufm(local, shards[k])
+                    ufm[k] = shard_ufm(local, shards[k])
 
         if config.aggregator == "fedavg_dp":
             for k in alive:
@@ -289,31 +290,13 @@ def run_experiment(config: FederationConfig, shards, eval_samples,
         else:
             # row views, not deltas[alive], which would copy the block
             rows = [deltas[k] for k in alive]
-            delta = aggregate_resfl(rows, ufms, config.server_lr) \
+            delta = aggregate_resfl(rows, ufm[alive], config.server_lr) \
                 if config.aggregator == "resfl" else \
                 aggregate_fedavg(rows, [len(shards[k]) for k in alive])
             # the set is frozen, so the attribute takes no +=
             np.add(global_params.theta, delta, out=global_params.theta)
 
-        ufm_by_client = dict(zip(alive, ufms))
-        acc, acc_g, dd, dep, eo, mean_u, var_u = _evaluate(global_params, eval_samples)
-        mean_losses = [float(np.mean(col)) for col in zip(*losses)] or [float("nan")] * 3
-        records.append(RoundRecord(
-            round=t,
-            accuracy=acc,
-            acc_by_group=acc_g,
-            di_dev=dd,
-            delta_eop=dep,
-            eod=eo,
-            ufm_by_client=ufm_by_client,
-            omega_by_client={c: aggregation_weight(v) for c, v in ufm_by_client.items()},
-            mean_uncertainty=mean_u,
-            uncertainty_var=var_u,
-            loss_task=mean_losses[0],
-            loss_uncertainty=mean_losses[1],
-            loss_adversary=mean_losses[2],
-            dropped_clients=tuple(k for k in range(K) if k not in alive),
-        ))
+        records.append(RoundRecord(t, *_evaluate(global_params, eval_samples), ufm, losses))
         if not alive:
             break
     return global_params, records

@@ -14,7 +14,7 @@ from resfl_sim.attacks import (
 )
 from resfl_sim.datasets import generate_dataset, partition
 from resfl_sim.config import ExperimentConfig
-from resfl_sim.federation import FederationConfig, run_experiment
+from resfl_sim.federation import FederationConfig, initial_params, run_experiment
 from resfl_sim.network import NetworkSpec
 from oracles import synth_spec
 from probe import probe_accuracy
@@ -114,6 +114,14 @@ class TestMia:
         with pytest.raises(ValueError):
             mia_run(target, data[:5], data[:0], 0.5)
 
+    def test_degenerate_target_scores_nan(self):
+        # evidence (inf, 1) has no finite Dirichlet mean, so no confidence
+        data = small_dataset()
+        target = initial_params(net8(), 0)
+        target.task_head[1][:] = (np.inf, -np.inf)
+        report = mia_run(target, data[:10], data[10:20], 0.5)
+        assert np.isnan(report.score)
+
     def test_small_shadow_pool_rejected(self):
         data = small_dataset()
         with pytest.raises(ValueError):
@@ -144,6 +152,14 @@ class TestAia:
         before = params.copy()
         aia_run(params, data, num_groups=4, seed=0, trials=5)
         np.testing.assert_array_equal(params.flat, before.flat)
+
+    def test_degenerate_model_scores_nan(self):
+        # the probe step's loss overflows and raises FloatingPointError
+        data = small_dataset()
+        params = initial_params(net8(), 0)
+        params.theta[:] = 1e300
+        report = aia_run(params, data, num_groups=4, seed=0, trials=5)
+        assert np.isnan(report.score) and report.auxiliary == {"trials": 5}
 
     def test_missing_group_rejected(self):
         data = small_dataset()

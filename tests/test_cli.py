@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from resfl_sim import cli
+from resfl_sim import cli, federation
 from resfl_sim.cli import main
 from resfl_sim.config import load_config
 from resfl_sim.federation import apply_dp, initial_params, run_experiment
@@ -104,6 +104,31 @@ INVALID = {
     "eta = inf": ("eta = 0.01", "eta = inf"),
     "dp_epsilon = inf": ("eta = 0.01", "eta = 0.01\ndp_epsilon = inf"),
 }
+
+
+# the NumPy-only CI step's tiny config (every algorithm, the default
+# network), made degenerate by one local step of size 1e150
+DEGENERATE = """\
+[experiment]
+seeds = 1
+algorithms = fedavg, fedavg_dp, resfl
+
+[data]
+samples_per_group = 60, 50, 40, 30
+
+[federation]
+num_clients = 2
+rounds = 2
+local_iterations = 1
+eta = 1e150
+
+[attack]
+mia_overfit_steps = 20
+aia_trials = 5
+
+[sweep]
+rows = 0.1,0.01
+"""
 
 
 @pytest.fixture
@@ -202,6 +227,47 @@ class TestRun:
         rows = (out / "metrics.csv").read_text().strip().splitlines()[1:]
         assert [r.split(",")[:3] for r in rows] == [["fedavg", "1", "0"],
                                                     ["fedavg", "1", "1"]]
+
+    def test_ufm_mean_averages_only_the_reporting_clients(self, tmp_path, monkeypatch):
+        # client 1 drops in round 1 of a 4-client run, so that round's
+        # ufm_mean is the mean of the other three clients' reports
+        cfg = tmp_path / "drop.cfg"
+        cfg.write_text(TINY.replace("seeds = 1, 2", "seeds = 1")
+                       .replace("algorithms = fedavg, resfl", "algorithms = resfl")
+                       .replace("rounds = 2", "rounds = 2\nnum_clients = 4"))
+        original, ufms = federation.client_round, []  # one entry per client round
+
+        def dropping(*args):
+            if len(ufms) == 5:
+                ufms.append(None)
+                raise FloatingPointError("client 1 drops in round 1")
+            ufms.append(original(*args))
+            return ufms[-1]
+
+        monkeypatch.setattr(federation, "client_round", dropping)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "metrics.csv").read_text().strip().splitlines()[1:]
+        ufm_mean = [row.split(",")[-2] for row in rows]
+        assert ufm_mean == [f"{np.mean(ufms[:4]):.6f}",
+                            f"{np.mean([ufms[4], *ufms[6:]]):.6f}"]
+
+    def test_degenerate_model_runs_to_the_end(self, tmp_path):
+        # one local step of size 1e150 leaves a huge finite model whose
+        # evidence overflows and whose update's squared norm overflows:
+        # every command exits 0 without a NumPy warning (RuntimeWarnings
+        # are errors in Tier-1), the model's UFM is the upper bound G = 4,
+        # and the attacks that probe it score NaN
+        cfg = tmp_path / "degenerate.cfg"
+        cfg.write_text(DEGENERATE)
+        for command in ("run", "sweep", "attack"):
+            assert main([command, "--config", str(cfg),
+                         "--out", str(tmp_path / command)]) == 0, command
+        rows = [row.split(",") for row in
+                (tmp_path / "run" / "metrics.csv").read_text().splitlines()[1:]]
+        assert [r[-2] for r in rows if r[2] == "0"] == ["4.000000"] * 3
+        sweep = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+        assert sweep[1].split(",")[-2:] == ["nan", "nan"]
 
     def test_env_var_out_dir(self, cfg_path, tmp_path, monkeypatch):
         env_out = tmp_path / "env_out"

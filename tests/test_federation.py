@@ -56,12 +56,13 @@ def workspace(spec):
 
 
 def train(global_params, shard, cfg, rng, work=None, phi=None):
-    """One client_round into fresh delta and phi rows (phi starts as the
-    global head unless given); returns (delta, phi, ufm, losses)."""
+    """One client_round into fresh delta, phi and loss rows (phi starts
+    as the global head unless given); returns (delta, phi, ufm, losses)."""
     delta = np.full(global_params.spec.theta_size, np.nan)
     phi = (global_params.phi if phi is None else phi).copy()
+    losses = np.full(3, np.nan)
     work = workspace(global_params.spec) if work is None else work
-    ufm, losses = client_round(global_params, phi, shard, cfg, rng, *work, delta)
+    ufm = client_round(global_params, phi, shard, cfg, rng, *work, delta, losses)
     return delta, phi, ufm, losses
 
 
@@ -108,37 +109,53 @@ class TestClientRound:
         np.testing.assert_array_equal(phi, manual.phi)
 
     def test_writes_only_its_own_rows(self):
-        # the client's delta and phi rows of a (K, .) block change; the
-        # other rows and the global model do not
+        # the client's delta, phi and loss rows of a (K, .) block change;
+        # the other rows and the global model do not
         cfg = tiny_config()
         spec = self.params.spec
         deltas = np.full((3, spec.theta_size), 7.0)
         phis = np.tile(self.params.phi, (3, 1))
-        before = (self.params.flat.copy(), deltas.copy(), phis.copy())
-        ufm, losses = client_round(self.params, phis[1], self.shards[0], cfg,
-                                   client_rng(0, 0, 0), *workspace(spec), deltas[1])
+        losses = np.full((3, 3), 7.0)
+        before = (self.params.flat.copy(), deltas.copy(), phis.copy(), losses.copy())
+        ufm = client_round(self.params, phis[1], self.shards[0], cfg,
+                           client_rng(0, 0, 0), *workspace(spec), deltas[1], losses[1])
         delta, phi, ufm_ref, losses_ref = train(self.params, self.shards[0], cfg,
                                                 client_rng(0, 0, 0))
         np.testing.assert_array_equal(deltas[1], delta)
         np.testing.assert_array_equal(phis[1], phi)
-        assert (ufm, losses) == (ufm_ref, losses_ref)
+        np.testing.assert_array_equal(losses[1], losses_ref)
+        assert ufm == ufm_ref
         np.testing.assert_array_equal(self.params.flat, before[0])
-        for block, b in ((deltas, before[1]), (phis, before[2])):
+        for block, b in zip((deltas, phis, losses), before[1:]):
             np.testing.assert_array_equal(block[[0, 2]], b[[0, 2]])
+
+    def test_loss_row_is_the_mean_of_the_step_losses(self):
+        cfg = tiny_config(local_iterations=2)
+        shard = self.shards[0]
+        _, _, _, losses = train(self.params, shard, cfg, client_rng(0, 0, 0))
+        rng, manual = client_rng(0, 0, 0), self.params.copy()
+        terms = []
+        for _ in range(2):
+            batch = shard[rng.choice(len(shard), size=cfg.batch_size, replace=False)]
+            t = local_train_step(manual, ParameterSet.zeros(manual.spec), batch.X, batch.y,
+                                 batch.s, cfg.eta, cfg.eta_phi, cfg.lambda1, cfg.lambda_adv)
+            terms.append((t.task, t.uncertainty, t.adversary))
+        np.testing.assert_allclose(losses, np.mean(terms, axis=0), rtol=1e-14)
 
     def test_client_diverging_after_its_first_step_leaves_inputs_untouched(self):
         # eta = 1e300 gives a finite first step and a non-finite second one
         shard = self.shards[0]
         phi = self.params.phi + 0.5
         delta = np.full(self.params.spec.theta_size, 7.0)
-        before = (self.params.flat.copy(), phi.copy(), delta.copy())
+        losses = np.full(3, 7.0)
+        before = (self.params.flat.copy(), phi.copy(), delta.copy(), losses.copy())
         with np.errstate(over="ignore", invalid="ignore"):
             train(self.params, shard, tiny_config(local_iterations=1, eta=1e300),
                   client_rng(0, 0, 0), phi=phi)
         with pytest.raises(FloatingPointError):
             client_round(self.params, phi, shard, tiny_config(local_iterations=3, eta=1e300),
-                         client_rng(0, 0, 0), *workspace(self.params.spec), delta)
-        after = (self.params.flat, phi, delta)
+                         client_rng(0, 0, 0), *workspace(self.params.spec), delta, losses)
+        after = (self.params.flat, phi, delta, losses)
         for b, a in zip(before, after):
             np.testing.assert_array_equal(a, b)
 
@@ -146,7 +163,8 @@ class TestClientRound:
         (delta_a, phi_a, ufm_a, loss_a), (delta_b, phi_b, ufm_b, loss_b) = a, b
         np.testing.assert_array_equal(delta_a, delta_b)
         np.testing.assert_array_equal(phi_a, phi_b)
-        assert (ufm_a, loss_a) == (ufm_b, loss_b)
+        np.testing.assert_array_equal(loss_a, loss_b)
+        assert ufm_a == ufm_b
 
     def test_workspace_reused_after_a_client_diverges_mid_round(self):
         spec = self.params.spec
@@ -157,7 +175,8 @@ class TestClientRound:
         with pytest.raises(FloatingPointError):
             client_round(self.params, phi_a, self.shards[0],
                          tiny_config(local_iterations=3, eta=1e300),
-                         client_rng(0, 0, 0), *work, np.empty(spec.theta_size))
+                         client_rng(0, 0, 0), *work, np.empty(spec.theta_size),
+                         np.empty(3))
         np.testing.assert_array_equal(phi_a, phi_a_before)
         assert not np.array_equal(segment_view(work[0], "theta_f"),
                                   segment_view(self.params, "theta_f"))  # left stepped
@@ -187,6 +206,15 @@ class TestClientRound:
         v = shard_ufm(bad, self.shards[0])
         assert math.isfinite(v)
         assert 0.0 <= v <= self.params.spec.num_groups
+
+    @pytest.mark.parametrize("bias", [(np.inf, np.inf), (np.inf, -np.inf),
+                                      (np.nan, np.nan)])
+    def test_shard_ufm_of_non_finite_evidence_is_the_upper_bound(self, bias):
+        # a degenerate model reports maximal disparity, the smallest resfl
+        # weight, not UFM 0 and the largest
+        bad = self.params.copy()
+        bad.task_head[1][:] = bias
+        assert shard_ufm(bad, self.shards[0]) == float(NET.num_groups)
 
 
 class TestAggregators:
@@ -263,6 +291,12 @@ class TestApplyDp:
         apply_dp(b, 1.0, 0.3, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
 
+    def test_row_whose_squared_norm_overflows_is_clipped_not_zeroed(self):
+        delta = np.full(10, 1e160)
+        apply_dp(delta, clip=1.0, noise_scale=0.0, rng=np.random.default_rng(0))
+        assert np.linalg.norm(delta) == pytest.approx(1.0, rel=1e-12)
+        np.testing.assert_allclose(delta, 10 ** -0.5, rtol=1e-12)
+
     def test_row_of_a_block_changes_alone(self):
         block = np.arange(12.0).reshape(3, 4)
         before = block.copy()
@@ -290,7 +324,8 @@ class TestRunExperiment:
         pb, rb = run_experiment(cfg, shards, data, NET)
         np.testing.assert_array_equal(pa.flat, pb.flat)
         assert [r.accuracy for r in ra] == [r.accuracy for r in rb]
-        assert ra[-1].ufm_by_client == rb[-1].ufm_by_client
+        np.testing.assert_array_equal(ra[-1].ufm, rb[-1].ufm)
+        np.testing.assert_array_equal(ra[-1].losses, rb[-1].losses)
 
     def test_single_client_fedavg_replays_centralized_sgd(self):
         data, _ = tiny_data()
@@ -303,13 +338,13 @@ class TestRunExperiment:
         delta, _, _, _ = train(start, data, cfg, client_rng(0, 0, 0))
         np.testing.assert_array_equal(params.theta, start.theta + delta)
 
-    def test_round_records_report_weights(self):
+    def test_round_records_hold_a_row_per_client(self):
         data, shards = tiny_data()
         _, records = run_experiment(tiny_config(), shards, data, NET)
         for r in records:
-            assert set(r.ufm_by_client) == {0, 1}
-            for cid, v in r.ufm_by_client.items():
-                assert r.omega_by_client[cid] == pytest.approx(1.0 / (1.0 + v))
+            assert r.ufm.shape == (2,) and r.losses.shape == (2, 3)
+            assert np.all(np.isfinite(r.ufm)) and np.all(np.isfinite(r.losses))
+            assert np.all((0.0 <= r.ufm) & (r.ufm <= NET.num_groups))
 
     def test_shard_count_mismatch_rejected(self):
         data, shards = tiny_data()
@@ -322,9 +357,7 @@ class TestRunExperiment:
         params, recs = run_experiment(cfg, shards, data, NET)
         assert len(recs) < cfg.rounds
         last = recs[-1]
-        assert last.dropped_clients == (0, 1)
-        assert last.ufm_by_client == {} and last.omega_by_client == {}
-        assert math.isnan(last.loss_task) and math.isnan(last.loss_adversary)
+        assert np.all(np.isnan(last.ufm)) and np.all(np.isnan(last.losses))
         assert 0.0 <= last.accuracy <= 1.0
         assert np.all(np.isfinite(params.flat))
         _, no_eval = run_experiment(cfg, shards, None, NET)
@@ -346,12 +379,14 @@ class TestRunExperiment:
 
         monkeypatch.setattr(federation, "client_round", recording)
         params, (rec,) = run_experiment(cfg, shards, data, NET)
-        assert rec.dropped_clients == (0,)
-        assert set(rec.ufm_by_client) == {1}
         start = initial_params(NET, 0)
         np.testing.assert_array_equal(phi_rows[0], start.phi)
-        delta, _, _, _ = train(start, shards[1], cfg, client_rng(0, 1, 0))
+        delta, _, ufm, losses = train(start, shards[1], cfg, client_rng(0, 1, 0))
         np.testing.assert_array_equal(params.theta, start.theta + delta)
+        # the dropped client's rows are NaN, the reporting client's its report
+        assert math.isnan(rec.ufm[0]) and rec.ufm[1] == ufm
+        assert np.all(np.isnan(rec.losses[0]))
+        np.testing.assert_array_equal(rec.losses[1], losses)
 
     def test_byzantine_empty_or_zero_scale_is_clean(self):
         data, shards = tiny_data()
@@ -372,7 +407,7 @@ class TestRunExperiment:
                                    byzantine=ByzantineSpec(client_ids=(0,), scale=5.0))
         assert not np.array_equal(segment_view(clean, "theta_f"),
                                   segment_view(hit, "theta_f"))
-        assert all(math.isfinite(r.ufm_by_client[0]) for r in recs)
+        assert all(math.isfinite(r.ufm[0]) for r in recs)
 
     def test_fedavg_dp_runs_and_differs_from_fedavg(self):
         data, shards = tiny_data()
