@@ -9,22 +9,12 @@ simultaneously descends the task objective and ascends the adversary's.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .evidential import evidential_terms_batch
 from .network import ParameterSet, backward_batch, forward_batch, sgd_step
 
 PROB_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class CompositeLossTerms:
-    task: float
-    uncertainty: float
-    adversary: float
 
 
 def softmax(Z: np.ndarray) -> np.ndarray:
@@ -41,14 +31,16 @@ def composite_gradients(
     lambda1: float,
     lambda_adv: float,
     grads: ParameterSet,
-) -> tuple[ParameterSet, CompositeLossTerms]:
+) -> np.ndarray:
     """Batch-mean gradients of the composite local loss, written into
-    ``grads``. ``X`` is a 2-D float array, ``y`` and ``s`` int arrays.
+    ``grads``; returns the step's (3,) loss row, the batch means of the
+    task, uncertainty and adversary losses. ``X`` is a 2-D float array,
+    ``y`` and ``s`` int arrays.
 
     theta_f receives the task+uncertainty backprop plus the reversed
     adversary contribution; theta_e only task+uncertainty; phi only the
-    unreversed adversary cross-entropy gradient. Raises
-    FloatingPointError if a loss or a gradient is not finite.
+    unreversed adversary cross-entropy gradient. Nothing is checked for
+    finiteness here: the caller checks what the steps leave.
     """
     n = X.shape[0]
     _, _, H, Zt, Za = forward_batch(params, X)
@@ -61,18 +53,9 @@ def composite_gradients(
 
     up_task = (dnll + lambda1 * dreg) / n
     up_adv = P / n
-    grads = backward_batch(params, X, up_task, up_adv, lambda_adv, grads)
-
-    terms = CompositeLossTerms(  # np.mean's sums and division, without its wrapper
-        task=float(np.add.reduce(nll) / n),
-        uncertainty=float(np.add.reduce(reg) / n),
-        adversary=float(np.add.reduce(adv) / n),
-    )
-    # one check for the step; a non-finite upstream shows in the bias sums
-    if not (math.isfinite(terms.task) and math.isfinite(terms.uncertainty)
-            and math.isfinite(terms.adversary) and np.isfinite(grads.flat).all()):
-        raise FloatingPointError("non-finite loss or gradient")
-    return grads, terms
+    backward_batch(params, X, up_task, up_adv, lambda_adv, grads)
+    # np.mean's sums and division, without its wrapper
+    return np.array((np.add.reduce(nll), np.add.reduce(reg), np.add.reduce(adv))) / n
 
 
 def local_train_step(
@@ -85,18 +68,18 @@ def local_train_step(
     eta_phi: float,
     lambda1: float,
     lambda_adv: float,
-) -> CompositeLossTerms:
+) -> np.ndarray:
     """One SGD step on a batch, applied to ``params`` in place: theta
     descends the composite loss under the reversal convention while phi
     descends the adversary loss. ``grads`` receives the step's gradients,
-    so a caller stepping many times allocates it once.
+    so a caller stepping many times allocates it once. Returns the step's
+    loss row (:func:`composite_gradients`).
 
     The theta update folds lambda_adv into the adversary upstream, so
     phi's effective rate for the cross-entropy is eta_phi.
-    On FloatingPointError ``params`` is left as it was before the step.
     """
-    _, terms = composite_gradients(params, X, y, s, lambda1, lambda_adv, grads)
+    losses = composite_gradients(params, X, y, s, lambda1, lambda_adv, grads)
     # backward_batch scales the phi gradient by 1, not lambda_adv; the
     # feature-extractor reversal already carries the lambda_adv factor.
     sgd_step(params, grads, eta, eta_phi)
-    return terms
+    return losses

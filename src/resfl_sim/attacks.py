@@ -100,7 +100,7 @@ def aia_run(global_params: ParameterSet, dataset, num_groups: int, seed: int,
     Builds a one-step update signature per group from group-pure probe
     batches, then classifies fresh group-pure updates by nearest
     signature in L2. Score is the fraction of correct inferences, NaN
-    when a probe step raises FloatingPointError (a degenerate model).
+    when a probe step's losses or delta are not finite (a degenerate model).
     """
     by_group = {g: dataset[dataset.s == g] for g in range(num_groups)}
     if any(not v for v in by_group.values()):
@@ -111,16 +111,19 @@ def aia_run(global_params: ParameterSet, dataset, num_groups: int, seed: int,
 
     def one_step_delta(batch):
         np.copyto(new.flat, global_params.flat)
-        local_train_step(new, grads, batch.X, batch.y, batch.s,
-                         0.05, 0.05, LAMBDA1, 0.0)
-        return new.theta - global_params.theta
+        losses = local_train_step(new, grads, batch.X, batch.y, batch.s,
+                                  0.05, 0.05, LAMBDA1, 0.0)
+        delta = new.theta - global_params.theta
+        if not (np.isfinite(losses).all() and np.isfinite(delta).all()):
+            raise FloatingPointError("non-finite probe step")
+        return delta
 
     def pure_batch(g):
         pool = by_group[g]
         return pool[rng.integers(0, len(pool), size=min(32, len(pool)))]
 
     correct = 0
-    # as in client_round, a step's FloatingPointError reports an overflow
+    # as in client_round, the probe's finiteness check reports an overflow
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             signatures = {g: one_step_delta(pure_batch(g)) for g in range(num_groups)}

@@ -194,7 +194,8 @@ class ExperimentConfig:
             ("eta_phi", self.eta_phi, "> 0", self.eta_phi is None or self.eta_phi > 0),
             ("lambda1", self.lambda1, ">= 0", self.lambda1 >= 0),
             ("lambda_adv", self.lambda_adv, ">= 0", self.lambda_adv >= 0),
-            ("dp_epsilon", self.dp_epsilon, "> 0", self.dp_epsilon > 0),
+            # the Gaussian mechanism's sigma holds for epsilon < 1 only
+            ("dp_epsilon", self.dp_epsilon, "in (0, 1)", 0.0 < self.dp_epsilon < 1.0),
             ("dp_clip", self.dp_clip, "> 0", self.dp_clip > 0),
             ("server_lr", self.server_lr, "> 0",
              self.server_lr is None or self.server_lr > 0),

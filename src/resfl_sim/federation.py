@@ -118,15 +118,17 @@ def client_round(global_params: ParameterSet, phi: np.ndarray, shard,
     its contents on entry are never read. After the last step the theta
     delta (theta_f then theta_e) is written into ``delta``, the new
     adversary head into ``phi`` and the mean task, uncertainty and
-    adversary losses into ``losses``, the client's rows; a client that
-    raises leaves all three as they were. phi persists client-side; only
-    theta deltas travel to the server.
+    adversary losses into ``losses``, the client's rows. A client whose
+    summed step losses or stepped model are not finite has nothing usable
+    to report: it raises FloatingPointError and leaves all three rows as
+    they were. phi persists client-side; only theta deltas travel to the
+    server.
     """
     if not shard:
         raise ValueError("empty shard")
     np.copyto(params.theta, global_params.theta)
     np.copyto(params.phi, phi)
-    task = unc = adv = 0.0
+    total = np.zeros(3)
     # a diverging client overflows on its way to the FloatingPointError
     # that drops it; the explicit finiteness check reports it, not NumPy
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -134,16 +136,16 @@ def client_round(global_params: ParameterSet, phi: np.ndarray, shard,
             idx = rng.choice(len(shard), size=min(config.batch_size, len(shard)),
                              replace=False)
             batch = shard[idx]
-            terms = local_train_step(
+            total += local_train_step(
                 params, grads, batch.X, batch.y, batch.s,
                 config.eta, config.eta_phi, config.lambda1, config.lambda_adv)
-            task += terms.task
-            unc += terms.uncertainty
-            adv += terms.adversary
-    n_iter = max(config.local_iterations, 1)
+    # the one check of the round: a non-finite loss or gradient of any
+    # step shows in the summed losses or the stepped model
+    if not (np.isfinite(total).all() and np.isfinite(params.flat).all()):
+        raise FloatingPointError("non-finite loss or model")
     np.subtract(params.theta, global_params.theta, out=delta)
     np.copyto(phi, params.phi)
-    losses[:] = task / n_iter, unc / n_iter, adv / n_iter
+    np.divide(total, max(config.local_iterations, 1), out=losses)
     return shard_ufm(params, shard)
 
 
@@ -214,11 +216,15 @@ def _nan_if_undefined(metric, conf) -> float:
 
 def _evaluate(params: ParameterSet, eval_samples):
     """Accuracy, per-group accuracies, DI deviation, delta EOP, EOD and the
-    variance of group uncertainty (``RoundRecord``'s order), NaN without samples."""
+    variance of group uncertainty (``RoundRecord``'s order), NaN without
+    samples. A model whose evidence is not finite on some sample has no
+    prediction (argmax would read NaN as class 0), so all of them are NaN."""
+    nan = float("nan")
     if eval_samples is None:
-        nan = float("nan")
         return nan, (), nan, nan, nan, nan
     alpha = model_evidence(params, eval_samples.X)
+    if not np.isfinite(alpha).all():
+        return nan, (nan,) * params.spec.num_groups, nan, nan, nan, nan
     preds = np.argmax(alpha, axis=1)
     acc, acc_g = accuracy_by_group(preds, eval_samples.y, eval_samples.s,
                                    params.spec.num_groups)

@@ -142,8 +142,8 @@ def backward_batch(
     float arrays of widths ``num_classes`` and ``num_groups``.
 
     The upstream is not checked for finiteness: a non-finite entry makes
-    its column's bias-gradient sum non-finite, which the caller's check
-    of the gradients catches.
+    its column's bias-gradient sum, and so the stepped model, non-finite,
+    which the caller's check of the model catches.
     """
     acts, pres, H, _, _ = forward_batch(params, X)
     We, _ = params.task_head

@@ -101,18 +101,17 @@ class TestCriterion1GradientCheck:
             s = rng.integers(0, spec.num_groups, size=n)
             lam1 = float(rng.uniform(0.0, 1.0))
             lam_adv = float(rng.uniform(0.0, 2.0))
-            grads, _ = composite_gradients(params, X, y, s, lam1, lam_adv,
-                                           ParameterSet.zeros(spec))
+            grads = ParameterSet.zeros(spec)
+            composite_gradients(params, X, y, s, lam1, lam_adv, grads)
 
             def scalar(p, which):
-                _, terms = composite_gradients(p, X, y, s, lam1, lam_adv,
-                                               ParameterSet.zeros(spec))
+                task, unc, adv = composite_gradients(p, X, y, s, lam1, lam_adv,
+                                                     ParameterSet.zeros(spec))
                 if which == "theta_f":
-                    return terms.task + lam1 * terms.uncertainty \
-                        - lam_adv * terms.adversary
+                    return task + lam1 * unc - lam_adv * adv
                 if which == "theta_e":
-                    return terms.task + lam1 * terms.uncertainty
-                return terms.adversary
+                    return task + lam1 * unc
+                return adv
 
             for segment in ("theta_f", "theta_e", "phi"):
                 vec = segment_view(params, segment)

@@ -65,6 +65,8 @@ INVALID = {
     "num_clients = 0": ("rounds = 2", "rounds = 2\nnum_clients = 0"),
     "dp_clip = 0": ("eta = 0.01", "eta = 0.01\ndp_clip = 0"),
     "dp_epsilon = 0": ("eta = 0.01", "eta = 0.01\ndp_epsilon = 0"),
+    # the Gaussian mechanism's noise scale holds for epsilon < 1 only
+    "dp_epsilon = 1": ("eta = 0.01", "eta = 0.01\ndp_epsilon = 1"),
     "rows = -1,0.5": ("[attack]", "[sweep]\nrows = -1,0.5\n\n[attack]"),
     "rows = 0.1,-1": ("[attack]", "[sweep]\nrows = 0.1,-1\n\n[attack]"),
     # one pair, written two ways
@@ -252,20 +254,27 @@ class TestRun:
         assert ufm_mean == [f"{np.mean(ufms[:4]):.6f}",
                             f"{np.mean([ufms[4], *ufms[6:]]):.6f}"]
 
-    def test_degenerate_model_runs_to_the_end(self, tmp_path):
+    @pytest.mark.parametrize("eta", ["1e150", "1e300"])
+    def test_degenerate_model_runs_to_the_end(self, tmp_path, eta):
         # one local step of size 1e150 leaves a huge finite model whose
-        # evidence overflows and whose update's squared norm overflows:
-        # every command exits 0 without a NumPy warning (RuntimeWarnings
-        # are errors in Tier-1), the model's UFM is the upper bound G = 4,
-        # and the attacks that probe it score NaN
+        # evidence overflows and whose update's squared norm overflows; at
+        # 1e300 the second round's step also overflows the fedavg_dp model
+        # itself, which drops its clients. Every command exits 0 without a
+        # NumPy warning (RuntimeWarnings are errors in Tier-1), the model's
+        # UFM is the upper bound G = 4, the fedavg and resfl models, which
+        # have no prediction, score NaN (not class 0's share), and the
+        # attacks that probe them score NaN
         cfg = tmp_path / "degenerate.cfg"
-        cfg.write_text(DEGENERATE)
+        cfg.write_text(DEGENERATE.replace("eta = 1e150", f"eta = {eta}"))
         for command in ("run", "sweep", "attack"):
             assert main([command, "--config", str(cfg),
                          "--out", str(tmp_path / command)]) == 0, command
         rows = [row.split(",") for row in
                 (tmp_path / "run" / "metrics.csv").read_text().splitlines()[1:]]
         assert [r[-2] for r in rows if r[2] == "0"] == ["4.000000"] * 3
+        # accuracy, the four group accuracies, di_dev, delta_eop and eod
+        assert [r[3:11] for r in rows if r[0] != "fedavg_dp" and r[2] == "0"] \
+            == [["nan"] * 8] * 2
         sweep = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
         assert sweep[1].split(",")[-2:] == ["nan", "nan"]
 

@@ -211,7 +211,7 @@ class TestErrors:
     @pytest.mark.parametrize("field, value", [
         ("eta_phi", 0.0), ("eta_phi", -0.1), ("lambda1", -1.0), ("lambda_adv", -0.01),
         # checked whatever the algorithms; apply_dp trusts them
-        ("dp_epsilon", 0.0), ("dp_clip", -1.0)])
+        ("dp_epsilon", 0.0), ("dp_epsilon", 1.0), ("dp_clip", -1.0)])
     def test_rates_and_weights_rejected(self, field, value):
         with pytest.raises(ConfigError, match=rf"\[federation\] {field} must be"):
             ExperimentConfig(seeds=(1,), **{field: value})

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from oracles import segment_view, synth_spec
-from resfl_sim import fairness, federation, network
+from resfl_sim import adversarial, fairness, federation, network
 from resfl_sim.config import ExperimentConfig
 from resfl_sim.datasets import generate_dataset, partition
 from resfl_sim.adversarial import local_train_step
+from resfl_sim.evidential import evidential_terms_batch
 from resfl_sim.federation import (
     ByzantineSpec,
     FederationConfig,
@@ -24,7 +25,7 @@ from resfl_sim.federation import (
     run_experiment,
     shard_ufm,
 )
-from resfl_sim.network import NetworkSpec, ParameterSet, init_params
+from resfl_sim.network import NetworkSpec, ParameterSet, backward_batch, init_params
 
 
 # the network tiny_data's shards train
@@ -134,13 +135,69 @@ class TestClientRound:
         shard = self.shards[0]
         _, _, _, losses = train(self.params, shard, cfg, client_rng(0, 0, 0))
         rng, manual = client_rng(0, 0, 0), self.params.copy()
-        terms = []
+        rows = []
         for _ in range(2):
             batch = shard[rng.choice(len(shard), size=cfg.batch_size, replace=False)]
-            t = local_train_step(manual, ParameterSet.zeros(manual.spec), batch.X, batch.y,
-                                 batch.s, cfg.eta, cfg.eta_phi, cfg.lambda1, cfg.lambda_adv)
-            terms.append((t.task, t.uncertainty, t.adversary))
-        np.testing.assert_allclose(losses, np.mean(terms, axis=0), rtol=1e-14)
+            rows.append(local_train_step(
+                manual, ParameterSet.zeros(manual.spec), batch.X, batch.y, batch.s,
+                cfg.eta, cfg.eta_phi, cfg.lambda1, cfg.lambda_adv))
+        np.testing.assert_allclose(losses, np.mean(rows, axis=0), rtol=1e-14)
+
+    @pytest.mark.parametrize("cause", [
+        "non_finite_loss", "non_finite_upstream", "non_finite_gradient",
+        "parameter_overflow"])
+    def test_dropped_client_raises_and_leaves_its_rows(self, cause, monkeypatch):
+        # client_round's one check after the last step catches every cause
+        params = self.params.copy()
+        cfg = getattr(self, cause)(monkeypatch, params)
+        phi = params.phi + 0.5
+        delta, losses = np.full(NET.theta_size, 7.0), np.full(3, 7.0)
+        before = (params.flat.copy(), phi.copy(), delta.copy(), losses.copy())
+        with pytest.raises(FloatingPointError):
+            client_round(params, phi, self.shards[0], cfg, client_rng(0, 0, 0),
+                         *workspace(NET), delta, losses)
+        for b, a in zip(before, (params.flat, phi, delta, losses)):
+            np.testing.assert_array_equal(a, b)
+
+    @staticmethod
+    def non_finite_loss(monkeypatch, params):
+        # one sample's task loss is NaN; the gradients and model stay finite
+        def terms(Z, y):
+            nll, reg, dnll, dreg = evidential_terms_batch(Z, y)
+            nll[0] = np.nan
+            return nll, reg, dnll, dreg
+
+        monkeypatch.setattr(adversarial, "evidential_terms_batch", terms)
+        return tiny_config()
+
+    @staticmethod
+    def non_finite_upstream(monkeypatch, params):
+        # backward_batch leaves its upstream unchecked: an inf in it makes
+        # the gradient, and so the stepped model, non-finite
+        def terms(Z, y):
+            nll, reg, dnll, dreg = evidential_terms_batch(Z, y)
+            dnll[0, 0] = np.inf
+            return nll, reg, dnll, dreg
+
+        monkeypatch.setattr(adversarial, "evidential_terms_batch", terms)
+        return tiny_config()
+
+    @staticmethod
+    def non_finite_gradient(monkeypatch, params):
+        def backward(*args):
+            grads = backward_batch(*args)
+            segment_view(grads, "theta_e")[0] = np.nan
+            return grads
+
+        monkeypatch.setattr(adversarial, "backward_batch", backward)
+        return tiny_config()
+
+    @staticmethod
+    def parameter_overflow(monkeypatch, params):
+        # finite losses and gradients, but features large enough that one
+        # adversary-head step at rate 1e308 overflows phi to inf
+        params.layers[0][0][:] *= 10
+        return tiny_config(local_iterations=1, eta_phi=1e308)
 
     def test_client_diverging_after_its_first_step_leaves_inputs_untouched(self):
         # eta = 1e300 gives a finite first step and a non-finite second one
@@ -413,7 +470,7 @@ class TestRunExperiment:
         data, shards = tiny_data()
         plain, _ = run_experiment(tiny_config(aggregator="fedavg"), shards, data, NET)
         noisy, _ = run_experiment(
-            tiny_config(aggregator="fedavg_dp", dp_epsilon=1.0, dp_clip=1.0),
+            tiny_config(aggregator="fedavg_dp", dp_epsilon=0.5, dp_clip=1.0),
             shards, data, NET)
         assert not np.array_equal(segment_view(plain, "theta_f"),
                                   segment_view(noisy, "theta_f"))
