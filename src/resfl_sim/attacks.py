@@ -15,19 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversarial import local_train_step
+from .config import ExperimentConfig
 from .datasets import poison
 from .evidential import model_evidence
-from .federation import ByzantineSpec, FederationConfig, RoundRecord, run_experiment
-from .network import NetworkSpec, ParameterSet
-
-ATTACK_KINDS = ("mia", "aia", "byzantine", "poisoning")
+from .federation import ByzantineSpec, RoundRecord, run_experiment
+from .network import ParameterSet
 
 LAMBDA1 = 0.1  # evidential regulariser weight of the MIA models and AIA probes
 
 
 @dataclass(frozen=True)
 class AttackReport:
-    attack_kind: str
     score: float
     auxiliary: dict[str, float]
 
@@ -52,24 +50,24 @@ def _best_threshold(member_conf: np.ndarray, nonmember_conf: np.ndarray) -> floa
     return float(candidates[np.argmax(0.5 * (tpr + tnr))])
 
 
-def mia_threshold(config: FederationConfig, network: NetworkSpec, member_count: int,
+def mia_threshold(config: ExperimentConfig, seed: int, member_count: int,
                   shadow_pool) -> float:
     """Confidence threshold of shadow-model membership inference.
 
     A shadow model is trained on a slice of the shadow pool matching the
     target's training-set size (capped at half the pool), so its
     member/non-member confidence gap mimics the target's. It is the
-    1-client ``run_experiment`` cell of ``config``, trained as the
-    targets are. The threshold sees only the shadow model, so it serves
-    every such target.
+    1-client ``fedavg`` cell ``(config, seed)``, trained as the targets
+    are. The threshold sees only the shadow model, so it serves every
+    such target.
     """
     if member_count < 1 or len(shadow_pool) < 4:
         raise ValueError("member_count must be >= 1 and the shadow pool >= 4 samples")
     shadow_size = min(member_count, len(shadow_pool) // 2)
-    order = np.random.default_rng([config.seed, 0x314]).permutation(len(shadow_pool))
+    order = np.random.default_rng([seed, 0x314]).permutation(len(shadow_pool))
     shadow_members = shadow_pool[order[:shadow_size]]
     shadow_nonmembers = shadow_pool[order[shadow_size:]]
-    shadow_model, _ = run_experiment(config, [shadow_members], None, network=network)
+    shadow_model, _ = run_experiment(config, "fedavg", seed, [shadow_members], None)
     return _best_threshold(_confidences(shadow_model, shadow_members),
                            _confidences(shadow_model, shadow_nonmembers))
 
@@ -84,27 +82,29 @@ def mia_run(target_params: ParameterSet, member_pool, nonmember_pool,
     m_conf = _confidences(target_params, member_pool)
     n_conf = _confidences(target_params, nonmember_pool)
     if not (np.isfinite(m_conf).all() and np.isfinite(n_conf).all()):
-        return AttackReport("mia", float("nan"), {"threshold": threshold})
+        return AttackReport(float("nan"), {"threshold": threshold})
     tp = int(np.sum(m_conf >= threshold))
     fn = len(m_conf) - tp
     tn = int(np.sum(n_conf < threshold))
     fp = len(n_conf) - tn
-    return AttackReport("mia", (tp + tn) / (tp + tn + fp + fn), {
+    return AttackReport((tp + tn) / (tp + tn + fp + fn), {
         "threshold": threshold, "tp": tp, "tn": tn, "fp": fp, "fn": fn})
 
 
-def aia_run(global_params: ParameterSet, dataset, num_groups: int, seed: int,
-            trials: int) -> AttackReport:
-    """Gradient-matching attribute inference.
+def aia_run(config: ExperimentConfig, global_params: ParameterSet, dataset,
+            seed: int) -> AttackReport:
+    """Gradient-matching attribute inference over ``config.aia_trials``.
 
-    Builds a one-step update signature per group from group-pure probe
-    batches, then classifies fresh group-pure updates by nearest
-    signature in L2. Score is the fraction of correct inferences, NaN
-    when a probe step's losses or delta are not finite (a degenerate model).
+    Builds a one-step update signature per group with samples in
+    ``dataset`` from group-pure probe batches, then classifies fresh
+    group-pure updates of those groups by nearest signature in L2, so
+    chance is 1 / (groups with samples). Score is the fraction of correct
+    inferences, NaN when a probe step's losses or delta are not finite
+    (a degenerate model).
     """
-    by_group = {g: dataset[dataset.s == g] for g in range(num_groups)}
-    if any(not v for v in by_group.values()):
-        raise ValueError("every group needs probe samples")
+    trials = config.aia_trials
+    present = np.flatnonzero(np.bincount(dataset.s)).tolist()
+    by_group = {g: dataset[dataset.s == g] for g in present}
     rng = np.random.default_rng([int(seed), 0xA1A])
     # one scratch copy and gradient set, reloaded for every signature
     new, grads = global_params.copy(), ParameterSet.zeros(global_params.spec)
@@ -126,66 +126,64 @@ def aia_run(global_params: ParameterSet, dataset, num_groups: int, seed: int,
     # as in client_round, the probe's finiteness check reports an overflow
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
-            signatures = {g: one_step_delta(pure_batch(g)) for g in range(num_groups)}
+            signatures = {g: one_step_delta(pure_batch(g)) for g in present}
             for _ in range(trials):
-                true_g = int(rng.integers(0, num_groups))
+                true_g = present[rng.integers(0, len(present))]
                 observed = one_step_delta(pure_batch(true_g))
                 guess = min(signatures,
                             key=lambda g: float(np.linalg.norm(observed - signatures[g])))
                 correct += guess == true_g
         except FloatingPointError:
-            return AttackReport("aia", float("nan"), {"trials": trials})
-    return AttackReport("aia", correct / trials, {"trials": trials})
+            return AttackReport(float("nan"), {"trials": trials})
+    return AttackReport(correct / trials, {"trials": trials})
 
 
-def byzantine_run(config: FederationConfig, shards, eval_samples,
-                  clean: tuple[ParameterSet, list[RoundRecord]],
-                  malicious_fraction: float,
-                  perturb_scale: float) -> AttackReport:
+def byzantine_run(config: ExperimentConfig, algorithm: str, seed: int, shards,
+                  eval_samples, clean: tuple[ParameterSet, list[RoundRecord]],
+                  ) -> AttackReport:
     """Paired clean/attacked runs; score is the accuracy degradation.
 
-    ``clean`` is ``run_experiment(config, shards, eval_samples)``; the
-    attacked run trains its network. The attacker compromises the most
-    influential clients: the ``ceil(fraction * K)`` largest shards; the
-    fraction is in [0, 1), checked at config load.
+    ``clean`` is ``run_experiment(config, algorithm, seed, shards,
+    eval_samples)``. The attacker compromises the most influential
+    clients: the ``ceil(byzantine_fraction * K)`` largest shards, whose
+    noise has ``byzantine_scale`` times the honest update norm.
     """
-    n_bad = int(np.ceil(malicious_fraction * config.num_clients))
+    n_bad = int(np.ceil(config.byzantine_fraction * config.num_clients))
     by_size = sorted(range(len(shards)), key=lambda k: len(shards[k]), reverse=True)
     attacked = clean
-    if n_bad and perturb_scale > 0:
+    if n_bad and config.byzantine_scale > 0:
         byz = ByzantineSpec(client_ids=tuple(sorted(by_size[:n_bad])),
-                            scale=perturb_scale)
-        attacked = run_experiment(config, shards, eval_samples,
-                                  network=clean[0].spec, byzantine=byz)
+                            scale=config.byzantine_scale)
+        attacked = run_experiment(config, algorithm, seed, shards, eval_samples,
+                                  byzantine=byz)
     a_clean = clean[1][-1].accuracy
     a_byz = attacked[1][-1].accuracy
-    return AttackReport("byzantine", a_clean - a_byz, {
+    return AttackReport(a_clean - a_byz, {
         "clean_accuracy": a_clean, "attacked_accuracy": a_byz,
         "num_malicious": float(n_bad)})
 
 
-def poisoning_run(config: FederationConfig, shards, eval_samples,
-                  clean: tuple[ParameterSet, list[RoundRecord]],
-                  target_group: int, rate: float) -> AttackReport:
+def poisoning_run(config: ExperimentConfig, algorithm: str, seed: int, shards,
+                  eval_samples, clean: tuple[ParameterSet, list[RoundRecord]],
+                  ) -> AttackReport:
     """Paired clean/poisoned runs; score is the shift in the equalized-odds
     gap of each run's last round.
 
-    ``clean`` is ``run_experiment(config, shards, eval_samples)``; the
-    poisoned run trains its network. The compromised client is the shard
-    holding the most target-group samples; its shard is poisoned per
+    ``clean`` is ``run_experiment(config, algorithm, seed, shards,
+    eval_samples)``. The compromised client is the shard holding the most
+    ``poison_group`` samples; its shard is poisoned at ``poison_rate`` per
     :func:`resfl_sim.datasets.poison`.
-    At ``rate = 0`` the clean model stands for the poisoned one.
+    At ``poison_rate = 0`` the clean model stands for the poisoned one.
     """
+    target, rate = config.poison_group, config.poison_rate
     eod_clean = eod_poisoned = clean[1][-1].eod
     if rate > 0.0:
-        victim = int(np.argmax([np.count_nonzero(sh.s == target_group)
-                                for sh in shards]))
+        victim = int(np.argmax([np.count_nonzero(sh.s == target) for sh in shards]))
         poisoned_shards = list(shards)
-        poisoned_shards[victim] = poison(shards[victim], target_group, rate,
-                                         seed=config.seed,
-                                         num_classes=clean[0].spec.num_classes)
-        _, records = run_experiment(config, poisoned_shards, eval_samples,
-                                    network=clean[0].spec)
+        poisoned_shards[victim] = poison(shards[victim], target, rate, seed=seed,
+                                         num_classes=config.num_classes)
+        _, records = run_experiment(config, algorithm, seed, poisoned_shards,
+                                    eval_samples)
         eod_poisoned = records[-1].eod
-    return AttackReport("poisoning", eod_poisoned - eod_clean, {
+    return AttackReport(eod_poisoned - eod_clean, {
         "eod_clean": eod_clean, "eod_poisoned": eod_poisoned, "rate": rate})

@@ -23,11 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import ATTACK_KINDS, LAMBDA1, aia_run, byzantine_run, mia_run, \
-    mia_threshold, poisoning_run
-from .config import ConfigError, ExperimentConfig, load_config, normalized_text
+from .attacks import LAMBDA1, aia_run, byzantine_run, mia_run, mia_threshold, \
+    poisoning_run
+from .config import ATTACK_KINDS, ConfigError, ExperimentConfig, load_config, \
+    normalized_text
 from .datasets import generate_dataset, partition
-from .federation import FederationConfig, initial_params, run_experiment
+from .federation import initial_params, run_experiment
 from .metrics import SCALAR_COLUMNS, MetricsRow, read_metrics, write_metrics
 
 
@@ -40,8 +41,7 @@ def build_data(cfg: ExperimentConfig):
     scale = 1.0 / (1.0 - cfg.test_fraction)
     spg = tuple(max(int(round(n * scale)), n + 1 if n else 0)
                 for n in cfg.samples_per_group)
-    full = generate_dataset(replace(cfg.synth(), samples_per_group=spg),
-                            seed=cfg.seeds[0])
+    full = generate_dataset(replace(cfg, samples_per_group=spg), seed=cfg.seeds[0])
     # each group is one contiguous block; train on its head, test on its tail
     starts = np.cumsum(spg) - spg
     rank = np.arange(len(full)) - starts[full.s]
@@ -51,8 +51,7 @@ def build_data(cfg: ExperimentConfig):
 
 def _single_run(cfg: ExperimentConfig, algo: str, seed: int, train, test):
     shards = partition(train, cfg.num_clients, cfg.partition_beta, seed=seed)
-    fed = cfg.federation_config(algo, seed)
-    params, records = run_experiment(fed, shards, test, network=cfg.network())
+    params, records = run_experiment(cfg, algo, seed, shards, test)
     rows = []
     for r in records:
         # the reporting clients' UFM in client order; a frozen round has none
@@ -100,14 +99,14 @@ def cmd_run(cfg: ExperimentConfig, seeds, out: Path) -> None:
     write_summary(rows, seeds, out)
 
 
-def _mia_config(cfg: ExperimentConfig, seed: int, aggregator: str) -> FederationConfig:
-    """The 1-client, 1-round cell that trains every MIA model: the shadow
+def _mia_config(cfg: ExperimentConfig) -> ExperimentConfig:
+    """The 1-client, 1-round config that trains every MIA model: the shadow
     model and the ``overfit`` target with ``fedavg``, the DP target with
     ``fedavg_dp``. The two targets share init and batches, so they differ
     only in the DP clip and noise."""
-    return replace(cfg.federation_config(aggregator, seed), num_clients=1, rounds=1,
-                   local_iterations=cfg.mia_overfit_steps, batch_size=32, eta=0.1,
-                   eta_phi=0.1, lambda1=LAMBDA1, lambda_adv=0.0, server_lr=1.0)
+    return replace(cfg, num_clients=1, rounds=1, local_iterations=cfg.mia_overfit_steps,
+                   batch_size=32, eta=0.1, eta_phi=0.1, lambda1=LAMBDA1, lambda_adv=0.0,
+                   server_lr=1.0)
 
 
 def _mia_setup(cfg: ExperimentConfig, train, test, seed: int):
@@ -119,8 +118,7 @@ def _mia_setup(cfg: ExperimentConfig, train, test, seed: int):
     members = train[order[:cfg.mia_overfit_size]]
     shadow = train[order[cfg.mia_overfit_size:cfg.mia_overfit_size + 400]]
     draw = np.random.default_rng([seed, 0x4E4D]).permutation(len(test))
-    tau = mia_threshold(_mia_config(cfg, seed, "fedavg"), cfg.network(),
-                        len(members), shadow)
+    tau = mia_threshold(_mia_config(cfg), seed, len(members), shadow)
     return members, test[draw[:len(members)]], tau
 
 
@@ -140,8 +138,7 @@ def cmd_sweep(cfg: ExperimentConfig, seeds, out: Path) -> None:
             dds.append(final.di_dev)
             eops.append(final.delta_eop)
             mias.append(mia_run(params, *mia[seed]).score)
-            aias.append(aia_run(params, train, cfg.num_groups, seed=seed,
-                                trials=cfg.aia_trials).score)
+            aias.append(aia_run(cfg, params, train, seed).score)
         return tuple(float(np.mean(v)) for v in (accs, dds, eops, mias, aias))
 
     results = [work(cell) for cell in rows_sorted]
@@ -155,8 +152,7 @@ def cmd_sweep(cfg: ExperimentConfig, seeds, out: Path) -> None:
 def cmd_attack(cfg: ExperimentConfig, seeds, out: Path, kind: str | None) -> None:
     kinds = (kind,) if kind else cfg.attack_kinds
     train, test = build_data(cfg)
-    net = cfg.network()
-    clean = {}  # (algo, seed) -> (fed, shards, clean run), shared by the paired attacks
+    clean = {}  # (algo, seed) -> (shards, clean run), shared by the paired attacks
     lines = []
     for k in kinds:
         for seed in seeds:
@@ -164,13 +160,12 @@ def cmd_attack(cfg: ExperimentConfig, seeds, out: Path, kind: str | None) -> Non
                 members, nonmembers, tau = _mia_setup(cfg, train, test, seed)
                 reports = []
                 for name, aggregator in (("overfit", "fedavg"), ("fedavg_dp", "fedavg_dp")):
-                    target, _ = run_experiment(_mia_config(cfg, seed, aggregator),
-                                               [members], None, network=net)
+                    target, _ = run_experiment(_mia_config(cfg), aggregator, seed,
+                                               [members], None)
                     reports.append(("mia", name, seed,
                                     mia_run(target, members, nonmembers, tau).score, {}))
             elif k == "aia":
-                rep = aia_run(initial_params(net, seed), train, cfg.num_groups, seed=seed,
-                              trials=cfg.aia_trials)
+                rep = aia_run(cfg, initial_params(cfg.network(), seed), train, seed)
                 reports = [("aia", "init", seed, rep.score, rep.auxiliary)]
             else:
                 reports = []
@@ -178,17 +173,11 @@ def cmd_attack(cfg: ExperimentConfig, seeds, out: Path, kind: str | None) -> Non
                     if (algo, seed) not in clean:
                         shards = partition(train, cfg.num_clients,
                                            cfg.partition_beta, seed=seed)
-                        fed = cfg.federation_config(algo, seed)
-                        clean[algo, seed] = fed, shards, run_experiment(
-                            fed, shards, test, network=net)
-                    fed, shards, run = clean[algo, seed]
-                    if k == "byzantine":
-                        rep = byzantine_run(fed, shards, test, run,
-                                            cfg.byzantine_fraction,
-                                            cfg.byzantine_scale)
-                    else:
-                        rep = poisoning_run(fed, shards, test, run, cfg.poison_group,
-                                            cfg.poison_rate)
+                        clean[algo, seed] = shards, run_experiment(
+                            cfg, algo, seed, shards, test)
+                    shards, run = clean[algo, seed]
+                    attack = byzantine_run if k == "byzantine" else poisoning_run
+                    rep = attack(cfg, algo, seed, shards, test, run)
                     reports.append((k, algo, seed, rep.score, rep.auxiliary))
             for name, algo, sd, score, aux in reports:
                 aux_text = ";".join(f"{a}={v:g}" for a, v in sorted(aux.items()))

@@ -8,12 +8,13 @@ rejected with the offending line number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .attacks import ATTACK_KINDS
-from .datasets import SynthSpec
-from .federation import AGGREGATORS, FederationConfig
 from .network import NetworkSpec
+
+AGGREGATORS = ("fedavg", "fedavg_dp", "resfl")
+ATTACK_KINDS = ("mia", "aia", "byzantine", "poisoning")
+DP_DELTA = 1e-5  # the delta of fedavg_dp's (epsilon, delta) guarantee
 
 
 class ConfigError(Exception):
@@ -111,10 +112,12 @@ DEFAULT_SWEEP_ROWS = (
 
 @dataclass
 class ExperimentConfig:
-    """The run settings, one field per config key. Its field defaults are
-    the only defaults of the keys, and the table in ``__post_init__`` is
-    the only check of their ranges, made once; the functions they
-    configure take them as required arguments and trust them."""
+    """The run settings, one field per config key: the one settings
+    object that every training cell, data draw and attack reads. Its
+    field defaults are the only defaults of the keys, and the table in
+    ``__post_init__`` is the only check of their ranges, made at
+    construction (also by ``dataclasses.replace``); the functions that
+    read the fields trust them."""
     seeds: tuple[int, ...]  # the first also seeds the data
     algorithms: tuple[str, ...] = ("fedavg", "resfl")
     out_dir: str = "out"
@@ -137,12 +140,12 @@ class ExperimentConfig:
     batch_size: int = 64
     num_clients: int = 4
     eta: float = 0.001
-    eta_phi: float | None = None  # None: eta, set by federation_config
+    eta_phi: float | None = None  # None: eta, resolved where it is read
     lambda1: float = 0.1
     lambda_adv: float = 0.01
     dp_epsilon: float = 0.1
     dp_clip: float = 1.0
-    server_lr: float | None = None  # None: 1 / num_clients, set by federation_config
+    server_lr: float | None = None  # None: 1 / num_clients, resolved where it is read
 
     attack_kinds: tuple[str, ...] = ATTACK_KINDS
     mia_overfit_size: int = 30
@@ -201,7 +204,9 @@ class ExperimentConfig:
              self.server_lr is None or self.server_lr > 0),
             ("kinds", self.attack_kinds, f"among {', '.join(ATTACK_KINDS)}, no repeats",
              set(self.attack_kinds) <= set(ATTACK_KINDS) and _distinct(self.attack_kinds)),
-            ("mia_overfit_size", self.mia_overfit_size, ">= 1", self.mia_overfit_size >= 1),
+            # the shadow pool is the training split past the members, >= 4 samples
+            ("mia_overfit_size", self.mia_overfit_size, f">= 1 and <= {sum(spg) - 4}",
+             1 <= self.mia_overfit_size <= sum(spg) - 4),
             ("mia_overfit_steps", self.mia_overfit_steps, ">= 0",
              self.mia_overfit_steps >= 0),
             ("aia_trials", self.aia_trials, ">= 1", self.aia_trials >= 1),
@@ -227,31 +232,16 @@ class ExperimentConfig:
         if self.poison_group is None:
             self.poison_group = min(filled, key=spg.__getitem__)  # lowest id on a tie
 
-    def synth(self) -> SynthSpec:
-        return SynthSpec(**{f.name: getattr(self, f.name) for f in fields(SynthSpec)})
-
     def network(self) -> NetworkSpec:
         return NetworkSpec(input_dim=self.input_dim,
                            hidden_dims=self.hidden_dims,
                            num_classes=self.num_classes,
                            num_groups=self.num_groups)
 
-    def federation_config(self, algorithm: str, seed: int) -> FederationConfig:
-        return FederationConfig(
-            num_clients=self.num_clients,
-            rounds=self.rounds,
-            local_iterations=self.local_iterations,
-            batch_size=self.batch_size,
-            eta=self.eta,
-            eta_phi=self.eta if self.eta_phi is None else self.eta_phi,
-            lambda1=self.lambda1,
-            lambda_adv=self.lambda_adv,
-            aggregator=algorithm,
-            dp_epsilon=self.dp_epsilon,
-            dp_clip=self.dp_clip,
-            server_lr=1.0 / self.num_clients if self.server_lr is None else self.server_lr,
-            seed=seed,
-        )
+    @property
+    def dp_noise_scale(self) -> float:
+        """Gaussian-mechanism noise multiplier for (epsilon, delta)."""
+        return math.sqrt(2.0 * math.log(1.25 / DP_DELTA)) / self.dp_epsilon
 
 
 def parse_config_text(text: str) -> dict[str, dict[str, object]]:

@@ -14,11 +14,11 @@ poisoning transform targeting one group.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .metrics import FAVORABLE_CLASS
 
 PARTITION_TRIES = 10  # Dirichlet draws before partition gives up on empty shards
@@ -40,42 +40,23 @@ class Dataset:
         return Dataset(self.X[rows], self.y[rows], self.s[rows])
 
 
-@dataclass(frozen=True)
-class SynthSpec:
-    """The generator settings of one dataset draw, all required;
-    ``ExperimentConfig`` holds their defaults and checks their ranges."""
-    input_dim: int
-    num_classes: int
-    num_groups: int
-    samples_per_group: tuple[int, ...]
-    group_means: tuple[tuple[float, ...], ...]
-    noise_std: float
-    attr_leak: float
-    label_flip_noise: tuple[float, ...]
-
-    def spec_hash(self) -> str:
-        text = repr((self.input_dim, self.num_classes, self.num_groups,
-                     self.samples_per_group, self.group_means, self.noise_std,
-                     self.attr_leak, self.label_flip_noise))
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-def _signal_directions(spec: SynthSpec, rng: np.random.Generator):
+def _signal_directions(cfg: ExperimentConfig, rng: np.random.Generator):
     """Fixed class directions and group leak codes for one dataset draw.
 
     The codes are G x n_leak; they add to the first n_leak coordinates.
     """
-    d = spec.input_dim
-    dirs = rng.standard_normal((spec.num_classes, d))
+    d = cfg.input_dim
+    dirs = rng.standard_normal((cfg.num_classes, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    n_leak = int(round(spec.attr_leak * d))
-    codes = rng.standard_normal((spec.num_groups, n_leak)) if n_leak else \
-        np.zeros((spec.num_groups, 0))
+    n_leak = int(round(cfg.attr_leak * d))
+    codes = rng.standard_normal((cfg.num_groups, n_leak)) if n_leak else \
+        np.zeros((cfg.num_groups, 0))
     return dirs, codes
 
 
-def generate_dataset(spec: SynthSpec, seed: int) -> Dataset:
-    """Groups in order, each a contiguous block of rows.
+def generate_dataset(cfg: ExperimentConfig, seed: int) -> Dataset:
+    """The dataset of ``cfg``'s ``[data]`` generator keys: groups in
+    order, each a contiguous block of rows.
 
     All draws come from one stream, in this order: the class directions
     and group codes, then for each group its labels and then its rows'
@@ -86,37 +67,37 @@ def generate_dataset(spec: SynthSpec, seed: int) -> Dataset:
     ValueError if a feature is not finite, so every model input is.
     """
     rng = np.random.default_rng([int(seed), 0x5EED])
-    dirs, codes = _signal_directions(spec, rng)
-    n = sum(spec.samples_per_group)
-    s = np.repeat(np.arange(spec.num_groups), spec.samples_per_group)
+    dirs, codes = _signal_directions(cfg, rng)
+    n = sum(cfg.samples_per_group)
+    s = np.repeat(np.arange(cfg.num_groups), cfg.samples_per_group)
     y = np.empty(n, dtype=int)
     flip_shift = np.zeros(n, dtype=int)  # label = (y + shift) % C
-    X = np.empty((n, spec.input_dim))  # the noise draws, then the features
+    X = np.empty((n, cfg.input_dim))  # the noise draws, then the features
     start = 0
-    for g, n_g in enumerate(spec.samples_per_group):
-        y[start:start + n_g] = rng.integers(0, spec.num_classes, size=n_g)
-        flip = spec.label_flip_noise[g]
+    for g, n_g in enumerate(cfg.samples_per_group):
+        y[start:start + n_g] = rng.integers(0, cfg.num_classes, size=n_g)
+        flip = cfg.label_flip_noise[g]
         if flip == 0:
             rng.standard_normal(out=X[start:start + n_g])
         else:
             # each row's flip draw sits between its noise and the next
             # row's, so these rows are drawn one at a time
             for i in range(start, start + n_g):
-                X[i] = rng.standard_normal(spec.input_dim)
+                X[i] = rng.standard_normal(cfg.input_dim)
                 if rng.random() < flip:
-                    flip_shift[i] = 1 + rng.integers(0, spec.num_classes - 1)
+                    flip_shift[i] = 1 + rng.integers(0, cfg.num_classes - 1)
         start += n_g
     # in place, to hold one temporary: noise_std * z + amp * direction;
     # an overflow is reported once, below, for the whole array
     with np.errstate(over="ignore", invalid="ignore"):
-        X *= spec.noise_std
+        X *= cfg.noise_std
         signal = dirs[y]
-        signal *= (2.0 * (1.0 + np.asarray(spec.group_means)[s, y]))[:, None]
+        signal *= (2.0 * (1.0 + np.asarray(cfg.group_means)[s, y]))[:, None]
         X += signal
         X[:, :codes.shape[1]] += codes[s]  # the leak columns, through a view
     if not np.isfinite(X).all():
         raise ValueError("non-finite features: noise_std or group_means too large")
-    return Dataset(X, (y + flip_shift) % spec.num_classes, s)
+    return Dataset(X, (y + flip_shift) % cfg.num_classes, s)
 
 
 def partition(dataset: Dataset, num_clients: int, beta: float, seed: int) -> list[Dataset]:

@@ -15,7 +15,10 @@ global delta, which the round loop adds to theta_G in place:
   - resfl:    eta_srv * sum_i 1/(1+ufm_i) * delta_i
 
 The resfl sum is unnormalized by design; eta_srv defaults to 1/K so
-that all-zero ufm reproduces FedAvg over equal shards exactly.
+that all-zero ufm reproduces FedAvg over equal shards exactly. A cell
+reads its settings from the one ``ExperimentConfig``; the two rates it
+may leave unset, ``eta_phi`` (follows ``eta``) and ``server_lr`` (1/K),
+are resolved where they are read.
 
 A Byzantine client's delta row is overwritten with noise scaled to the
 first-round mean honest-update norm before aggregation. A round in
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversarial import local_train_step
+from .config import ExperimentConfig
 from .evidential import model_evidence
 from .fairness import aggregation_weight, group_uncertainties, \
     ufm as ufm_metric, uncertainty_variance
@@ -39,35 +43,6 @@ from .metrics import accuracy_by_group, confusion_by_group, delta_eop, di_deviat
 from .network import NetworkSpec, ParameterSet, init_params
 
 log = logging.getLogger(__name__)
-
-AGGREGATORS = ("fedavg", "fedavg_dp", "resfl")
-DP_DELTA = 1e-5  # the delta of fedavg_dp's (epsilon, delta) guarantee
-
-
-@dataclass(frozen=True)
-class FederationConfig:
-    """One training cell's settings, all required: their defaults and
-    checks live in ``config.ExperimentConfig``, whose ``federation_config``
-    builds this."""
-    num_clients: int
-    rounds: int
-    local_iterations: int
-    batch_size: int
-    eta: float
-    eta_phi: float
-    lambda1: float
-    lambda_adv: float
-    aggregator: str
-    dp_epsilon: float
-    dp_clip: float
-    server_lr: float
-    seed: int
-
-    @property
-    def dp_noise_scale(self) -> float:
-        """Gaussian-mechanism noise multiplier for (epsilon, delta)."""
-        return math.sqrt(2.0 * math.log(1.25 / DP_DELTA)) / self.dp_epsilon
-
 
 @dataclass(frozen=True)
 class ByzantineSpec:
@@ -106,7 +81,7 @@ def initial_params(network: NetworkSpec, seed: int) -> ParameterSet:
 
 
 def client_round(global_params: ParameterSet, phi: np.ndarray, shard,
-                 config: FederationConfig, rng: np.random.Generator,
+                 config: ExperimentConfig, rng: np.random.Generator,
                  params: ParameterSet, grads: ParameterSet, delta: np.ndarray,
                  losses: np.ndarray) -> float:
     """Local training for one client; returns its UFM (:func:`shard_ufm`).
@@ -128,6 +103,7 @@ def client_round(global_params: ParameterSet, phi: np.ndarray, shard,
         raise ValueError("empty shard")
     np.copyto(params.theta, global_params.theta)
     np.copyto(params.phi, phi)
+    eta_phi = config.eta if config.eta_phi is None else config.eta_phi
     total = np.zeros(3)
     # a diverging client overflows on its way to the FloatingPointError
     # that drops it; the explicit finiteness check reports it, not NumPy
@@ -138,7 +114,7 @@ def client_round(global_params: ParameterSet, phi: np.ndarray, shard,
             batch = shard[idx]
             total += local_train_step(
                 params, grads, batch.X, batch.y, batch.s,
-                config.eta, config.eta_phi, config.lambda1, config.lambda_adv)
+                config.eta, eta_phi, config.lambda1, config.lambda_adv)
     # the one check of the round: a non-finite loss or gradient of any
     # step shows in the summed losses or the stepped model
     if not (np.isfinite(total).all() and np.isfinite(params.flat).all()):
@@ -236,14 +212,16 @@ def _evaluate(params: ParameterSet, eval_samples):
     return acc, tuple(acc_g), dd, de, eo, uncertainty_variance(us)
 
 
-def run_experiment(config: FederationConfig, shards, eval_samples,
-                   network: NetworkSpec, byzantine: ByzantineSpec | None = None,
+def run_experiment(config: ExperimentConfig, algorithm: str, seed: int, shards,
+                   eval_samples, byzantine: ByzantineSpec | None = None,
                    ) -> tuple[ParameterSet, list[RoundRecord]]:
-    """Run the full federated loop; deterministic given config.seed.
+    """Run the full federated loop of the ``(algorithm, seed)`` cell on the
+    network ``config.network()``; deterministic given the seed.
     ``eval_samples`` may be None, which leaves the metrics NaN."""
     if len(shards) != config.num_clients:
         raise ValueError("shards must match num_clients")
-    global_params = initial_params(network, config.seed)
+    network = config.network()
+    global_params = initial_params(network, seed)
     K = config.num_clients
     # per-client rows: the private adversary heads, and the theta deltas
     # each round rewrites for the clients that report
@@ -252,6 +230,7 @@ def run_experiment(config: FederationConfig, shards, eval_samples,
     # the local-training workspace, shared by every client round of the run
     local, grads = ParameterSet.zeros(network), ParameterSet.zeros(network)
 
+    server_lr = 1.0 / K if config.server_lr is None else config.server_lr
     ref_norm = 0.0
     records: list[RoundRecord] = []
     for t in range(config.rounds):
@@ -259,7 +238,7 @@ def run_experiment(config: FederationConfig, shards, eval_samples,
         ufm = np.full(K, np.nan)
         losses = np.full((K, 3), np.nan)
         for cid in range(K):
-            rng = client_rng(config.seed, cid, t)
+            rng = client_rng(seed, cid, t)
             try:
                 ufm[cid] = client_round(global_params, phis[cid], shards[cid], config,
                                         rng, local, grads, deltas[cid], losses[cid])
@@ -276,7 +255,7 @@ def run_experiment(config: FederationConfig, shards, eval_samples,
             std = byzantine.scale * max(ref_norm, 1e-12) / math.sqrt(dim)
             for k in alive:
                 if k in byzantine.client_ids and std > 0:
-                    arng = np.random.default_rng([config.seed, t, k, 0xBAD])
+                    arng = np.random.default_rng([seed, t, k, 0xBAD])
                     deltas[k] = std * arng.standard_normal(dim)
                     # the corrupted local model is what the ufm report
                     # reflects, so uncertainty-aware weighting can react;
@@ -285,10 +264,10 @@ def run_experiment(config: FederationConfig, shards, eval_samples,
                     np.copyto(local.phi, phis[k])
                     ufm[k] = shard_ufm(local, shards[k])
 
-        if config.aggregator == "fedavg_dp":
+        if algorithm == "fedavg_dp":
             for k in alive:
                 apply_dp(deltas[k], config.dp_clip, config.dp_noise_scale,
-                         np.random.default_rng([config.seed, t, k, 0xDF]))
+                         np.random.default_rng([seed, t, k, 0xDF]))
         if not alive:
             # nothing can move the global model anymore: record it frozen
             # and stop, so a destroyed model reads as low accuracy, not a crash
@@ -296,8 +275,8 @@ def run_experiment(config: FederationConfig, shards, eval_samples,
         else:
             # row views, not deltas[alive], which would copy the block
             rows = [deltas[k] for k in alive]
-            delta = aggregate_resfl(rows, ufm[alive], config.server_lr) \
-                if config.aggregator == "resfl" else \
+            delta = aggregate_resfl(rows, ufm[alive], server_lr) \
+                if algorithm == "resfl" else \
                 aggregate_fedavg(rows, [len(shards[k]) for k in alive])
             # the set is frozen, so the attribute takes no +=
             np.add(global_params.theta, delta, out=global_params.theta)

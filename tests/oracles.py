@@ -7,7 +7,7 @@ state properties on a single Dirichlet output. ``logits_for`` builds
 inputs for hand-value tests of the batch code, and ``segment_view``
 names the three parameter segments. ``reference_step`` is
 the local SGD step written as two passes and a functional update.
-``synth_spec`` builds a generator spec the way a config does, and
+``data_config`` builds the checked config a test draws data from, and
 ``reference_generate_dataset`` draws the synthetic dataset one row at a
 time, the draw order ``datasets.generate_dataset`` must keep. The
 ``reference_*`` fairness metrics reduce per-group counts one group or
@@ -23,7 +23,7 @@ import numpy as np
 
 from resfl_sim.adversarial import PROB_FLOOR, softmax
 from resfl_sim.config import ExperimentConfig
-from resfl_sim.datasets import Dataset, SynthSpec, _signal_directions
+from resfl_sim.datasets import Dataset, _signal_directions
 from resfl_sim.metrics import DI_CAP
 from resfl_sim.network import ParameterSet
 
@@ -177,13 +177,13 @@ def reference_step(params: ParameterSet, X, y, s, eta: float, eta_phi: float,
     return new, (float(nll.mean()), float(reg.mean()), float(adv.mean()))
 
 
-def synth_spec(**kw) -> SynthSpec:
-    """The generator spec of a config setting ``kw``, checked and with
-    every other key at its default."""
-    return ExperimentConfig(seeds=(1,), **kw).synth()
+def data_config(**kw) -> ExperimentConfig:
+    """The config setting ``kw``, checked and with every other key at its
+    default."""
+    return ExperimentConfig(seeds=(1,), **kw)
 
 
-def reference_generate_dataset(spec: SynthSpec, seed: int) -> Dataset:
+def reference_generate_dataset(cfg: ExperimentConfig, seed: int) -> Dataset:
     """``datasets.generate_dataset`` with every row drawn on its own.
 
     Per group: its labels in one call, then each row's noise followed,
@@ -192,27 +192,27 @@ def reference_generate_dataset(spec: SynthSpec, seed: int) -> Dataset:
     the same bits.
     """
     rng = np.random.default_rng([int(seed), 0x5EED])
-    dirs, codes = _signal_directions(spec, rng)
-    n = sum(spec.samples_per_group)
-    s = np.repeat(np.arange(spec.num_groups), spec.samples_per_group)
+    dirs, codes = _signal_directions(cfg, rng)
+    n = sum(cfg.samples_per_group)
+    s = np.repeat(np.arange(cfg.num_groups), cfg.samples_per_group)
     y = np.empty(n, dtype=int)
     flip_shift = np.zeros(n, dtype=int)
-    X = np.empty((n, spec.input_dim))
+    X = np.empty((n, cfg.input_dim))
     start = 0
-    for g, n_g in enumerate(spec.samples_per_group):
-        y[start:start + n_g] = rng.integers(0, spec.num_classes, size=n_g)
-        flip = spec.label_flip_noise[g]
+    for g, n_g in enumerate(cfg.samples_per_group):
+        y[start:start + n_g] = rng.integers(0, cfg.num_classes, size=n_g)
+        flip = cfg.label_flip_noise[g]
         for i in range(start, start + n_g):
-            X[i] = rng.standard_normal(spec.input_dim)
+            X[i] = rng.standard_normal(cfg.input_dim)
             if flip > 0 and rng.random() < flip:
-                flip_shift[i] = 1 + rng.integers(0, spec.num_classes - 1)
+                flip_shift[i] = 1 + rng.integers(0, cfg.num_classes - 1)
         start += n_g
-    X *= spec.noise_std
+    X *= cfg.noise_std
     signal = dirs[y]
-    signal *= (2.0 * (1.0 + np.asarray(spec.group_means)[s, y]))[:, None]
+    signal *= (2.0 * (1.0 + np.asarray(cfg.group_means)[s, y]))[:, None]
     X += signal
     X[:, np.arange(codes.shape[1])] += codes[s]
-    return Dataset(X, (y + flip_shift) % spec.num_classes, s)
+    return Dataset(X, (y + flip_shift) % cfg.num_classes, s)
 
 
 # The fairness references take one (tp, fp, tn, fn) tuple per group that

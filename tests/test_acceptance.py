@@ -18,24 +18,25 @@ from resfl_sim.adversarial import composite_gradients
 from resfl_sim.attacks import byzantine_run, mia_run, mia_threshold, poisoning_run
 from resfl_sim.cli import main as cli_main
 from resfl_sim.config import ExperimentConfig
-from resfl_sim.datasets import SynthSpec, generate_dataset, partition
-from oracles import logits_for, segment_view, synth_spec
+from resfl_sim.datasets import generate_dataset, partition
+from oracles import logits_for, segment_view
 from resfl_sim.evidential import evidence_batch, evidential_terms_batch
 from resfl_sim.fairness import aggregation_weight, group_uncertainties, ufm, \
     uncertainty_variance
-from resfl_sim.federation import FederationConfig, aggregate_fedavg, aggregate_resfl, \
-    run_experiment
+from resfl_sim.federation import aggregate_fedavg, aggregate_resfl, run_experiment
 from resfl_sim.metrics import eod
 from resfl_sim.network import NetworkSpec, ParameterSet, forward_batch, init_params
 from probe import probe_accuracy
 
 SEEDS = (1, 2, 3, 4, 5)
 
-# the network of the default config's 20 features, 2 classes and 4 groups
-NET = NetworkSpec(input_dim=20, hidden_dims=(32, 32), num_classes=2, num_groups=4)
-
 # amplitude disparity: group 3 gets the weakest class signal
 GROUP_MEANS = ((0.0, 0.0), (-0.1, -0.1), (-0.25, -0.25), (-0.4, -0.4))
+
+# the default config's data (20 features, 2 classes, 4 groups) and
+# network, with the paper's federation: 4 clients x 50 rounds x 50 steps
+PAPER = ExperimentConfig(seeds=SEEDS, group_means=GROUP_MEANS, rounds=50,
+                         local_iterations=50, eta=0.002, eta_phi=0.05)
 
 
 def report(criterion: int, ok: bool, detail: str = ""):
@@ -44,35 +45,32 @@ def report(criterion: int, ok: bool, detail: str = ""):
     assert ok, f"criterion {criterion}: {detail}"
 
 
-def build_data(spec: SynthSpec, seed: int):
+def build_data(cfg: ExperimentConfig, seed: int):
     """Train/test split sharing one signal draw (25% held-out per group)."""
-    full = replace(spec, samples_per_group=tuple(
-        int(n * 1.25) for n in spec.samples_per_group))
+    full = replace(cfg, samples_per_group=tuple(
+        int(n * 1.25) for n in cfg.samples_per_group))
     data = generate_dataset(full, seed=seed)
-    members = [np.flatnonzero(data.s == g) for g in range(spec.num_groups)]
-    train = np.concatenate([m[:n] for m, n in zip(members, spec.samples_per_group)])
-    test = np.concatenate([m[n:] for m, n in zip(members, spec.samples_per_group)])
+    members = [np.flatnonzero(data.s == g) for g in range(cfg.num_groups)]
+    train = np.concatenate([m[:n] for m, n in zip(members, cfg.samples_per_group)])
+    test = np.concatenate([m[n:] for m, n in zip(members, cfg.samples_per_group)])
     return data[train], data[test]
 
 
-def fed_config(algo: str, seed: int, **overrides) -> FederationConfig:
-    base = dict(num_clients=4, rounds=50, local_iterations=50, batch_size=64,
-                eta=0.002, eta_phi=0.05, lambda1=0.1,
-                lambda_adv=0.0 if algo == "fedavg" else 0.5)
-    return ExperimentConfig(seeds=(seed,), **{**base, **overrides}).federation_config(
-        algo, seed)
+def fed_config(algo: str, **overrides) -> ExperimentConfig:
+    """PAPER with the adversary off for fedavg and at 0.5 otherwise."""
+    return replace(PAPER, **{"lambda_adv": 0.0 if algo == "fedavg" else 0.5, **overrides})
 
 
 @functools.lru_cache(maxsize=None)
 def disparity_data(seed: int):
-    return build_data(synth_spec(group_means=GROUP_MEANS), seed)
+    return build_data(PAPER, seed)
 
 
 @functools.lru_cache(maxsize=None)
 def disparity_run(algo: str, seed: int):
     train, test = disparity_data(seed)
     shards = partition(train, 4, beta=0.5, seed=seed)
-    return run_experiment(fed_config(algo, seed), shards, test, NET)
+    return run_experiment(fed_config(algo), algo, seed, shards, test)
 
 
 class TestCriterion1GradientCheck:
@@ -183,19 +181,20 @@ class TestCriterion4HandValues:
 class TestCriterion5AttributeLeakage:
     def test_5_adversary_suppresses_group_probe(self):
         t0 = time.monotonic()
-        spec = synth_spec(attr_leak=1.0)  # full group leak, no amplitude disparity
+        # full group leak, no amplitude disparity
+        data_cfg = ExperimentConfig(seeds=SEEDS, attr_leak=1.0)
         fed_probe, res_probe = [], []
         chance = None
         for seed in SEEDS:
-            train, test = build_data(spec, seed)
+            train, test = build_data(data_cfg, seed)
             shards = partition(train, 4, beta=0.5, seed=seed)
             s_test = test.s
             share = np.bincount(s_test, minlength=4) / len(s_test)
             chance = float(share.max())
             for algo, sink in (("fedavg", fed_probe), ("resfl", res_probe)):
-                cfg = fed_config(algo, seed, local_iterations=100,
+                cfg = fed_config(algo, local_iterations=100,
                                  lambda_adv=0.0 if algo == "fedavg" else 2.0)
-                params, _ = run_experiment(cfg, shards, test, NET)
+                params, _ = run_experiment(cfg, algo, seed, shards, test)
                 X_tr, s_tr, X_te = train.X, train.s, test.X
                 H_tr = forward_batch(params, X_tr)[2]
                 H_te = forward_batch(params, X_te)[2]
@@ -231,7 +230,6 @@ class TestCriterion6Fairness:
 
 class TestCriterion7Membership:
     def test_7_overfit_leaks_and_dp_mitigates(self):
-        net = NET
         over_scores, dp_scores = [], []
         for seed in SEEDS:
             train, test = disparity_data(seed)
@@ -241,15 +239,13 @@ class TestCriterion7Membership:
             shadow = train[order[30:430]]
             nonmembers = test[np.random.default_rng([seed, 0x4E4D]).permutation(
                 len(test))[:30]]
-            # the shadow and both targets: one 1-client cell, DP or not
-            cfg = FederationConfig(
-                num_clients=1, rounds=1, local_iterations=3000, batch_size=32,
-                eta=0.1, eta_phi=0.1, lambda1=0.1, lambda_adv=0.0, aggregator="fedavg",
-                dp_epsilon=0.1, dp_clip=1.0, server_lr=1.0, seed=seed)
-            target, _ = run_experiment(cfg, [members], None, network=net)
-            dp_target, _ = run_experiment(replace(cfg, aggregator="fedavg_dp"),
-                                          [members], None, network=net)
-            tau = mia_threshold(cfg, net, len(members), shadow)
+            # the shadow and both targets: one 1-client config, DP or not
+            cfg = replace(PAPER, num_clients=1, rounds=1, local_iterations=3000,
+                          batch_size=32, eta=0.1, eta_phi=0.1, lambda1=0.1,
+                          lambda_adv=0.0, dp_epsilon=0.1, dp_clip=1.0, server_lr=1.0)
+            target, _ = run_experiment(cfg, "fedavg", seed, [members], None)
+            dp_target, _ = run_experiment(cfg, "fedavg_dp", seed, [members], None)
+            tau = mia_threshold(cfg, seed, len(members), shadow)
             over_scores.append(mia_run(target, members, nonmembers, tau).score)
             dp_scores.append(mia_run(dp_target, members, nonmembers, tau).score)
         over, dp = float(np.mean(over_scores)), float(np.mean(dp_scores))
@@ -265,9 +261,9 @@ class TestCriterion8Byzantine:
             train, test = disparity_data(seed)
             shards = partition(train, 4, beta=0.5, seed=seed)
             for algo in ("fedavg", "resfl"):
-                rep = byzantine_run(fed_config(algo, seed), shards, test,
-                                    disparity_run(algo, seed),
-                                    malicious_fraction=0.25, perturb_scale=10.0)
+                rep = byzantine_run(fed_config(algo, byzantine_fraction=0.25,
+                                               byzantine_scale=10.0),
+                                    algo, seed, shards, test, disparity_run(algo, seed))
                 degr[algo].append(rep.score)
         wins = sum(r < f for f, r in zip(degr["fedavg"], degr["resfl"]))
         elapsed = time.monotonic() - t0
@@ -284,20 +280,20 @@ class TestCriterion9Poisoning:
         for seed in SEEDS:
             train, test = disparity_data(seed)
             shards = partition(train, 4, beta=0.5, seed=seed)
-            rep = poisoning_run(fed_config("fedavg", seed), shards, test,
-                                disparity_run("fedavg", seed), target_group=3, rate=0.2)
+            rep = poisoning_run(fed_config("fedavg", poison_group=3, poison_rate=0.2),
+                                "fedavg", seed, shards, test, disparity_run("fedavg", seed))
             shifts.append(rep.score)
         mean_shift = float(np.mean(shifts))
 
         # null attacks must be exactly zero, not merely small
         train, test = disparity_data(1)
         shards = partition(train, 4, beta=0.5, seed=1)
-        cfg = fed_config("fedavg", 1, rounds=3)
-        clean = run_experiment(cfg, shards, test, NET)
-        zero_poison = poisoning_run(cfg, shards, test, clean, target_group=3,
-                                    rate=0.0).score
-        zero_byz = byzantine_run(cfg, shards, test, clean,
-                                 malicious_fraction=0.0, perturb_scale=10.0).score
+        cfg = fed_config("fedavg", rounds=3)
+        clean = run_experiment(cfg, "fedavg", 1, shards, test)
+        zero_poison = poisoning_run(replace(cfg, poison_group=3, poison_rate=0.0),
+                                    "fedavg", 1, shards, test, clean).score
+        zero_byz = byzantine_run(replace(cfg, byzantine_fraction=0.0, byzantine_scale=10.0),
+                                 "fedavg", 1, shards, test, clean).score
         ok = mean_shift > 0 and zero_poison == 0.0 and zero_byz == 0.0
         report(9, ok,
                f"mean eod shift {mean_shift:.3f} > 0; rate=0 shift {zero_poison}, "

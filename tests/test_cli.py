@@ -73,6 +73,8 @@ INVALID = {
     "rows = 0.1,1; 0.10,1.0": ("[attack]", "[sweep]\nrows = 0.1,1; 0.10,1.0\n\n[attack]"),
     "partition_beta = 0": ("attr_leak = 0.5", "attr_leak = 0.5\npartition_beta = 0"),
     "mia_overfit_size = 0": ("mia_overfit_size = 10", "mia_overfit_size = 0"),
+    # 120 training samples leave the shadow pool 3 < 4 samples
+    "mia_overfit_size = 117": ("mia_overfit_size = 10", "mia_overfit_size = 117"),
     "mia_overfit_steps = -5": ("mia_overfit_steps = 30", "mia_overfit_steps = -5"),
     "aia_trials = 0": ("aia_trials = 10", "aia_trials = 0"),
     "aia_trials = -3": ("aia_trials = 10", "aia_trials = -3"),
@@ -360,13 +362,12 @@ class TestAttack:
         # with the round-0 stream of client 0
         cfg, seed = load_config(cfg_path), 1
         members, _, _ = cli._mia_setup(cfg, *cli.build_data(cfg), seed)
-        net = cfg.network()
-        init = initial_params(net, seed).theta
-        fed_cfg, dp_cfg = (cli._mia_config(cfg, seed, a) for a in ("fedavg", "fedavg_dp"))
-        overfit, _ = run_experiment(fed_cfg, [members], None, net)
-        dp_target, _ = run_experiment(dp_cfg, [members], None, net)
+        init = initial_params(cfg.network(), seed).theta
+        mia_cfg = cli._mia_config(cfg)
+        overfit, _ = run_experiment(mia_cfg, "fedavg", seed, [members], None)
+        dp_target, _ = run_experiment(mia_cfg, "fedavg_dp", seed, [members], None)
         expected = overfit.theta - init  # a copy, clipped and noised in place
-        apply_dp(expected, dp_cfg.dp_clip, dp_cfg.dp_noise_scale,
+        apply_dp(expected, mia_cfg.dp_clip, mia_cfg.dp_noise_scale,
                  np.random.default_rng([seed, 0, 0, 0xDF]))
         np.testing.assert_allclose(dp_target.theta - init, expected, rtol=0, atol=1e-12)
 
@@ -394,6 +395,20 @@ class TestAttack:
         rows = (out / "attacks.csv").read_text().strip().splitlines()[1:]
         assert [r.split(",")[:2] for r in rows] == [["poisoning", "fedavg"],
                                                     ["poisoning", "resfl"]]
+
+    def test_aia_and_sweep_skip_an_empty_group(self, tmp_path):
+        # group 1 has no samples, so no probe batch: the AIA infers among
+        # the other three groups, in attack and in sweep alike
+        p = tmp_path / "gap.cfg"
+        p.write_text(TINY.replace("samples_per_group = 30, 30, 30, 30",
+                                  "samples_per_group = 60, 0, 40, 30"))
+        for command in (["attack", "--kind", "aia"], ["sweep"]):
+            out = tmp_path / command[0]
+            assert main([*command, "--config", str(p), "--out", str(out),
+                         "--seed", "1"]) == 0, command
+        aia = (tmp_path / "attack" / "attacks.csv").read_text().splitlines()[1]
+        assert aia.split(",")[:3] == ["aia", "init", "1"]
+        assert 0.0 <= float(aia.split(",")[3]) <= 1.0
 
     def test_paired_runs_train_the_configured_network(self, cfg_path, tmp_path,
                                                       monkeypatch):

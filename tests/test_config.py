@@ -3,11 +3,13 @@
 import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from resfl_sim.config import (
     _FIELD,
     _SCHEMA,
+    AGGREGATORS,
     DEFAULT_SWEEP_ROWS,
     ConfigError,
     ExperimentConfig,
@@ -15,8 +17,8 @@ from resfl_sim.config import (
     normalized_text,
     parse_config_text,
 )
-from resfl_sim.datasets import SynthSpec
-from resfl_sim.federation import AGGREGATORS, ByzantineSpec, FederationConfig
+from resfl_sim.datasets import generate_dataset, partition
+from resfl_sim.federation import ByzantineSpec, run_experiment
 from resfl_sim.network import NetworkSpec
 
 GOOD = """\
@@ -69,16 +71,6 @@ class TestParsing:
             "# leading comment\n[experiment]\n\nseeds = 5  # five\n")
         assert parsed["experiment"]["seeds"] == (5,)
 
-    def test_federation_config_construction(self, tmp_path):
-        cfg = load_config(write_cfg(tmp_path, GOOD))
-        fc = cfg.federation_config("resfl", seed=2)
-        assert fc.aggregator == "resfl"
-        assert fc.seed == 2
-        assert fc.rounds == 20
-        assert fc.lambda_adv == 0.5
-        fc_dp = cfg.federation_config("fedavg_dp", seed=1)
-        assert fc_dp.dp_epsilon == 0.1 and fc_dp.dp_clip == 1.0
-
 
 # every [federation] key, each set to a value that is not its default
 FEDERATION_VALUES = dict(
@@ -101,9 +93,21 @@ EVERY_KEY = {
 EVERY_KEY_TEXT = "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
                          for section, keys in EVERY_KEY.items())
 
+# a small cell on which each of those values changes what is trained
+CELL = ExperimentConfig(seeds=(1,), input_dim=6, samples_per_group=(30,) * 4,
+                        rounds=2, local_iterations=3, batch_size=16, eta=0.01,
+                        lambda_adv=0.5)
+
+
+def train_cell(cfg, algorithm):
+    """The final global theta of the seed-0 cell of ``cfg`` on CELL's data."""
+    data = generate_dataset(CELL, seed=0)
+    shards = partition(data, cfg.num_clients, cfg.partition_beta, seed=0)
+    return run_experiment(cfg, algorithm, 0, shards, None)[0].theta
+
 
 class TestSingleSourceOfDefaults:
-    @pytest.mark.parametrize("cls", [FederationConfig, NetworkSpec, ByzantineSpec, SynthSpec])
+    @pytest.mark.parametrize("cls", [NetworkSpec, ByzantineSpec])
     def test_library_settings_have_no_defaults(self, cls):
         for f in dataclasses.fields(cls):
             assert f.default is dataclasses.MISSING, f.name
@@ -124,26 +128,23 @@ class TestSingleSourceOfDefaults:
                 value = parsed[section][key]
                 assert getattr(cfg, name) == value != getattr(defaults, name), key
 
-    def test_every_federation_key_reaches_the_cell(self, tmp_path):
-        text = "[experiment]\nseeds = 1\n[federation]\nhidden_dims = 12, 6\n" + "".join(
-            f"{k} = {v}\n" for k, v in FEDERATION_VALUES.items())
-        cfg = load_config(write_cfg(tmp_path, text))
-        defaults = ExperimentConfig(seeds=(1,))
-        # every field that a [federation] key sets
-        assert set(FEDERATION_VALUES) == {
-            f.name for f in dataclasses.fields(FederationConfig)} - {"aggregator", "seed"}
-        assert all(getattr(defaults, k) != v for k, v in FEDERATION_VALUES.items())
-        assert cfg.network().hidden_dims == (12, 6) != defaults.hidden_dims
-        for algo in AGGREGATORS:
-            fc = cfg.federation_config(algo, seed=9)
-            assert (fc.aggregator, fc.seed) == (algo, 9)
-            for key, value in FEDERATION_VALUES.items():
-                assert getattr(fc, key) == value, (algo, key)
+    def test_every_federation_key_reaches_the_cell(self):
+        # each [federation] key, set alone, changes the model of some algorithm
+        assert set(FEDERATION_VALUES) | {"hidden_dims"} == set(_SCHEMA["federation"])
+        base = {algo: train_cell(CELL, algo) for algo in AGGREGATORS}
+        for key, value in {**FEDERATION_VALUES, "hidden_dims": (12, 6)}.items():
+            cfg = dataclasses.replace(CELL, **{key: value})
+            assert getattr(CELL, key) != value
+            assert any(not np.array_equal(train_cell(cfg, algo), base[algo])
+                       for algo in AGGREGATORS), key
 
     def test_unset_rates_resolve_in_one_place(self):
-        fc = ExperimentConfig(seeds=(1,), eta=0.03, num_clients=5).federation_config(
-            "resfl", seed=1)
-        assert fc.eta_phi == 0.03 and fc.server_lr == 1.0 / 5
+        # eta_phi and server_lr left unset follow eta and 1 / num_clients
+        # where they are read, also through a replace of those two
+        cfg = dataclasses.replace(CELL, eta=0.03, num_clients=3)
+        explicit = dataclasses.replace(cfg, eta_phi=0.03, server_lr=1.0 / 3)
+        for algo in AGGREGATORS:
+            np.testing.assert_array_equal(train_cell(cfg, algo), train_cell(explicit, algo))
 
     def test_no_setting_is_none_after_load(self, tmp_path):
         # GOOD leaves out poison_group, eta_phi and server_lr, whose
@@ -151,18 +152,16 @@ class TestSingleSourceOfDefaults:
         cfg = load_config(write_cfg(tmp_path, GOOD))
         unset = {f.name for f in dataclasses.fields(cfg) if getattr(cfg, f.name) is None}
         # the two rates follow eta and num_clients, also through a
-        # dataclasses.replace of those, so federation_config resolves them
+        # dataclasses.replace of those, so the cell resolves them where
+        # it reads them (test_unset_rates_resolve_in_one_place)
         assert unset == {"eta_phi", "server_lr"}
         assert cfg.poison_group == 0
-        for algo in AGGREGATORS:
-            fc = cfg.federation_config(algo, seed=2)
-            assert [f.name for f in dataclasses.fields(fc) if getattr(fc, f.name) is None] == []
-            assert (fc.eta_phi, fc.server_lr) == (0.005, 0.25)
 
     def test_default_poison_group_is_the_smallest_group_with_samples(self):
         def target(*counts):
+            # a 1-sample MIA member set, which 11 training samples hold
             return ExperimentConfig(
-                seeds=(1,), samples_per_group=counts).poison_group
+                seeds=(1,), samples_per_group=counts, mia_overfit_size=1).poison_group
         assert target(60, 0, 40, 30) == 3
         assert target(5, 0, 3, 3) == 2  # the lowest id on a tie
         assert target(2000, 1500, 1000, 500) == 3

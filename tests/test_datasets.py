@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import reference_generate_dataset, synth_spec
+from oracles import reference_generate_dataset, data_config
 from resfl_sim.datasets import (
     PARTITION_TRIES,
     generate_dataset,
@@ -33,50 +33,50 @@ def same_rows(a, b):
 
 class TestGeneration:
     def test_deterministic(self):
-        spec = synth_spec(samples_per_group=(50, 50, 50, 50))
-        a = generate_dataset(spec, seed=3)
-        b = generate_dataset(spec, seed=3)
+        cfg = data_config(samples_per_group=(50, 50, 50, 50))
+        a = generate_dataset(cfg, seed=3)
+        b = generate_dataset(cfg, seed=3)
         assert len(a) == len(b) == 200
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.y, b.y) and np.array_equal(a.s, b.s)
 
     def test_different_seeds_differ(self):
-        spec = synth_spec(samples_per_group=(50, 50, 50, 50))
-        a = generate_dataset(spec, seed=3)
-        b = generate_dataset(spec, seed=4)
+        cfg = data_config(samples_per_group=(50, 50, 50, 50))
+        a = generate_dataset(cfg, seed=3)
+        b = generate_dataset(cfg, seed=4)
         assert not np.array_equal(a.X[0], b.X[0])
 
     def test_exact_group_counts(self):
-        spec = synth_spec(samples_per_group=(2000, 1500, 1000, 500))
-        data = generate_dataset(spec, seed=0)
+        cfg = data_config(samples_per_group=(2000, 1500, 1000, 500))
+        data = generate_dataset(cfg, seed=0)
         counts = np.bincount(data.s, minlength=4)
         np.testing.assert_array_equal(counts, [2000, 1500, 1000, 500])
 
     def test_labels_and_groups_in_range(self):
-        spec = synth_spec(samples_per_group=(100, 100, 100, 100))
-        data = generate_dataset(spec, seed=1)
-        assert np.all((0 <= data.y) & (data.y < spec.num_classes))
-        assert np.all((0 <= data.s) & (data.s < spec.num_groups))
+        cfg = data_config(samples_per_group=(100, 100, 100, 100))
+        data = generate_dataset(cfg, seed=1)
+        assert np.all((0 <= data.y) & (data.y < cfg.num_classes))
+        assert np.all((0 <= data.s) & (data.s < cfg.num_groups))
 
     def test_noiseless_data_linearly_separable(self):
-        spec = synth_spec(samples_per_group=(200, 200, 200, 200), noise_std=0.0,
+        cfg = data_config(samples_per_group=(200, 200, 200, 200), noise_std=0.0,
                           attr_leak=0.0)
-        data = generate_dataset(spec, seed=0)
+        data = generate_dataset(cfg, seed=0)
         assert probe_on(data, target="y") == 1.0
 
     def test_zero_leak_probe_near_chance(self):
-        spec = synth_spec(samples_per_group=(500, 500, 500, 500), attr_leak=0.0)
-        data = generate_dataset(spec, seed=0)
+        cfg = data_config(samples_per_group=(500, 500, 500, 500), attr_leak=0.0)
+        data = generate_dataset(cfg, seed=0)
         assert probe_on(data, target="s") == pytest.approx(0.25, abs=0.05)
 
     def test_full_leak_probe_near_perfect(self):
-        spec = synth_spec(samples_per_group=(500, 500, 500, 500), attr_leak=1.0)
-        data = generate_dataset(spec, seed=0)
+        cfg = data_config(samples_per_group=(500, 500, 500, 500), attr_leak=1.0)
+        data = generate_dataset(cfg, seed=0)
         assert probe_on(data, target="s") > 0.95
 
     def test_label_flip_noise_caps_accuracy(self):
-        clean = synth_spec(samples_per_group=(400, 400, 400, 400), noise_std=0.2)
-        noisy = synth_spec(samples_per_group=(400, 400, 400, 400), noise_std=0.2,
+        clean = data_config(samples_per_group=(400, 400, 400, 400), noise_std=0.2)
+        noisy = data_config(samples_per_group=(400, 400, 400, 400), noise_std=0.2,
                            label_flip_noise=(0.4, 0.4, 0.4, 0.4))
         acc_clean = probe_on(generate_dataset(clean, seed=0), target="y")
         acc_noisy = probe_on(generate_dataset(noisy, seed=0), target="y")
@@ -86,32 +86,26 @@ class TestGeneration:
         ("noise_std", 1e308), ("group_means", ((1e308, 0.0),) * 4)])
     def test_overflowing_features_raise(self, field, value):
         # the one finiteness check of every model input
-        spec = synth_spec(input_dim=6, samples_per_group=(20,) * 4, **{field: value})
+        cfg = data_config(input_dim=6, samples_per_group=(20,) * 4, **{field: value})
         with pytest.raises(ValueError, match="non-finite features"):
-            generate_dataset(spec, seed=0)
-
-    def test_spec_hash_distinguishes(self):
-        a = synth_spec()
-        b = synth_spec(attr_leak=0.4)
-        assert a.spec_hash() != b.spec_hash()
-        assert a.spec_hash() == synth_spec().spec_hash()
+            generate_dataset(cfg, seed=0)
 
 
-DRAW_ORDER_SPECS = {
-    "no_label_noise": synth_spec(input_dim=6, samples_per_group=(40, 30, 20, 10)),
-    "mixed_label_noise": synth_spec(input_dim=6, samples_per_group=(40, 30, 20, 10),
+DRAW_ORDER_CONFIGS = {
+    "no_label_noise": data_config(input_dim=6, samples_per_group=(40, 30, 20, 10)),
+    "mixed_label_noise": data_config(input_dim=6, samples_per_group=(40, 30, 20, 10),
                                     label_flip_noise=(0.1, 0.0, 0.2, 0.05)),
-    "label_noise_everywhere": synth_spec(input_dim=6, samples_per_group=(40, 30, 20, 10),
+    "label_noise_everywhere": data_config(input_dim=6, samples_per_group=(40, 30, 20, 10),
                                          label_flip_noise=(0.3, 0.1, 0.2, 0.4)),
-    "empty_group": synth_spec(input_dim=6, samples_per_group=(40, 0, 20, 10),
+    "empty_group": data_config(input_dim=6, samples_per_group=(40, 0, 20, 10),
                               label_flip_noise=(0.0, 0.2, 0.1, 0.0)),
-    "three_classes": synth_spec(input_dim=6, num_classes=3,
+    "three_classes": data_config(input_dim=6, num_classes=3,
                                 samples_per_group=(40, 30, 20, 10),
                                 label_flip_noise=(0.0, 0.3, 0.0, 0.1)),
-    "input_dim_1": synth_spec(input_dim=1, samples_per_group=(40, 30, 20, 10),
+    "input_dim_1": data_config(input_dim=1, samples_per_group=(40, 30, 20, 10),
                               label_flip_noise=(0.0, 0.2, 0.0, 0.0)),
-    "no_leak": synth_spec(input_dim=6, samples_per_group=(40, 30, 20, 10), attr_leak=0.0),
-    "every_column_leaks": synth_spec(input_dim=6, samples_per_group=(40, 30, 20, 10),
+    "no_leak": data_config(input_dim=6, samples_per_group=(40, 30, 20, 10), attr_leak=0.0),
+    "every_column_leaks": data_config(input_dim=6, samples_per_group=(40, 30, 20, 10),
                                      attr_leak=1.0, label_flip_noise=(0.0, 0.2, 0.0, 0.0)),
 }
 
@@ -121,11 +115,11 @@ class TestDrawOrder:
     as the row-by-row reference does."""
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 42])
-    @pytest.mark.parametrize("name", sorted(DRAW_ORDER_SPECS))
+    @pytest.mark.parametrize("name", sorted(DRAW_ORDER_CONFIGS))
     def test_bitwise_equal_to_row_by_row_reference(self, name, seed):
-        spec = DRAW_ORDER_SPECS[name]
-        got = generate_dataset(spec, seed)
-        ref = reference_generate_dataset(spec, seed)
+        cfg = DRAW_ORDER_CONFIGS[name]
+        got = generate_dataset(cfg, seed)
+        ref = reference_generate_dataset(cfg, seed)
         assert np.array_equal(got.X, ref.X)
         assert np.array_equal(got.y, ref.y)
         assert np.array_equal(got.s, ref.s)
@@ -133,8 +127,8 @@ class TestDrawOrder:
 
 class TestPartition:
     def setup_method(self):
-        self.spec = synth_spec(samples_per_group=(300, 300, 300, 300))
-        self.data = generate_dataset(self.spec, seed=0)
+        self.cfg = data_config(samples_per_group=(300, 300, 300, 300))
+        self.data = generate_dataset(self.cfg, seed=0)
 
     def test_single_client_gets_everything(self):
         shards = partition(self.data, 1, beta=0.5, seed=0)
@@ -177,8 +171,8 @@ class TestPartition:
 
 class TestPoison:
     def setup_method(self):
-        spec = synth_spec(samples_per_group=(25, 25, 25, 25))
-        self.shard = generate_dataset(spec, seed=0)  # 100 samples
+        cfg = data_config(samples_per_group=(25, 25, 25, 25))
+        self.shard = generate_dataset(cfg, seed=0)  # 100 samples
 
     def test_rate_zero_is_identity(self):
         out = poison(self.shard, target_group=1, rate=0.0, seed=0, num_classes=2)
@@ -222,8 +216,8 @@ class TestPoison:
     def test_wrong_labels_drawn_from_every_class(self):
         # a three-class shard that lacks class 2: the clones of class-1
         # samples must be able to take label 2 as well as label 0
-        spec = synth_spec(num_classes=3, samples_per_group=(40, 40, 40, 40))
-        data = generate_dataset(spec, seed=0)
+        cfg = data_config(num_classes=3, samples_per_group=(40, 40, 40, 40))
+        data = generate_dataset(cfg, seed=0)
         shard = data[data.y < 2]
         out = poison(shard, target_group=2, rate=0.3, seed=0, num_classes=3)
         injected = out[len(shard):]

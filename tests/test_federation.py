@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import segment_view, synth_spec
+from oracles import segment_view
 from resfl_sim import adversarial, fairness, federation, network
 from resfl_sim.config import ExperimentConfig
 from resfl_sim.datasets import generate_dataset, partition
@@ -15,7 +15,6 @@ from resfl_sim.adversarial import local_train_step
 from resfl_sim.evidential import evidential_terms_batch
 from resfl_sim.federation import (
     ByzantineSpec,
-    FederationConfig,
     aggregate_fedavg,
     aggregate_resfl,
     apply_dp,
@@ -25,30 +24,29 @@ from resfl_sim.federation import (
     run_experiment,
     shard_ufm,
 )
-from resfl_sim.network import NetworkSpec, ParameterSet, backward_batch, init_params
+from resfl_sim.network import ParameterSet, backward_batch, init_params
+
+
+def tiny_config(**kw):
+    """ExperimentConfig's defaults with ``kw`` laid over tiny_data's sizes:
+    6 features, 30 samples per group and 2 clients."""
+    base = dict(input_dim=6, samples_per_group=(30,) * 4, num_clients=2, rounds=2,
+                local_iterations=3, batch_size=16, eta=0.01, lambda_adv=0.1)
+    return ExperimentConfig(seeds=(0,), **{**base, **kw})
 
 
 # the network tiny_data's shards train
-NET = NetworkSpec(input_dim=6, hidden_dims=(32, 32), num_classes=2, num_groups=4)
-
-# one valid value per FederationConfig field
-VALID = dict(num_clients=2, rounds=2, local_iterations=3, batch_size=16, eta=0.01,
-             eta_phi=0.01, lambda1=0.1, lambda_adv=0.1, aggregator="resfl",
-             dp_epsilon=0.1, dp_clip=1.0, server_lr=0.5, seed=0)
+NET = tiny_config().network()
 
 
-def tiny_data(seed=0, per_group=30):
-    spec = synth_spec(input_dim=6, samples_per_group=(per_group,) * 4)
-    data = generate_dataset(spec, seed=seed)
+def tiny_data(seed=0):
+    data = generate_dataset(tiny_config(), seed=seed)
     return data, partition(data, 2, beta=0.5, seed=seed)
 
 
-def tiny_config(aggregator="resfl", seed=0, **kw):
-    """ExperimentConfig's defaults with ``kw`` laid over tiny_data's sizes."""
-    base = dict(num_clients=2, rounds=2, local_iterations=3, batch_size=16,
-                eta=0.01, lambda_adv=0.1)
-    return ExperimentConfig(seeds=(seed,), **{**base, **kw}).federation_config(
-        aggregator, seed)
+def run(cfg, shards, data, algorithm="resfl", byzantine=None):
+    """The seed-0 cell of ``algorithm``."""
+    return run_experiment(cfg, algorithm, 0, shards, data, byzantine=byzantine)
 
 
 def workspace(spec):
@@ -68,13 +66,9 @@ def train(global_params, shard, cfg, rng, work=None, phi=None):
 
 
 class TestConfig:
-    def test_server_lr_resolved_by_federation_config(self):
-        assert tiny_config(num_clients=4).server_lr == 0.25
-        assert tiny_config(num_clients=4, server_lr=1.0).server_lr == 1.0
-
     def test_dp_noise_scale_formula(self):
-        cfg = FederationConfig(**{**VALID, "aggregator": "fedavg_dp", "dp_epsilon": 2.0})
-        expect = math.sqrt(2.0 * math.log(1.25 / 1e-5)) / 2.0
+        cfg = tiny_config(dp_epsilon=0.5)
+        expect = math.sqrt(2.0 * math.log(1.25 / 1e-5)) / 0.5
         assert cfg.dp_noise_scale == pytest.approx(expect, rel=1e-12)
 
 
@@ -104,8 +98,9 @@ class TestClientRound:
                          replace=False)
         batch = shard[idx]
         manual = self.params.copy()  # local_train_step steps it in place
+        # an unset eta_phi follows eta
         local_train_step(manual, ParameterSet.zeros(manual.spec), batch.X, batch.y,
-                         batch.s, cfg.eta, cfg.eta_phi, cfg.lambda1, cfg.lambda_adv)
+                         batch.s, cfg.eta, cfg.eta, cfg.lambda1, cfg.lambda_adv)
         np.testing.assert_array_equal(delta, manual.theta - self.params.theta)
         np.testing.assert_array_equal(phi, manual.phi)
 
@@ -140,7 +135,7 @@ class TestClientRound:
             batch = shard[rng.choice(len(shard), size=cfg.batch_size, replace=False)]
             rows.append(local_train_step(
                 manual, ParameterSet.zeros(manual.spec), batch.X, batch.y, batch.s,
-                cfg.eta, cfg.eta_phi, cfg.lambda1, cfg.lambda_adv))
+                cfg.eta, cfg.eta, cfg.lambda1, cfg.lambda_adv))
         np.testing.assert_allclose(losses, np.mean(rows, axis=0), rtol=1e-14)
 
     @pytest.mark.parametrize("cause", [
@@ -367,9 +362,11 @@ class TestApplyDp:
 class TestRunExperiment:
     def test_zero_rounds(self):
         data, shards = tiny_data()
-        # a config error at load; the library still runs no rounds
-        cfg = FederationConfig(**{**VALID, "rounds": 0})
-        params, records = run_experiment(cfg, shards, data, NET)
+        # a config error at load; set on a built config, the library
+        # still runs no rounds
+        cfg = tiny_config()
+        cfg.rounds = 0
+        params, records = run(cfg, shards, data)
         assert records == []
         ref = initial_params(params.spec, 0)
         np.testing.assert_array_equal(params.flat, ref.flat)
@@ -377,8 +374,8 @@ class TestRunExperiment:
     def test_deterministic_end_to_end(self):
         data, shards = tiny_data()
         cfg = tiny_config(rounds=3)
-        pa, ra = run_experiment(cfg, shards, data, NET)
-        pb, rb = run_experiment(cfg, shards, data, NET)
+        pa, ra = run(cfg, shards, data)
+        pb, rb = run(cfg, shards, data)
         np.testing.assert_array_equal(pa.flat, pb.flat)
         assert [r.accuracy for r in ra] == [r.accuracy for r in rb]
         np.testing.assert_array_equal(ra[-1].ufm, rb[-1].ufm)
@@ -386,9 +383,8 @@ class TestRunExperiment:
 
     def test_single_client_fedavg_replays_centralized_sgd(self):
         data, _ = tiny_data()
-        cfg = tiny_config(num_clients=1, rounds=1, local_iterations=4,
-                          aggregator="fedavg", server_lr=1.0)
-        params, _ = run_experiment(cfg, [data], data, NET)
+        cfg = tiny_config(num_clients=1, rounds=1, local_iterations=4, server_lr=1.0)
+        params, _ = run(cfg, [data], data, "fedavg")
         # replay: one client, full-weight aggregation == its local endpoint
         net = params.spec
         start = initial_params(net, 0)
@@ -397,7 +393,7 @@ class TestRunExperiment:
 
     def test_round_records_hold_a_row_per_client(self):
         data, shards = tiny_data()
-        _, records = run_experiment(tiny_config(), shards, data, NET)
+        _, records = run(tiny_config(), shards, data)
         for r in records:
             assert r.ufm.shape == (2,) and r.losses.shape == (2, 3)
             assert np.all(np.isfinite(r.ufm)) and np.all(np.isfinite(r.losses))
@@ -406,18 +402,18 @@ class TestRunExperiment:
     def test_shard_count_mismatch_rejected(self):
         data, shards = tiny_data()
         with pytest.raises(ValueError):
-            run_experiment(tiny_config(num_clients=3), shards, data, NET)
+            run(tiny_config(num_clients=3), shards, data)
 
     def test_all_dropped_round_is_recorded_frozen_and_ends_the_run(self):
         data, shards = tiny_data()
         cfg = tiny_config(rounds=4, eta=1e300)
-        params, recs = run_experiment(cfg, shards, data, NET)
+        params, recs = run(cfg, shards, data)
         assert len(recs) < cfg.rounds
         last = recs[-1]
         assert np.all(np.isnan(last.ufm)) and np.all(np.isnan(last.losses))
         assert 0.0 <= last.accuracy <= 1.0
         assert np.all(np.isfinite(params.flat))
-        _, no_eval = run_experiment(cfg, shards, None, NET)
+        _, no_eval = run(cfg, shards, None)
         assert [r.round for r in no_eval] == [r.round for r in recs]
         assert math.isnan(no_eval[-1].accuracy) and no_eval[-1].acc_by_group == ()
 
@@ -427,7 +423,7 @@ class TestRunExperiment:
         # second one, which drops it after its workspace has moved; client 1 trains
         data, shards = tiny_data()
         shards = [replace(shards[0], X=shards[0].X * 1e200), shards[1]]
-        cfg = tiny_config(rounds=1, aggregator="fedavg")
+        cfg = tiny_config(rounds=1)
         phi_rows = []  # the run's phi row views, in client order
 
         def recording(global_params, phi, *args):
@@ -435,7 +431,7 @@ class TestRunExperiment:
             return client_round(global_params, phi, *args)
 
         monkeypatch.setattr(federation, "client_round", recording)
-        params, (rec,) = run_experiment(cfg, shards, data, NET)
+        params, (rec,) = run(cfg, shards, data, "fedavg")
         start = initial_params(NET, 0)
         np.testing.assert_array_equal(phi_rows[0], start.phi)
         delta, _, ufm, losses = train(start, shards[1], cfg, client_rng(0, 1, 0))
@@ -447,31 +443,30 @@ class TestRunExperiment:
 
     def test_byzantine_empty_or_zero_scale_is_clean(self):
         data, shards = tiny_data()
-        cfg = tiny_config(rounds=2, aggregator="fedavg")
-        clean, _ = run_experiment(cfg, shards, data, NET)
-        none, _ = run_experiment(cfg, shards, data, NET,
-                                 byzantine=ByzantineSpec(client_ids=(), scale=10.0))
-        zero, _ = run_experiment(cfg, shards, data, NET,
-                                 byzantine=ByzantineSpec(client_ids=(0,), scale=0.0))
+        cfg = tiny_config(rounds=2)
+        clean, _ = run(cfg, shards, data, "fedavg")
+        none, _ = run(cfg, shards, data, "fedavg",
+                      byzantine=ByzantineSpec(client_ids=(), scale=10.0))
+        zero, _ = run(cfg, shards, data, "fedavg",
+                      byzantine=ByzantineSpec(client_ids=(0,), scale=0.0))
         np.testing.assert_array_equal(clean.flat, none.flat)
         np.testing.assert_array_equal(clean.flat, zero.flat)
 
     def test_byzantine_noise_changes_model_and_reports_ufm(self):
         data, shards = tiny_data()
-        cfg = tiny_config(rounds=2, aggregator="fedavg")
-        clean, _ = run_experiment(cfg, shards, data, NET)
-        hit, recs = run_experiment(cfg, shards, data, NET,
-                                   byzantine=ByzantineSpec(client_ids=(0,), scale=5.0))
+        cfg = tiny_config(rounds=2)
+        clean, _ = run(cfg, shards, data, "fedavg")
+        hit, recs = run(cfg, shards, data, "fedavg",
+                        byzantine=ByzantineSpec(client_ids=(0,), scale=5.0))
         assert not np.array_equal(segment_view(clean, "theta_f"),
                                   segment_view(hit, "theta_f"))
         assert all(math.isfinite(r.ufm[0]) for r in recs)
 
     def test_fedavg_dp_runs_and_differs_from_fedavg(self):
         data, shards = tiny_data()
-        plain, _ = run_experiment(tiny_config(aggregator="fedavg"), shards, data, NET)
-        noisy, _ = run_experiment(
-            tiny_config(aggregator="fedavg_dp", dp_epsilon=0.5, dp_clip=1.0),
-            shards, data, NET)
+        cfg = tiny_config(dp_epsilon=0.5, dp_clip=1.0)
+        plain, _ = run(cfg, shards, data, "fedavg")
+        noisy, _ = run(cfg, shards, data, "fedavg_dp")
         assert not np.array_equal(segment_view(plain, "theta_f"),
                                   segment_view(noisy, "theta_f"))
 
@@ -505,8 +500,7 @@ class TestCallCounts:
 
         data, shards = tiny_data()
         cfg = tiny_config(rounds=3)
-        run_experiment(cfg, shards, data, NET,
-                       byzantine=ByzantineSpec(client_ids=(1,), scale=10.0))
+        run(cfg, shards, data, byzantine=ByzantineSpec(client_ids=(1,), scale=10.0))
         R, K, L = cfg.rounds, cfg.num_clients, cfg.local_iterations
         e = 1 + 1  # evaluation plus one Byzantine client
         assert counts == {
