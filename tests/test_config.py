@@ -228,6 +228,16 @@ class TestErrors:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.cfg")
 
+    def test_mia_members_leave_the_shadow_minimum(self):
+        # the shadow pool is the training split past the members, and it
+        # needs 4 samples: with 11 samples the MIA can take 7 members, not 8
+        spg = (5, 0, 3, 3)
+        assert ExperimentConfig(seeds=(1,), samples_per_group=spg,
+                                mia_overfit_size=7).mia_overfit_size == 7
+        with pytest.raises(ConfigError, match=r"\[attack\] mia_overfit_size must be "
+                                              r">= 1 and <= 7, got 8"):
+            ExperimentConfig(seeds=(1,), samples_per_group=spg, mia_overfit_size=8)
+
 
 class TestSweep:
     @pytest.mark.parametrize("key", ["lambda1_grid", "lambda_adv_grid"])

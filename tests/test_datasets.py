@@ -90,6 +90,28 @@ class TestGeneration:
         with pytest.raises(ValueError, match="non-finite features"):
             generate_dataset(cfg, seed=0)
 
+    def test_each_generator_key_changes_the_draw(self):
+        base = dict(input_dim=6, samples_per_group=(20,) * 4)
+        ref = generate_dataset(data_config(**base), seed=0)
+        for change in (dict(input_dim=5), dict(num_classes=3),
+                       dict(num_groups=3, samples_per_group=(20,) * 3),
+                       dict(samples_per_group=(20, 10, 20, 20)),
+                       dict(group_means=((0.0, 0.5),) * 4), dict(noise_std=0.5),
+                       dict(attr_leak=0.25), dict(label_flip_noise=(0.0, 0.2, 0.0, 0.0))):
+            got = generate_dataset(data_config(**{**base, **change}), seed=0)
+            assert not same_rows(got, ref), change
+
+    def test_keys_outside_the_generator_leave_the_draw_alone(self):
+        # the draw reads the [data] generator keys and nothing else
+        base = data_config(input_dim=6, samples_per_group=(20,) * 4)
+        ref = generate_dataset(base, seed=0)
+        other = data_config(input_dim=6, samples_per_group=(20,) * 4,
+                            partition_beta=2.0, test_fraction=0.3, hidden_dims=(12, 6),
+                            num_clients=3, rounds=7, eta=0.02, eta_phi=0.3,
+                            lambda_adv=0.9, server_lr=0.4, dp_epsilon=0.5,
+                            mia_overfit_size=5, poison_group=0, poison_rate=0.5)
+        assert same_rows(generate_dataset(other, seed=0), ref)
+
 
 DRAW_ORDER_CONFIGS = {
     "no_label_noise": data_config(input_dim=6, samples_per_group=(40, 30, 20, 10)),

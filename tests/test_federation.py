@@ -71,6 +71,15 @@ class TestConfig:
         expect = math.sqrt(2.0 * math.log(1.25 / 1e-5)) / 0.5
         assert cfg.dp_noise_scale == pytest.approx(expect, rel=1e-12)
 
+    def test_cell_trains_the_network_of_its_config(self):
+        # the cell builds its network from the config's data and
+        # [federation] sizes; no separate network is passed
+        data, shards = tiny_data()
+        cfg = tiny_config(hidden_dims=(12, 6), rounds=1)
+        params, _ = run(cfg, shards, data)
+        assert params.spec == cfg.network() != NET
+        assert params.flat.shape == initial_params(cfg.network(), 0).flat.shape
+
 
 class TestClientRound:
     def setup_method(self):
