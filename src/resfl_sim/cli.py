@@ -29,7 +29,7 @@ from .config import ATTACK_KINDS, ConfigError, ExperimentConfig, load_config, \
     normalized_text
 from .datasets import generate_dataset, partition
 from .federation import initial_params, run_experiment
-from .metrics import SCALAR_COLUMNS, MetricsRow, read_metrics, write_metrics
+from .metrics import SCALAR_COLUMNS, read_metrics, write_metrics
 
 
 def build_data(cfg: ExperimentConfig):
@@ -51,40 +51,22 @@ def build_data(cfg: ExperimentConfig):
 
 def _single_run(cfg: ExperimentConfig, algo: str, seed: int, train, test):
     shards = partition(train, cfg.num_clients, cfg.partition_beta, seed=seed)
-    params, records = run_experiment(cfg, algo, seed, shards, test)
-    rows = []
-    for r in records:
-        # the reporting clients' UFM in client order; a frozen round has none
-        reported = r.ufm[~np.isnan(r.ufm)]
-        rows.append(MetricsRow(
-            algo=algo, seed=seed, round=r.round, accuracy=r.accuracy,
-            acc_by_group=r.acc_by_group, di_dev=r.di_dev,
-            delta_eop=r.delta_eop, eod=r.eod,
-            ufm_mean=float(np.mean(reported)) if reported.size else float("nan"),
-            unc_var=r.uncertainty_var,
-        ))
-    return params, rows
+    return run_experiment(cfg, algo, seed, shards, test)
 
 
-def _resolve_out(cfg: ExperimentConfig, cli_out: str | None) -> Path:
-    out = cli_out or os.environ.get("RESFL_SIM_OUT") or cfg.out_dir
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def write_summary(rows, seeds, out: Path) -> None:
-    """Write ``summary``: per algorithm, the mean over ``seeds`` of each
-    (algo, seed) cell's last row, so a cell that stopped early counts with
-    its last round. ``rows`` lists each cell's rows in round order."""
-    last = {(r.algo, r.seed): r for r in rows}
+def write_summary(seeds, out: Path) -> None:
+    """Write ``summary`` from ``out``'s ``metrics.csv``: per algorithm, the
+    mean over ``seeds`` of each (algo, seed) cell's last row, so a cell
+    that stopped early counts with its last round."""
+    rows = read_metrics(out / "metrics.csv")
+    last = {(r["algo"], r["seed"]): r for r in rows}  # rows are in round order
     summary = {}
-    for algo in dict.fromkeys(r.algo for r in rows):
+    for algo in dict.fromkeys(r["algo"] for r in rows):
         ran = [s for s in seeds if (algo, s) in last]
         if not ran:
             continue
         finals = [last[algo, s] for s in ran]
-        summary[algo] = {col: float(np.mean([getattr(r, col) for r in finals]))
+        summary[algo] = {col: float(np.mean([r[col] for r in finals]))
                          for col in SCALAR_COLUMNS}
         summary[algo]["seeds"] = ran
     (out / "summary").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
@@ -93,10 +75,10 @@ def write_summary(rows, seeds, out: Path) -> None:
 
 def cmd_run(cfg: ExperimentConfig, seeds, out: Path) -> None:
     train, test = build_data(cfg)
-    rows = [row for algo in cfg.algorithms for seed in seeds
-            for row in _single_run(cfg, algo, seed, train, test)[1]]
-    write_metrics(rows, out / "metrics.csv", num_groups=cfg.num_groups)
-    write_summary(rows, seeds, out)
+    cells = [(algo, seed, _single_run(cfg, algo, seed, train, test)[1])
+             for algo in cfg.algorithms for seed in seeds]
+    write_metrics(cells, out / "metrics.csv", num_groups=cfg.num_groups)
+    write_summary(seeds, out)
 
 
 def _mia_config(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -132,8 +114,8 @@ def cmd_sweep(cfg: ExperimentConfig, seeds, out: Path) -> None:
         cell_cfg = replace(cfg, lambda1=lam1, lambda_adv=lam_adv)
         accs, dds, eops, mias, aias = [], [], [], [], []
         for seed in seeds:
-            params, rows = _single_run(cell_cfg, "resfl", seed, train, test)
-            final = rows[-1]
+            params, records = _single_run(cell_cfg, "resfl", seed, train, test)
+            final = records[-1]
             accs.append(final.accuracy)
             dds.append(final.di_dev)
             eops.append(final.delta_eop)
@@ -195,7 +177,7 @@ def cmd_report(cfg: ExperimentConfig, seeds, out: Path) -> int:
         print(f"error: {metrics_path} not found; run 'resfl-sim run' first",
               file=sys.stderr)
         return 1
-    write_summary(read_metrics(metrics_path), seeds, out)
+    write_summary(seeds, out)
     return 0
 
 
@@ -218,9 +200,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         seeds = cfg.seeds if args.seed is None else (args.seed,)
-        out = _resolve_out(cfg, args.out)
+        out = Path(args.out or os.environ.get("RESFL_SIM_OUT") or cfg.out_dir)
         if args.command == "report":
-            return cmd_report(cfg, seeds, out)
+            return cmd_report(cfg, seeds, out)  # reads out, so creates nothing
+        out.mkdir(parents=True, exist_ok=True)
         if args.command == "run":
             cmd_run(cfg, seeds, out)
         elif args.command == "sweep":

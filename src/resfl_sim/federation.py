@@ -67,9 +67,15 @@ class RoundRecord:
     di_dev: float
     delta_eop: float
     eod: float
-    uncertainty_var: float
+    unc_var: float
     ufm: np.ndarray
     losses: np.ndarray
+
+    @property
+    def ufm_mean(self) -> float:
+        """Mean UFM of the reporting clients; NaN in a frozen round."""
+        reported = self.ufm[~np.isnan(self.ufm)]
+        return float(np.mean(reported)) if reported.size else float("nan")
 
 
 def client_rng(seed: int, client_id: int, round_idx: int) -> np.random.Generator:

@@ -7,8 +7,6 @@ group. Two-group formulas generalize to more groups by taking the worst
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DI_CAP = 1.0
@@ -72,49 +70,37 @@ def accuracy_by_group(predictions: np.ndarray, labels: np.ndarray, groups: np.nd
     return float(hit.mean()), per_group
 
 
-@dataclass(frozen=True)
-class MetricsRow:
-    algo: str
-    seed: int
-    round: int
-    accuracy: float
-    acc_by_group: tuple[float, ...]
-    di_dev: float
-    delta_eop: float
-    eod: float
-    ufm_mean: float
-    unc_var: float
-
-
-# MetricsRow's per-round scalars, in CSV column order
+# the per-round columns ``summary`` averages, in CSV column order
 SCALAR_COLUMNS = ("accuracy", "di_dev", "delta_eop", "eod", "ufm_mean", "unc_var")
 
 
-def read_metrics(path) -> list[MetricsRow]:
-    """The rows of a ``write_metrics`` CSV, at its 6-decimal precision."""
+def read_metrics(path) -> list[dict]:
+    """The rows of a ``write_metrics`` CSV as dicts keyed by column:
+    ``algo`` text, ``seed`` and ``round`` ints, and every other column the
+    exact float it was written from."""
     with open(path, encoding="utf-8") as f:
         header = f.readline().strip().split(",")
-        records = [dict(zip(header, line.strip().split(","))) for line in f]
-    return [MetricsRow(
-        algo=r["algo"], seed=int(r["seed"]), round=int(r["round"]),
-        acc_by_group=tuple(float(v) for k, v in r.items() if k.startswith("acc_g")),
-        **{k: float(r[k]) for k in SCALAR_COLUMNS})
-        for r in records]
+        rows = [dict(zip(header, line.strip().split(","))) for line in f]
+    return [{k: v if k == "algo" else int(v) if k in ("seed", "round") else float(v)
+             for k, v in r.items()} for r in rows]
 
 
-def write_metrics(rows, path, num_groups: int) -> None:
-    """Fixed-schema CSV: 6-decimal floats, rows sorted, trailing newline."""
-    rows = sorted(rows, key=lambda r: (r.algo, r.seed, r.round))
+def write_metrics(cells, path, num_groups: int) -> None:
+    """Fixed-schema CSV of ``(algo, seed, records)`` cells, one row per
+    ``RoundRecord``, sorted by (algo, seed) with each cell's records in
+    round order. Each float is written as its shortest round-trip text,
+    so the file holds the exact values; trailing newline."""
     group_cols = ",".join(f"acc_g{i + 1}" for i in range(num_groups))
     header = "algo,seed,round,accuracy," + (group_cols + "," if group_cols else "") \
         + "di_dev,delta_eop,eod,ufm_mean,unc_var"
     try:
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(header + "\n")
-            for r in rows:
-                vals = [r.accuracy, *r.acc_by_group, r.di_dev, r.delta_eop,
-                        r.eod, r.ufm_mean, r.unc_var]
-                f.write(f"{r.algo},{r.seed},{r.round},"
-                        + ",".join(f"{v:.6f}" for v in vals) + "\n")
+            for algo, seed, records in sorted(cells, key=lambda c: c[:2]):
+                for r in records:
+                    vals = [r.accuracy, *r.acc_by_group, r.di_dev, r.delta_eop,
+                            r.eod, r.ufm_mean, r.unc_var]
+                    f.write(f"{algo},{seed},{r.round},"
+                            + ",".join(repr(float(v)) for v in vals) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing metrics to {path}: {exc}") from exc

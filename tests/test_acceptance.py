@@ -217,8 +217,8 @@ class TestCriterion6Fairness:
             _, rec_r = disparity_run("resfl", seed)
             fed_eop.append(rec_f[-1].delta_eop)
             res_eop.append(rec_r[-1].delta_eop)
-            fed_var.append(rec_f[-1].uncertainty_var)
-            res_var.append(rec_r[-1].uncertainty_var)
+            fed_var.append(rec_f[-1].unc_var)
+            res_var.append(rec_r[-1].unc_var)
         elapsed = time.monotonic() - t0
         ok = float(np.mean(res_eop)) < float(np.mean(fed_eop)) and \
             float(np.mean(res_var)) < float(np.mean(fed_var)) and elapsed < 300.0

@@ -1,5 +1,6 @@
 """CLI smoke tests: subcommands, outputs, exit codes, determinism."""
 
+import csv
 import json
 import math
 import warnings
@@ -11,6 +12,7 @@ import pytest
 from resfl_sim import cli, federation
 from resfl_sim.cli import main
 from resfl_sim.config import load_config
+from resfl_sim.datasets import partition
 from resfl_sim.federation import apply_dp, initial_params, run_experiment
 
 TINY = """\
@@ -252,9 +254,32 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         rows = (out / "metrics.csv").read_text().strip().splitlines()[1:]
-        ufm_mean = [row.split(",")[-2] for row in rows]
-        assert ufm_mean == [f"{np.mean(ufms[:4]):.6f}",
-                            f"{np.mean([ufms[4], *ufms[6:]]):.6f}"]
+        ufm_mean = [float(row.split(",")[-2]) for row in rows]
+        assert ufm_mean == [float(np.mean(ufms[:4])),
+                            float(np.mean([ufms[4], *ufms[6:]]))]
+
+    def test_metrics_csv_holds_each_records_values_exactly(self, tmp_path):
+        # the NumPy-only CI step's tiny config; fedavg_dp's unc_var is
+        # about 1e-13, which six decimals would write as 0
+        cfg_path = tmp_path / "ci.cfg"
+        cfg_path.write_text(DEGENERATE.replace("local_iterations = 1\neta = 1e150",
+                                               "local_iterations = 2"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        cfg = load_config(cfg_path)
+        train, test = cli.build_data(cfg)
+        shards = partition(train, cfg.num_clients, cfg.partition_beta, seed=1)
+        want = []
+        for algo in cfg.algorithms:
+            want += [[algo, "1", str(r.round), r.accuracy, *r.acc_by_group, r.di_dev,
+                      r.delta_eop, r.eod, r.ufm_mean, r.unc_var]
+                     for r in run_experiment(cfg, algo, 1, shards, test)[1]]
+        with open(out / "metrics.csv", encoding="utf-8", newline="") as f:
+            got = [[*row[:3], *map(float, row[3:])] for row in list(csv.reader(f))[1:]]
+        assert [g[:3] for g in got] == [w[:3] for w in want]
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g[3:], w[3:])  # exact; NaN matches NaN
+        assert all(0 < w[-1] < 1e-6 for w in want if w[0] == "fedavg_dp")
 
     @pytest.mark.parametrize("eta", ["1e150", "1e300"])
     def test_degenerate_model_runs_to_the_end(self, tmp_path, eta):
@@ -273,7 +298,7 @@ class TestRun:
                          "--out", str(tmp_path / command)]) == 0, command
         rows = [row.split(",") for row in
                 (tmp_path / "run" / "metrics.csv").read_text().splitlines()[1:]]
-        assert [r[-2] for r in rows if r[2] == "0"] == ["4.000000"] * 3
+        assert [float(r[-2]) for r in rows if r[2] == "0"] == [4.0] * 3
         # accuracy, the four group accuracies, di_dev, delta_eop and eod
         assert [r[3:11] for r in rows if r[0] != "fedavg_dp" and r[2] == "0"] \
             == [["nan"] * 8] * 2
@@ -331,7 +356,9 @@ class TestExitCodes:
 
     def test_report_without_run_fails(self, cfg_path, tmp_path):
         assert main(["report", "--config", str(cfg_path),
-                     "--out", str(tmp_path / "empty")]) == 1
+                     "--out", str(tmp_path / "empty" / "x")]) == 1
+        # report only reads its directory, so a failing one creates none
+        assert not (tmp_path / "empty").exists()
 
 
 class TestAttack:
@@ -453,17 +480,8 @@ class TestSweepAndReport:
         original = (out / "summary").read_bytes()
         (out / "summary").unlink()
         assert main(["report", "--config", str(cfg_path), "--out", str(out)]) == 0
-        regenerated = json.loads((out / "summary").read_text())
-        baseline = json.loads(original)
-        assert set(regenerated) == set(baseline)
-        for algo in baseline:
-            assert regenerated[algo]["seeds"] == baseline[algo]["seeds"]
-            for col, val in baseline[algo].items():
-                if col == "seeds":
-                    continue
-                # the report reads back the 6-decimal CSV, so agreement
-                # is limited to that precision
-                assert regenerated[algo][col] == pytest.approx(val, abs=1e-6)
+        # metrics.csv holds the exact values, so report reproduces run's bytes
+        assert (out / "summary").read_bytes() == original
 
     def test_report_keeps_a_cell_that_stopped_early(self, cfg_path, tmp_path):
         out = tmp_path / "out"

@@ -420,6 +420,7 @@ class TestRunExperiment:
         assert len(recs) < cfg.rounds
         last = recs[-1]
         assert np.all(np.isnan(last.ufm)) and np.all(np.isnan(last.losses))
+        assert math.isnan(last.ufm_mean)  # a frozen round has no reports
         assert 0.0 <= last.accuracy <= 1.0
         assert np.all(np.isfinite(params.flat))
         _, no_eval = run(cfg, shards, None)
@@ -447,6 +448,7 @@ class TestRunExperiment:
         np.testing.assert_array_equal(params.theta, start.theta + delta)
         # the dropped client's rows are NaN, the reporting client's its report
         assert math.isnan(rec.ufm[0]) and rec.ufm[1] == ufm
+        assert rec.ufm_mean == ufm  # the mean of the reporting clients only
         assert np.all(np.isnan(rec.losses[0]))
         np.testing.assert_array_equal(rec.losses[1], losses)
 

@@ -63,7 +63,7 @@ VARIANTS = {"": CONFIG, "deep": DEEP_CONFIG, "wide": WIDE_CONFIG}
 
 EXPECTED = {
     "run": {
-        "metrics.csv": "f55e209c9cd2ad582a0bec44384e584a3f49d5b8c8339864e9e50d1a749d1625",
+        "metrics.csv": "ff148bb40ef8d8e41b3ad4f8b1e55ede2993d079249ff834ea2ecab5ecf0a1b9",
         "summary": "4a9df55ed43e263ef2c756d34688c00bb025f0f5848582d6460e47630d9c18bd",
     },
     "attack": {
@@ -73,11 +73,11 @@ EXPECTED = {
         "sweep.csv": "25421cea82711a8bff63bf493d9df064d9afcd908ef109684fb9eaa56ab540b9",
     },
     "run_wide": {
-        "metrics.csv": "2cc3f994cb7171932d3cd061277ec40b06fa6fd05b22d1f3cb3b2e3dffdbad65",
+        "metrics.csv": "ce58d0742ddf1880dd9f68f5238ba5c3eb04883c616f331451556ca35b18ecf6",
         "summary": "de024bb7e265532dc6db8d400712e58eaf407360bfb67ab935362ac9eb87d49f",
     },
     "run_deep": {
-        "metrics.csv": "56bc589be148485a703ed8c31a2f7cc74cd23d9163aafa6728ff6cd56c349bad",
+        "metrics.csv": "07a84501f75680c265c14a675e0c82e014fa266ae0f3b8fe7b54bfb2970569ca",
         "summary": "c18d415389c85fcc24c7628e871a8aa5350ddd0c7aeea71d0843e74a1f2471ea",
     },
 }

@@ -9,14 +9,15 @@ from oracles import reference_delta_eop, reference_di_deviation, reference_eod
 from resfl_sim.metrics import (
     DI_CAP,
     FAVORABLE_CLASS,
-    MetricsRow,
     accuracy_by_group,
     confusion_by_group,
     delta_eop,
     di_deviation,
     eod,
+    read_metrics,
     write_metrics,
 )
+from resfl_sim.federation import RoundRecord
 
 
 def conf(*groups):
@@ -184,33 +185,49 @@ class TestAccuracyByGroup:
         assert per_group[2] == 1.0
 
 
+def record(round_idx, accuracy, acc_by_group, di_dev, delta_eop, eod, ufm, unc_var):
+    """A RoundRecord of a client per ``ufm`` entry; NaN marks a dropped one."""
+    ufm = np.array(ufm, dtype=float)
+    return RoundRecord(round_idx, accuracy, acc_by_group, di_dev, delta_eop, eod,
+                       unc_var, ufm, np.full((len(ufm), 3), np.nan))
+
+
 class TestWriteMetrics:
-    def rows(self):
+    def cells(self):
+        """(algo, seed, records) cells, not in file order."""
         return [
-            MetricsRow("resfl", 2, 0, 0.9, (0.95, 0.85), 0.1, 0.05, 0.08, 0.2, 0.001),
-            MetricsRow("fedavg", 1, 1, 0.8, (0.9, 0.7), 0.2, 0.15, 0.18, 0.3, 0.002),
-            MetricsRow("fedavg", 1, 0, 0.7, (0.8, 0.6), 0.3, 0.25, 0.28, 0.4, 0.003),
+            ("resfl", 2, [record(0, 0.9, (0.95, 0.85), 0.1, 0.05, 0.08, [0.2], 1 / 3)]),
+            ("fedavg", 1, [record(0, 0.7, (0.8, 0.6), 0.3, 0.25, 0.28, [0.4, np.nan], 3e-13),
+                           record(1, 0.8, (0.9, 0.7), 0.2, 0.15, 0.18, [0.1, 0.5], 0.002)]),
         ]
 
     def test_exact_bytes(self, tmp_path):
         path = tmp_path / "m.csv"
-        write_metrics(self.rows(), path, num_groups=2)
+        write_metrics(self.cells(), path, num_groups=2)
+        # each float's shortest round-trip text; ufm_mean skips the NaN client
         expect = (
             "algo,seed,round,accuracy,acc_g1,acc_g2,di_dev,delta_eop,eod,"
             "ufm_mean,unc_var\n"
-            "fedavg,1,0,0.700000,0.800000,0.600000,0.300000,0.250000,0.280000,"
-            "0.400000,0.003000\n"
-            "fedavg,1,1,0.800000,0.900000,0.700000,0.200000,0.150000,0.180000,"
-            "0.300000,0.002000\n"
-            "resfl,2,0,0.900000,0.950000,0.850000,0.100000,0.050000,0.080000,"
-            "0.200000,0.001000\n"
+            "fedavg,1,0,0.7,0.8,0.6,0.3,0.25,0.28,0.4,3e-13\n"
+            "fedavg,1,1,0.8,0.9,0.7,0.2,0.15,0.18,0.3,0.002\n"
+            "resfl,2,0,0.9,0.95,0.85,0.1,0.05,0.08,0.2,0.3333333333333333\n"
         )
         assert path.read_text() == expect
 
+    def test_read_back_exact(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_metrics(self.cells(), path, num_groups=2)
+        want = [{"algo": algo, "seed": seed, "round": r.round, "accuracy": r.accuracy,
+                 "acc_g1": r.acc_by_group[0], "acc_g2": r.acc_by_group[1],
+                 "di_dev": r.di_dev, "delta_eop": r.delta_eop, "eod": r.eod,
+                 "ufm_mean": r.ufm_mean, "unc_var": r.unc_var}
+                for algo, seed, records in sorted(self.cells()) for r in records]
+        assert read_metrics(path) == want
+
     def test_input_order_irrelevant_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_metrics(self.rows(), p1, num_groups=2)
-        write_metrics(list(reversed(self.rows())), p2, num_groups=2)
+        write_metrics(self.cells(), p1, num_groups=2)
+        write_metrics(list(reversed(self.cells())), p2, num_groups=2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_empty_rows_header_only(self, tmp_path):
@@ -222,4 +239,4 @@ class TestWriteMetrics:
 
     def test_unwritable_path_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
-            write_metrics(self.rows(), tmp_path / "missing" / "m.csv", num_groups=2)
+            write_metrics(self.cells(), tmp_path / "missing" / "m.csv", num_groups=2)
