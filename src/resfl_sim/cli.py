@@ -57,7 +57,8 @@ def _single_run(cfg: ExperimentConfig, algo: str, seed: int, train, test):
 def write_summary(seeds, out: Path) -> None:
     """Write ``summary`` from ``out``'s ``metrics.csv``: per algorithm, the
     mean over ``seeds`` of each (algo, seed) cell's last row, so a cell
-    that stopped early counts with its last round."""
+    that stopped early counts with its last round. Raises, writing
+    nothing, when no cell of ``seeds`` has a row."""
     rows = read_metrics(out / "metrics.csv")
     last = {(r["algo"], r["seed"]): r for r in rows}  # rows are in round order
     summary = {}
@@ -69,6 +70,9 @@ def write_summary(seeds, out: Path) -> None:
         summary[algo] = {col: float(np.mean([r[col] for r in finals]))
                          for col in SCALAR_COLUMNS}
         summary[algo]["seeds"] = ran
+    if not summary:
+        raise ValueError(f"{out / 'metrics.csv'} has no rows of seeds "
+                         f"{', '.join(map(str, seeds))}")
     (out / "summary").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
                                  encoding="utf-8")
 
@@ -106,7 +110,7 @@ def _mia_setup(cfg: ExperimentConfig, train, test, seed: int):
 
 def cmd_sweep(cfg: ExperimentConfig, seeds, out: Path) -> None:
     train, test = build_data(cfg)
-    rows_sorted = sorted(cfg.sweep_rows)
+    rows_sorted = sorted(cfg.rows)
     mia = {seed: _mia_setup(cfg, train, test, seed) for seed in seeds}
 
     def work(cell):
@@ -132,7 +136,7 @@ def cmd_sweep(cfg: ExperimentConfig, seeds, out: Path) -> None:
 
 
 def cmd_attack(cfg: ExperimentConfig, seeds, out: Path, kind: str | None) -> None:
-    kinds = (kind,) if kind else cfg.attack_kinds
+    kinds = (kind,) if kind else cfg.kinds
     train, test = build_data(cfg)
     clean = {}  # (algo, seed) -> (shards, clean run), shared by the paired attacks
     lines = []
@@ -181,6 +185,13 @@ def cmd_report(cfg: ExperimentConfig, seeds, out: Path) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """``--seed``'s type: an integer >= 0, the range of each of ``seeds``."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="resfl-sim",
                                      description="Federated learning simulator")
@@ -189,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_seed, default=None)
         if name == "attack":
             p.add_argument("--kind", choices=ATTACK_KINDS, default=None)
     return parser

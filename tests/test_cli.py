@@ -47,6 +47,7 @@ byzantine_scale = 2.0
 INVALID = {
     "seeds = (none)": ("seeds = 1, 2", "seeds ="),
     "seeds = 1, 1": ("seeds = 1, 2", "seeds = 1, 1"),
+    "seeds = -1": ("seeds = 1, 2", "seeds = -1"),
     "algorithms = krum": ("algorithms = fedavg, resfl", "algorithms = fedavg, krum"),
     "algorithms = resfl, resfl": ("algorithms = fedavg, resfl", "algorithms = resfl, resfl"),
     "test_fraction = 1": ("attr_leak = 0.5", "attr_leak = 0.5\ntest_fraction = 1"),
@@ -354,6 +355,13 @@ class TestExitCodes:
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
         assert "non-finite features" in capsys.readouterr().err
 
+    def test_negative_seed_flag_is_a_usage_error(self, cfg_path, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                  "--seed", "-3"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
     def test_report_without_run_fails(self, cfg_path, tmp_path):
         assert main(["report", "--config", str(cfg_path),
                      "--out", str(tmp_path / "empty" / "x")]) == 1
@@ -462,7 +470,7 @@ class TestAttack:
 
 
 class TestSweepAndReport:
-    def test_sweep_rows(self, tmp_path):
+    def test_rows_run_in_sorted_order(self, tmp_path):
         p = tmp_path / "sweep.cfg"
         p.write_text(TINY + "\n[sweep]\nrows = 1,1; 0,1; 1,0; 0,0\n")
         out = tmp_path / "out"
@@ -481,6 +489,17 @@ class TestSweepAndReport:
         (out / "summary").unlink()
         assert main(["report", "--config", str(cfg_path), "--out", str(out)]) == 0
         # metrics.csv holds the exact values, so report reproduces run's bytes
+        assert (out / "summary").read_bytes() == original
+
+    def test_report_of_a_seed_without_rows_fails_and_keeps_summary(self, cfg_path, tmp_path,
+                                                                   capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out),
+                     "--seed", "1"]) == 0
+        original = (out / "summary").read_bytes()
+        assert main(["report", "--config", str(cfg_path), "--out", str(out),
+                     "--seed", "9"]) == 1
+        assert "no rows of seeds 9" in capsys.readouterr().err
         assert (out / "summary").read_bytes() == original
 
     def test_report_keeps_a_cell_that_stopped_early(self, cfg_path, tmp_path):

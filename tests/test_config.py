@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from resfl_sim.config import (
-    _FIELD,
-    _SCHEMA,
+    _PARSERS,
     AGGREGATORS,
     DEFAULT_SWEEP_ROWS,
+    SECTIONS,
     ConfigError,
     ExperimentConfig,
     load_config,
@@ -64,7 +64,7 @@ class TestParsing:
     def test_absent_keys_take_the_field_defaults(self, tmp_path):
         text = "[experiment]\nseeds = 7\n[attack]\nkinds = mia\n"
         cfg = load_config(write_cfg(tmp_path, text))
-        assert cfg == ExperimentConfig(seeds=(7,), attack_kinds=("mia",))
+        assert cfg == ExperimentConfig(seeds=(7,), kinds=("mia",))
 
     def test_comments_and_blank_lines_ignored(self):
         parsed = parse_config_text(
@@ -115,22 +115,34 @@ class TestSingleSourceOfDefaults:
 
     def test_every_key_has_one_field_and_sets_it(self, tmp_path):
         assert {s: set(keys) for s, keys in EVERY_KEY.items()} == {
-            s: set(keys) for s, keys in _SCHEMA.items()}
-        # the field of each key, through the one rename map; every field is a key's
-        fields = {_FIELD.get(key, key) for keys in _SCHEMA.values() for key in keys}
-        assert fields == {f.name for f in dataclasses.fields(ExperimentConfig)}
+            s: set(keys) for s, keys in SECTIONS.items()}
         parsed = parse_config_text(EVERY_KEY_TEXT)
         cfg = load_config(write_cfg(tmp_path, EVERY_KEY_TEXT))
         defaults = ExperimentConfig(seeds=(1,))
-        for section, keys in _SCHEMA.items():
+        for section, keys in SECTIONS.items():
             for key in keys:
-                name = _FIELD.get(key, key)
                 value = parsed[section][key]
-                assert getattr(cfg, name) == value != getattr(defaults, name), key
+                assert getattr(cfg, key) == value != getattr(defaults, key), key
+
+    def test_the_field_declares_the_key(self, tmp_path):
+        fields = dataclasses.fields(ExperimentConfig)
+        # every field sits in exactly one section
+        placed = [key for keys in SECTIONS.values() for key in keys]
+        assert sorted(placed) == sorted(f.name for f in fields)
+        # every field's annotation has a parser
+        for f in fields:
+            assert f.type.removesuffix(" | None") in _PARSERS, f.name
+        # the required keys are exactly the fields without a default
+        assert {f.name for f in fields if f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING} == {"seeds"}
+        assert load_config(write_cfg(tmp_path, "[experiment]\nseeds = 1\n")).seeds == (1,)
+        with pytest.raises(ConfigError,
+                           match=r"^missing required key 'seeds' in \[experiment\]$"):
+            parse_config_text("[experiment]\nalgorithms = resfl\n[federation]\nrounds = 5\n")
 
     def test_every_federation_key_reaches_the_cell(self):
         # each [federation] key, set alone, changes the model of some algorithm
-        assert set(FEDERATION_VALUES) | {"hidden_dims"} == set(_SCHEMA["federation"])
+        assert set(FEDERATION_VALUES) | {"hidden_dims"} == set(SECTIONS["federation"])
         base = {algo: train_cell(CELL, algo) for algo in AGGREGATORS}
         for key, value in {**FEDERATION_VALUES, "hidden_dims": (12, 6)}.items():
             cfg = dataclasses.replace(CELL, **{key: value})
@@ -250,11 +262,11 @@ class TestSweep:
     def test_explicit_rows(self, tmp_path):
         text = GOOD + "\n[sweep]\nrows = 0.1,0.01; 1,1\n"
         cfg = load_config(write_cfg(tmp_path, text))
-        assert cfg.sweep_rows == ((0.1, 0.01), (1.0, 1.0))
+        assert cfg.rows == ((0.1, 0.01), (1.0, 1.0))
 
     def test_default_rows(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, GOOD))
-        assert cfg.sweep_rows == DEFAULT_SWEEP_ROWS
+        assert cfg.rows == DEFAULT_SWEEP_ROWS
         assert len(DEFAULT_SWEEP_ROWS) == 7
 
     def test_malformed_rows_rejected(self, tmp_path):
@@ -293,5 +305,4 @@ class TestNormalizedText:
         # every key, defaults included, but the rates left to follow others
         parsed = parse_config_text(written.read_text())
         assert {key for keys in parsed.values() for key in keys} == {
-            key for keys in _SCHEMA.values() for key in keys
-            if getattr(cfg, _FIELD.get(key, key)) is not None}
+            key for keys in SECTIONS.values() for key in keys if getattr(cfg, key) is not None}
