@@ -1,16 +1,15 @@
 """Attack harnesses: membership inference, attribute inference,
 Byzantine perturbation, and fairness-targeted data poisoning.
 
-Each harness is a measurement that returns a report with the attack's
-headline score. The paired harnesses (Byzantine, poisoning) take the
-clean run from the caller, so one clean run serves both; membership
-inference fits its shadow-model threshold once (``mia_threshold``) and
-scores any number of targets with it (``mia_run``).
+The harnesses train nothing: they build the inputs of the cells the
+caller trains (MIA pools and model config, Byzantine clients, poisoned
+shards) and score the trained runs, each returning a report with the
+attack's headline score.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,10 +17,36 @@ from .adversarial import local_train_step
 from .config import ExperimentConfig
 from .datasets import poison
 from .evidential import model_evidence
-from .federation import ByzantineSpec, RoundRecord, run_experiment
+from .federation import ByzantineSpec, RoundRecord
 from .network import ParameterSet
 
 LAMBDA1 = 0.1  # evidential regulariser weight of the MIA models and AIA probes
+
+
+def mia_config(cfg: ExperimentConfig) -> ExperimentConfig:
+    """The 1-client, 1-round config that trains every MIA model: the shadow
+    model and the ``overfit`` target with ``fedavg``, the DP target with
+    ``fedavg_dp``. The two targets share init and batches, so they differ
+    only in the DP clip and noise."""
+    return replace(cfg, num_clients=1, rounds=1, local_iterations=cfg.mia_overfit_steps,
+                   batch_size=32, eta=0.1, eta_phi=0.1, lambda1=LAMBDA1, lambda_adv=0.0,
+                   server_lr=1.0)
+
+
+def mia_pools(cfg: ExperimentConfig, train, test, seed: int):
+    """(members, non-members, shadow members, shadow non-members) of the
+    MIA on ``seed``: the targets' training set, a seeded draw of as many
+    test samples, and a split of the shadow pool whose member count
+    matches the targets' (capped at half the pool), so the shadow's
+    confidence gap mimics theirs. One shadow serves every target of the seed."""
+    order = np.random.default_rng([seed, 0x517A]).permutation(len(train))
+    members = train[order[:cfg.mia_overfit_size]]
+    pool = train[order[cfg.mia_overfit_size:cfg.mia_overfit_size + 400]]
+    draw = np.random.default_rng([seed, 0x4E4D]).permutation(len(test))
+    shadow_size = min(len(members), len(pool) // 2)
+    shadow_order = np.random.default_rng([seed, 0x314]).permutation(len(pool))
+    return (members, test[draw[:len(members)]], pool[shadow_order[:shadow_size]],
+            pool[shadow_order[shadow_size:]])
 
 
 @dataclass(frozen=True)
@@ -50,24 +75,11 @@ def _best_threshold(member_conf: np.ndarray, nonmember_conf: np.ndarray) -> floa
     return float(candidates[np.argmax(0.5 * (tpr + tnr))])
 
 
-def mia_threshold(config: ExperimentConfig, seed: int, member_count: int,
-                  shadow_pool) -> float:
-    """Confidence threshold of shadow-model membership inference.
-
-    A shadow model is trained on a slice of the shadow pool matching the
-    target's training-set size (capped at half the pool), so its
-    member/non-member confidence gap mimics the target's. It is the
-    1-client ``fedavg`` cell ``(config, seed)``, trained as the targets
-    are. The threshold sees only the shadow model, so it serves every
-    such target.
-    """
-    if member_count < 1 or len(shadow_pool) < 4:
-        raise ValueError("member_count must be >= 1 and the shadow pool >= 4 samples")
-    shadow_size = min(member_count, len(shadow_pool) // 2)
-    order = np.random.default_rng([seed, 0x314]).permutation(len(shadow_pool))
-    shadow_members = shadow_pool[order[:shadow_size]]
-    shadow_nonmembers = shadow_pool[order[shadow_size:]]
-    shadow_model, _ = run_experiment(config, "fedavg", seed, [shadow_members], None)
+def mia_threshold(shadow_model: ParameterSet, shadow_members,
+                  shadow_nonmembers) -> float:
+    """Confidence threshold of shadow-model membership inference: the one
+    that best separates the shadow model's members from its non-members
+    (the last two pools of :func:`mia_pools`)."""
     return _best_threshold(_confidences(shadow_model, shadow_members),
                            _confidences(shadow_model, shadow_nonmembers))
 
@@ -138,52 +150,39 @@ def aia_run(config: ExperimentConfig, global_params: ParameterSet, dataset,
     return AttackReport(correct / trials, {"trials": trials})
 
 
-def byzantine_run(config: ExperimentConfig, algorithm: str, seed: int, shards,
-                  eval_samples, clean: tuple[ParameterSet, list[RoundRecord]],
-                  ) -> AttackReport:
-    """Paired clean/attacked runs; score is the accuracy degradation.
-
-    ``clean`` is ``run_experiment(config, algorithm, seed, shards,
-    eval_samples)``. The attacker compromises the most influential
-    clients: the ``ceil(byzantine_fraction * K)`` largest shards, whose
-    noise has ``byzantine_scale`` times the honest update norm.
-    """
+def byzantine_clients(config: ExperimentConfig, shards) -> ByzantineSpec:
+    """The most influential clients: the ``ceil(byzantine_fraction * K)``
+    largest shards, ties going to the lower index (the sort is stable)."""
     n_bad = int(np.ceil(config.byzantine_fraction * config.num_clients))
     by_size = sorted(range(len(shards)), key=lambda k: len(shards[k]), reverse=True)
-    attacked = clean
-    if n_bad and config.byzantine_scale > 0:
-        byz = ByzantineSpec(client_ids=tuple(sorted(by_size[:n_bad])),
-                            scale=config.byzantine_scale)
-        attacked = run_experiment(config, algorithm, seed, shards, eval_samples,
-                                  byzantine=byz)
-    a_clean = clean[1][-1].accuracy
-    a_byz = attacked[1][-1].accuracy
+    return ByzantineSpec(client_ids=tuple(sorted(by_size[:n_bad])),
+                         scale=config.byzantine_scale)
+
+
+def poisoned_shards(config: ExperimentConfig, shards, seed: int) -> list:
+    """``shards`` with the one holding the most ``poison_group`` samples
+    poisoned at ``poison_rate`` per :func:`resfl_sim.datasets.poison`."""
+    target = config.poison_group
+    victim = int(np.argmax([np.count_nonzero(sh.s == target) for sh in shards]))
+    poisoned = list(shards)
+    poisoned[victim] = poison(shards[victim], target, config.poison_rate, seed=seed,
+                              num_classes=config.num_classes)
+    return poisoned
+
+
+def byzantine_run(clean: list[RoundRecord], attacked: list[RoundRecord],
+                  byzantine: ByzantineSpec) -> AttackReport:
+    """Last-round accuracy lost by the run under ``byzantine``."""
+    a_clean, a_byz = clean[-1].accuracy, attacked[-1].accuracy
     return AttackReport(a_clean - a_byz, {
         "clean_accuracy": a_clean, "attacked_accuracy": a_byz,
-        "num_malicious": float(n_bad)})
+        "num_malicious": float(len(byzantine.client_ids))})
 
 
-def poisoning_run(config: ExperimentConfig, algorithm: str, seed: int, shards,
-                  eval_samples, clean: tuple[ParameterSet, list[RoundRecord]],
-                  ) -> AttackReport:
-    """Paired clean/poisoned runs; score is the shift in the equalized-odds
-    gap of each run's last round.
-
-    ``clean`` is ``run_experiment(config, algorithm, seed, shards,
-    eval_samples)``. The compromised client is the shard holding the most
-    ``poison_group`` samples; its shard is poisoned at ``poison_rate`` per
-    :func:`resfl_sim.datasets.poison`.
-    At ``poison_rate = 0`` the clean model stands for the poisoned one.
-    """
-    target, rate = config.poison_group, config.poison_rate
-    eod_clean = eod_poisoned = clean[1][-1].eod
-    if rate > 0.0:
-        victim = int(np.argmax([np.count_nonzero(sh.s == target) for sh in shards]))
-        poisoned_shards = list(shards)
-        poisoned_shards[victim] = poison(shards[victim], target, rate, seed=seed,
-                                         num_classes=config.num_classes)
-        _, records = run_experiment(config, algorithm, seed, poisoned_shards,
-                                    eval_samples)
-        eod_poisoned = records[-1].eod
+def poisoning_run(clean: list[RoundRecord], poisoned: list[RoundRecord],
+                  rate: float) -> AttackReport:
+    """Shift in the last round's equalized-odds gap of the run on
+    :func:`poisoned_shards` at ``rate``."""
+    eod_clean, eod_poisoned = clean[-1].eod, poisoned[-1].eod
     return AttackReport(eod_poisoned - eod_clean, {
         "eod_clean": eod_clean, "eod_poisoned": eod_poisoned, "rate": rate})

@@ -15,6 +15,7 @@ change. All outputs are deterministic given config + seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -23,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import LAMBDA1, aia_run, byzantine_run, mia_run, mia_threshold, \
-    poisoning_run
+from .attacks import aia_run, byzantine_clients, byzantine_run, mia_config, mia_pools, \
+    mia_run, mia_threshold, poisoned_shards, poisoning_run
 from .config import ATTACK_KINDS, ConfigError, ExperimentConfig, load_config, \
     normalized_text
 from .datasets import generate_dataset, partition
@@ -49,9 +50,12 @@ def build_data(cfg: ExperimentConfig):
     return full[is_train], full[~is_train]
 
 
-def _single_run(cfg: ExperimentConfig, algo: str, seed: int, train, test):
-    shards = partition(train, cfg.num_clients, cfg.partition_beta, seed=seed)
-    return run_experiment(cfg, algo, seed, shards, test)
+def shards_by_seed(cfg: ExperimentConfig, train):
+    """seed -> the client shards of ``train``, partitioned on first use: a
+    command partitions each seed once, shares the shard list among its
+    cells, and partitions only if one of its cells trains on shards."""
+    return functools.cache(
+        lambda seed: partition(train, cfg.num_clients, cfg.partition_beta, seed=seed))
 
 
 def write_summary(seeds, out: Path) -> None:
@@ -79,91 +83,87 @@ def write_summary(seeds, out: Path) -> None:
 
 def cmd_run(cfg: ExperimentConfig, seeds, out: Path) -> None:
     train, test = build_data(cfg)
-    cells = [(algo, seed, _single_run(cfg, algo, seed, train, test)[1])
-             for algo in cfg.algorithms for seed in seeds]
-    write_metrics(cells, out / "metrics.csv", num_groups=cfg.num_groups)
+    shards = shards_by_seed(cfg, train)
+    cells = {(algo, seed): (cfg, algo, seed, shards(seed), test)
+             for algo in cfg.algorithms for seed in seeds}
+    runs = {key: run_experiment(*arguments) for key, arguments in cells.items()}
+    write_metrics([(algo, seed, records) for (algo, seed), (_, records) in runs.items()],
+                  out / "metrics.csv", num_groups=cfg.num_groups)
     write_summary(seeds, out)
-
-
-def _mia_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """The 1-client, 1-round config that trains every MIA model: the shadow
-    model and the ``overfit`` target with ``fedavg``, the DP target with
-    ``fedavg_dp``. The two targets share init and batches, so they differ
-    only in the DP clip and noise."""
-    return replace(cfg, num_clients=1, rounds=1, local_iterations=cfg.mia_overfit_steps,
-                   batch_size=32, eta=0.1, eta_phi=0.1, lambda1=LAMBDA1, lambda_adv=0.0,
-                   server_lr=1.0)
-
-
-def _mia_setup(cfg: ExperimentConfig, train, test, seed: int):
-    """(members, non-members, shadow threshold) of the MIA on ``seed``; the
-    members are the targets' training set, the non-members a seeded random
-    draw of as many test samples. The threshold depends on neither target
-    nor lambda, so one serves every target of the seed."""
-    order = np.random.default_rng([seed, 0x517A]).permutation(len(train))
-    members = train[order[:cfg.mia_overfit_size]]
-    shadow = train[order[cfg.mia_overfit_size:cfg.mia_overfit_size + 400]]
-    draw = np.random.default_rng([seed, 0x4E4D]).permutation(len(test))
-    tau = mia_threshold(_mia_config(cfg), seed, len(members), shadow)
-    return members, test[draw[:len(members)]], tau
 
 
 def cmd_sweep(cfg: ExperimentConfig, seeds, out: Path) -> None:
     train, test = build_data(cfg)
+    shards = shards_by_seed(cfg, train)
     rows_sorted = sorted(cfg.rows)
-    mia = {seed: _mia_setup(cfg, train, test, seed) for seed in seeds}
-
-    def work(cell):
-        lam1, lam_adv = cell
+    pools = {seed: mia_pools(cfg, train, test, seed) for seed in seeds}
+    cells = {("shadow", seed): (mia_config(cfg), "fedavg", seed, [pools[seed][2]], None)
+             for seed in seeds}
+    for lam1, lam_adv in rows_sorted:
         cell_cfg = replace(cfg, lambda1=lam1, lambda_adv=lam_adv)
-        accs, dds, eops, mias, aias = [], [], [], [], []
-        for seed in seeds:
-            params, records = _single_run(cell_cfg, "resfl", seed, train, test)
-            final = records[-1]
-            accs.append(final.accuracy)
-            dds.append(final.di_dev)
-            eops.append(final.delta_eop)
-            mias.append(mia_run(params, *mia[seed]).score)
-            aias.append(aia_run(cfg, params, train, seed).score)
-        return tuple(float(np.mean(v)) for v in (accs, dds, eops, mias, aias))
-
-    results = [work(cell) for cell in rows_sorted]
+        cells.update({(lam1, lam_adv, seed): (cell_cfg, "resfl", seed, shards(seed), test)
+                      for seed in seeds})
+    runs = {key: run_experiment(*arguments) for key, arguments in cells.items()}
+    tau = {seed: mia_threshold(runs["shadow", seed][0], *pools[seed][2:]) for seed in seeds}
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as f:
         f.write("lambda1,lambda_adv,accuracy,di_dev,delta_eop,mia_sr,aia_sr\n")
-        for cell, (acc, dd, eop, mia, aia) in zip(rows_sorted, results):
-            f.write(f"{cell[0]:g},{cell[1]:g},"
-                    + ",".join(f"{v:.6f}" for v in (acc, dd, eop, mia, aia)) + "\n")
+        for lam1, lam_adv in rows_sorted:
+            per_seed = []
+            for seed in seeds:
+                params, records = runs[lam1, lam_adv, seed]
+                final = records[-1]
+                per_seed.append((final.accuracy, final.di_dev, final.delta_eop,
+                                 mia_run(params, *pools[seed][:2], tau[seed]).score,
+                                 aia_run(cfg, params, train, seed).score))
+            f.write(f"{lam1:g},{lam_adv:g},"
+                    + ",".join(f"{np.mean(v):.6f}" for v in zip(*per_seed)) + "\n")
 
 
 def cmd_attack(cfg: ExperimentConfig, seeds, out: Path, kind: str | None) -> None:
     kinds = (kind,) if kind else cfg.kinds
     train, test = build_data(cfg)
-    clean = {}  # (algo, seed) -> (shards, clean run), shared by the paired attacks
+    shards = shards_by_seed(cfg, train)
+    pools, cells = {}, {}
+    for k in kinds:
+        for seed in seeds:
+            if k == "mia":
+                pools[seed] = mia_pools(cfg, train, test, seed)
+                members, _, shadow_members, _ = pools[seed]
+                for name, aggregator, samples in (("shadow", "fedavg", shadow_members),
+                                                  ("overfit", "fedavg", members),
+                                                  ("fedavg_dp", "fedavg_dp", members)):
+                    cells[name, seed] = (mia_config(cfg), aggregator, seed, [samples], None)
+            elif k != "aia":
+                byzantine, attacked = None, shards(seed)
+                if k == "byzantine":
+                    byzantine = byzantine_clients(cfg, shards(seed))
+                else:
+                    attacked = poisoned_shards(cfg, shards(seed), seed)
+                for algo in cfg.algorithms:
+                    # one clean run of each (algorithm, seed) serves both paired attacks
+                    cells["clean", algo, seed] = (cfg, algo, seed, shards(seed), test)
+                    cells[k, algo, seed] = (cfg, algo, seed, attacked, test, byzantine)
+    runs = {key: run_experiment(*arguments) for key, arguments in cells.items()}
     lines = []
     for k in kinds:
         for seed in seeds:
             if k == "mia":
-                members, nonmembers, tau = _mia_setup(cfg, train, test, seed)
-                reports = []
-                for name, aggregator in (("overfit", "fedavg"), ("fedavg_dp", "fedavg_dp")):
-                    target, _ = run_experiment(_mia_config(cfg), aggregator, seed,
-                                               [members], None)
-                    reports.append(("mia", name, seed,
-                                    mia_run(target, members, nonmembers, tau).score, {}))
+                members, nonmembers, *shadow_pools = pools[seed]
+                tau = mia_threshold(runs["shadow", seed][0], *shadow_pools)
+                reports = [("mia", name, seed, mia_run(runs[name, seed][0], members,
+                                                       nonmembers, tau).score, {})
+                           for name in ("overfit", "fedavg_dp")]
             elif k == "aia":
                 rep = aia_run(cfg, initial_params(cfg.network(), seed), train, seed)
                 reports = [("aia", "init", seed, rep.score, rep.auxiliary)]
             else:
                 reports = []
                 for algo in cfg.algorithms:
-                    if (algo, seed) not in clean:
-                        shards = partition(train, cfg.num_clients,
-                                           cfg.partition_beta, seed=seed)
-                        clean[algo, seed] = shards, run_experiment(
-                            cfg, algo, seed, shards, test)
-                    shards, run = clean[algo, seed]
-                    attack = byzantine_run if k == "byzantine" else poisoning_run
-                    rep = attack(cfg, algo, seed, shards, test, run)
+                    clean, attacked = runs["clean", algo, seed][1], runs[k, algo, seed][1]
+                    if k == "byzantine":  # the cell's last argument is its ByzantineSpec
+                        rep = byzantine_run(clean, attacked, cells[k, algo, seed][-1])
+                    else:
+                        rep = poisoning_run(clean, attacked, cfg.poison_rate)
                     reports.append((k, algo, seed, rep.score, rep.auxiliary))
             for name, algo, sd, score, aux in reports:
                 aux_text = ";".join(f"{a}={v:g}" for a, v in sorted(aux.items()))

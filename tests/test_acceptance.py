@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from resfl_sim.adversarial import composite_gradients
-from resfl_sim.attacks import byzantine_run, mia_run, mia_threshold, poisoning_run
+from resfl_sim.attacks import byzantine_clients, byzantine_run, mia_pools, mia_run, \
+    mia_threshold, poisoned_shards, poisoning_run
 from resfl_sim.cli import main as cli_main
 from resfl_sim.config import ExperimentConfig
 from resfl_sim.datasets import generate_dataset, partition
@@ -232,25 +233,35 @@ class TestCriterion7Membership:
     def test_7_overfit_leaks_and_dp_mitigates(self):
         over_scores, dp_scores = [], []
         for seed in SEEDS:
-            train, test = disparity_data(seed)
-            rng = np.random.default_rng([seed, 0x517A])
-            order = rng.permutation(len(train))
-            members = train[order[:30]]
-            shadow = train[order[30:430]]
-            nonmembers = test[np.random.default_rng([seed, 0x4E4D]).permutation(
-                len(test))[:30]]
+            # 30 members, 30 test non-members, and a 400-sample shadow pool
+            members, nonmembers, shadow_members, shadow_nonmembers = mia_pools(
+                replace(PAPER, mia_overfit_size=30), *disparity_data(seed), seed)
             # the shadow and both targets: one 1-client config, DP or not
             cfg = replace(PAPER, num_clients=1, rounds=1, local_iterations=3000,
                           batch_size=32, eta=0.1, eta_phi=0.1, lambda1=0.1,
                           lambda_adv=0.0, dp_epsilon=0.1, dp_clip=1.0, server_lr=1.0)
             target, _ = run_experiment(cfg, "fedavg", seed, [members], None)
             dp_target, _ = run_experiment(cfg, "fedavg_dp", seed, [members], None)
-            tau = mia_threshold(cfg, seed, len(members), shadow)
+            shadow, _ = run_experiment(cfg, "fedavg", seed, [shadow_members], None)
+            tau = mia_threshold(shadow, shadow_members, shadow_nonmembers)
             over_scores.append(mia_run(target, members, nonmembers, tau).score)
             dp_scores.append(mia_run(dp_target, members, nonmembers, tau).score)
         over, dp = float(np.mean(over_scores)), float(np.mean(dp_scores))
         ok = over > 0.6 and over - dp >= 0.05
         report(7, ok, f"overfit mia {over:.3f} > 0.6, dp reduces by {over - dp:.3f}")
+
+
+def byzantine_score(cfg, algo, seed, shards, test, clean) -> float:
+    """Accuracy degradation of the cell trained under ``cfg``'s Byzantine clients."""
+    byzantine = byzantine_clients(cfg, shards)
+    _, attacked = run_experiment(cfg, algo, seed, shards, test, byzantine)
+    return byzantine_run(clean[1], attacked, byzantine).score
+
+
+def poisoning_score(cfg, algo, seed, shards, test, clean) -> float:
+    """EOD shift of the cell trained on ``cfg``'s poisoned shards."""
+    _, poisoned = run_experiment(cfg, algo, seed, poisoned_shards(cfg, shards, seed), test)
+    return poisoning_run(clean[1], poisoned, cfg.poison_rate).score
 
 
 class TestCriterion8Byzantine:
@@ -261,10 +272,9 @@ class TestCriterion8Byzantine:
             train, test = disparity_data(seed)
             shards = partition(train, 4, beta=0.5, seed=seed)
             for algo in ("fedavg", "resfl"):
-                rep = byzantine_run(fed_config(algo, byzantine_fraction=0.25,
-                                               byzantine_scale=10.0),
-                                    algo, seed, shards, test, disparity_run(algo, seed))
-                degr[algo].append(rep.score)
+                cfg = fed_config(algo, byzantine_fraction=0.25, byzantine_scale=10.0)
+                degr[algo].append(byzantine_score(cfg, algo, seed, shards, test,
+                                                  disparity_run(algo, seed)))
         wins = sum(r < f for f, r in zip(degr["fedavg"], degr["resfl"]))
         elapsed = time.monotonic() - t0
         ok = all(d > 0 for d in degr["fedavg"]) and wins >= 4
@@ -280,9 +290,9 @@ class TestCriterion9Poisoning:
         for seed in SEEDS:
             train, test = disparity_data(seed)
             shards = partition(train, 4, beta=0.5, seed=seed)
-            rep = poisoning_run(fed_config("fedavg", poison_group=3, poison_rate=0.2),
-                                "fedavg", seed, shards, test, disparity_run("fedavg", seed))
-            shifts.append(rep.score)
+            cfg = fed_config("fedavg", poison_group=3, poison_rate=0.2)
+            shifts.append(poisoning_score(cfg, "fedavg", seed, shards, test,
+                                          disparity_run("fedavg", seed)))
         mean_shift = float(np.mean(shifts))
 
         # null attacks must be exactly zero, not merely small
@@ -290,10 +300,11 @@ class TestCriterion9Poisoning:
         shards = partition(train, 4, beta=0.5, seed=1)
         cfg = fed_config("fedavg", rounds=3)
         clean = run_experiment(cfg, "fedavg", 1, shards, test)
-        zero_poison = poisoning_run(replace(cfg, poison_group=3, poison_rate=0.0),
-                                    "fedavg", 1, shards, test, clean).score
-        zero_byz = byzantine_run(replace(cfg, byzantine_fraction=0.0, byzantine_scale=10.0),
-                                 "fedavg", 1, shards, test, clean).score
+        zero_poison = poisoning_score(replace(cfg, poison_group=3, poison_rate=0.0),
+                                      "fedavg", 1, shards, test, clean)
+        zero_byz = byzantine_score(replace(cfg, byzantine_fraction=0.0,
+                                           byzantine_scale=10.0),
+                                   "fedavg", 1, shards, test, clean)
         ok = mean_shift > 0 and zero_poison == 0.0 and zero_byz == 0.0
         report(9, ok,
                f"mean eod shift {mean_shift:.3f} > 0; rate=0 shift {zero_poison}, "

@@ -1,6 +1,6 @@
 """Attack harnesses at desk scale: thresholds, zero cases, determinism."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,14 +11,18 @@ from resfl_sim.attacks import (
     LAMBDA1,
     _best_threshold,
     aia_run,
+    byzantine_clients,
     byzantine_run,
+    mia_pools,
     mia_run,
     mia_threshold,
+    poisoned_shards,
     poisoning_run,
 )
 from resfl_sim.datasets import generate_dataset, partition
 from resfl_sim.config import ExperimentConfig
-from resfl_sim.federation import initial_params, run_experiment
+from resfl_sim.federation import ByzantineSpec, RoundRecord, initial_params, \
+    run_experiment
 from probe import probe_accuracy
 
 # the data and network of these tests: 8 features, 40 samples per group
@@ -98,9 +102,13 @@ class TestMia:
         members = data[order[:30]]
         nonmembers = data[order[30:60]]
         shadow = data[order[60:460]]
+        split = np.random.default_rng([0, 0x314]).permutation(len(shadow))
+        shadow_members, shadow_nonmembers = shadow[split[:30]], shadow[split[30:]]
         target = train_one_client(members, steps=3000, batch_size=32,
                                   eta=0.1, seed=0)
-        tau = mia_threshold(one_client_config(3000, 32, 0.1), 0, len(members), shadow)
+        shadow_model = train_one_client(shadow_members, steps=3000, batch_size=32,
+                                        eta=0.1, seed=0)
+        tau = mia_threshold(shadow_model, shadow_members, shadow_nonmembers)
         report = mia_run(target, members, nonmembers, tau)
         assert report.score > 0.6
 
@@ -121,12 +129,23 @@ class TestMia:
         report = mia_run(target, data[:10], data[10:20], 0.5)
         assert np.isnan(report.score)
 
-    def test_small_shadow_pool_rejected(self):
-        data = small_dataset()
-        with pytest.raises(ValueError):
-            mia_threshold(one_client_config(10, 32, 0.1), 0, 5, data[:3])
-        with pytest.raises(ValueError):
-            mia_threshold(one_client_config(10, 32, 0.1), 0, 0, data[:20])
+    def test_pools_are_seeded_draws_and_the_shadow_split_matches_the_members(self):
+        train, test = small_dataset(per_group=150), small_dataset(seed=1)
+        cfg = replace(SMALL, mia_overfit_size=30)
+        members, nonmembers, shadow_members, shadow_nonmembers = \
+            mia_pools(cfg, train, test, 4)
+        order = np.random.default_rng([4, 0x517A]).permutation(len(train))
+        draw = np.random.default_rng([4, 0x4E4D]).permutation(len(test))
+        np.testing.assert_array_equal(members.X, train.X[order[:30]])
+        np.testing.assert_array_equal(nonmembers.X, test.X[draw[:30]])
+        # the shadow pool is the next 400 training samples, split 30 / 370
+        pool = np.sort(train.X[order[30:430]], axis=0)
+        shadow = np.concatenate([shadow_members.X, shadow_nonmembers.X])
+        assert (len(shadow_members), len(shadow_nonmembers)) == (30, 370)
+        np.testing.assert_array_equal(np.sort(shadow, axis=0), pool)
+        # a pool smaller than twice the members caps the shadow at half of it
+        small = mia_pools(cfg, train[:50], test, 4)
+        assert (len(small[2]), len(small[3])) == (10, 10)
 
 
 class TestAia:
@@ -180,6 +199,21 @@ class TestAia:
         assert set(probed) == {0, 1, 3}
 
 
+def assert_runs_identical(run, other):
+    """Bit for bit: the parameters and every RoundRecord field, NaN-aware."""
+    np.testing.assert_array_equal(run[0].flat, other[0].flat)
+    assert len(run[1]) == len(other[1])
+    for record, other_record in zip(run[1], other[1]):
+        for f in fields(RoundRecord):
+            np.testing.assert_array_equal(getattr(record, f.name),
+                                          getattr(other_record, f.name), err_msg=f.name)
+
+
+def record(accuracy=0.5, eod=0.1) -> RoundRecord:
+    return RoundRecord(0, accuracy, (accuracy,) * 4, 0.0, 0.0, eod, 0.0,
+                       np.zeros(2), np.zeros((2, 3)))
+
+
 class TestByzantineAndPoisoning:
     def setup_method(self):
         self.data = small_dataset()
@@ -189,8 +223,14 @@ class TestByzantineAndPoisoning:
         self.clean = run_experiment(self.cfg, "fedavg", 0, self.shards, self.data)
 
     def attack(self, run, **settings):
-        return run(replace(self.cfg, **settings), "fedavg", 0, self.shards, self.data,
-                   self.clean)
+        cfg = replace(self.cfg, **settings)
+        if run is byzantine_run:
+            byzantine = byzantine_clients(cfg, self.shards)
+            attacked = run_experiment(cfg, "fedavg", 0, self.shards, self.data, byzantine)
+            return byzantine_run(self.clean[1], attacked[1], byzantine)
+        poisoned = run_experiment(cfg, "fedavg", 0, poisoned_shards(cfg, self.shards, 0),
+                                  self.data)
+        return poisoning_run(self.clean[1], poisoned[1], cfg.poison_rate)
 
     def test_byzantine_zero_fraction_zero_degradation(self):
         report = self.attack(byzantine_run, byzantine_fraction=0.0, byzantine_scale=10.0)
@@ -213,3 +253,50 @@ class TestByzantineAndPoisoning:
     def test_poisoning_nonzero_rate_changes_model(self):
         report = self.attack(poisoning_run, poison_rate=0.3)
         assert report.auxiliary["eod_clean"] != report.auxiliary["eod_poisoned"]
+
+    @pytest.mark.parametrize("algorithm", ["fedavg", "fedavg_dp", "resfl"])
+    def test_null_attacks_train_the_clean_cell(self, algorithm):
+        # each null setting leaves the attacked cell the clean one, so no
+        # command needs a stand-in for it
+        clean = run_experiment(self.cfg, algorithm, 0, self.shards, self.data)
+        for fraction, scale in ((0.0, 10.0), (0.5, 0.0)):
+            cfg = replace(self.cfg, byzantine_fraction=fraction, byzantine_scale=scale)
+            byzantine = byzantine_clients(cfg, self.shards)
+            attacked = run_experiment(cfg, algorithm, 0, self.shards, self.data, byzantine)
+            assert_runs_identical(attacked, clean)
+        cfg = replace(self.cfg, poison_rate=0.0)
+        poisoned = poisoned_shards(cfg, self.shards, 0)
+        assert_runs_identical(run_experiment(cfg, algorithm, 0, poisoned, self.data), clean)
+
+    def test_byzantine_clients_are_the_largest_shards_ties_to_the_lower_index(self):
+        shards = [self.data[:n] for n in (5, 9, 7, 9)]
+        cfg = replace(self.cfg, num_clients=4, byzantine_fraction=0.5,
+                      byzantine_scale=3.0)
+        assert byzantine_clients(cfg, shards) == ByzantineSpec((1, 3), 3.0)
+        assert byzantine_clients(replace(cfg, byzantine_fraction=0.25), shards) \
+            == ByzantineSpec((1,), 3.0)
+        assert byzantine_clients(replace(cfg, byzantine_fraction=0.0), shards) \
+            == ByzantineSpec((), 3.0)
+
+    def test_poisoned_shards_poison_only_the_victim(self):
+        cfg = replace(self.cfg, poison_rate=0.3)
+        victim = int(np.argmax([np.count_nonzero(sh.s == 3) for sh in self.shards]))
+        poisoned = poisoned_shards(cfg, self.shards, 0)
+        assert [sh is orig for sh, orig in zip(poisoned, self.shards)] \
+            == [k != victim for k in range(2)]
+        assert len(poisoned[victim]) == len(self.shards[victim]) + round(
+            0.3 * len(self.shards[victim]))
+
+    def test_byzantine_score_on_hand_built_records(self):
+        report = byzantine_run([record(0.1), record(0.75)], [record(0.9), record(0.5)],
+                               ByzantineSpec((0, 2), 4.0))
+        assert report.score == 0.75 - 0.5
+        assert report.auxiliary == {"clean_accuracy": 0.75, "attacked_accuracy": 0.5,
+                                    "num_malicious": 2.0}
+
+    def test_poisoning_score_on_hand_built_records(self):
+        report = poisoning_run([record(eod=0.5), record(eod=0.125)],
+                               [record(eod=0.0), record(eod=0.375)], 0.2)
+        assert report.score == 0.375 - 0.125
+        assert report.auxiliary == {"eod_clean": 0.125, "eod_poisoned": 0.375,
+                                    "rate": 0.2}

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from resfl_sim import cli, federation
+from resfl_sim.attacks import mia_config, mia_pools
 from resfl_sim.cli import main
 from resfl_sim.config import load_config
 from resfl_sim.datasets import partition
@@ -306,6 +307,18 @@ class TestRun:
         sweep = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
         assert sweep[1].split(",")[-2:] == ["nan", "nan"]
 
+    def test_algorithms_of_a_seed_share_one_shard_list(self, cfg_path, tmp_path,
+                                                       monkeypatch):
+        shard_lists = {}  # seed -> the shard lists its cells trained on, by identity
+
+        def recording(config, algorithm, seed, shards, eval_samples):
+            shard_lists.setdefault(seed, set()).add(id(shards))
+            return run_experiment(config, algorithm, seed, shards, eval_samples)
+
+        monkeypatch.setattr(cli, "run_experiment", recording)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        assert {seed: len(ids) for seed, ids in shard_lists.items()} == {1: 1, 2: 1}
+
     def test_env_var_out_dir(self, cfg_path, tmp_path, monkeypatch):
         env_out = tmp_path / "env_out"
         monkeypatch.setenv("RESFL_SIM_OUT", str(env_out))
@@ -396,9 +409,9 @@ class TestAttack:
         # DP target's update is the overfit target's, clipped and noised
         # with the round-0 stream of client 0
         cfg, seed = load_config(cfg_path), 1
-        members, _, _ = cli._mia_setup(cfg, *cli.build_data(cfg), seed)
+        members = mia_pools(cfg, *cli.build_data(cfg), seed)[0]
         init = initial_params(cfg.network(), seed).theta
-        mia_cfg = cli._mia_config(cfg)
+        mia_cfg = mia_config(cfg)
         overfit, _ = run_experiment(mia_cfg, "fedavg", seed, [members], None)
         dp_target, _ = run_experiment(mia_cfg, "fedavg_dp", seed, [members], None)
         expected = overfit.theta - init  # a copy, clipped and noised in place
@@ -413,8 +426,7 @@ class TestAttack:
         train, test = cli.build_data(cfg)
         draw = np.random.default_rng([1, 0x4E4D]).permutation(len(test))
         for n in (cfg.mia_overfit_size, len(test) + 5):
-            _, nonmembers, _ = cli._mia_setup(replace(cfg, mia_overfit_size=n),
-                                              train, test, 1)
+            nonmembers = mia_pools(replace(cfg, mia_overfit_size=n), train, test, 1)[1]
             np.testing.assert_array_equal(nonmembers.X, test.X[draw[:n]])
         assert len(nonmembers) == len(test)
 
@@ -445,28 +457,55 @@ class TestAttack:
         assert aia.split(",")[:3] == ["aia", "init", "1"]
         assert 0.0 <= float(aia.split(",")[3]) <= 1.0
 
-    def test_paired_runs_train_the_configured_network(self, cfg_path, tmp_path,
-                                                      monkeypatch):
-        # TINY sets hidden_dims = 8; the clean, Byzantine and poisoned runs
-        # must all train that network, not the (32, 32) default
-        import resfl_sim.attacks as attacks
-        import resfl_sim.cli as cli
+    def test_each_listed_cell_trains_once_on_the_configured_network(
+            self, cfg_path, tmp_path, monkeypatch):
+        # TINY sets hidden_dims = 8, which every cell must train, not the
+        # (32, 32) default: per seed the shadow model and the two MIA
+        # targets (1 client, no evaluation set), and per (algorithm, seed)
+        # a clean, a Byzantine and a poisoned run
         trained = []
 
-        def recording(run):
-            def wrapper(*args, **kwargs):
-                result = run(*args, **kwargs)
-                trained.append(result[0].spec.hidden_dims)
-                return result
-            return wrapper
+        def recording(config, algorithm, seed, shards, eval_samples, byzantine=None):
+            result = run_experiment(config, algorithm, seed, shards, eval_samples,
+                                    byzantine)
+            trained.append((algorithm, seed, shards, eval_samples is None, byzantine,
+                            result[0].spec.hidden_dims))
+            return result
 
-        monkeypatch.setattr(cli, "run_experiment", recording(cli.run_experiment))
-        monkeypatch.setattr(attacks, "run_experiment", recording(attacks.run_experiment))
-        for kind in ("byzantine", "poisoning"):
-            assert main(["attack", "--config", str(cfg_path), "--kind", kind,
-                         "--out", str(tmp_path / kind), "--seed", "1"]) == 0
-        # per kind: a clean and an attacked run for each of the two algorithms
-        assert trained == [(8,)] * 8
+        monkeypatch.setattr(cli, "run_experiment", recording)
+        assert main(["attack", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        assert len(trained) == 2 * (3 + 2 * 3)
+        assert {hidden for *_, hidden in trained} == {(8,)}
+        # no two cells share their arguments (shard lists by identity)
+        assert len({(algo, seed, tuple(map(id, shards)), mia, byzantine)
+                    for algo, seed, shards, mia, byzantine, _ in trained}) == len(trained)
+        for seed in (1, 2):
+            mine = [cell for cell in trained if cell[1] == seed]
+            assert sorted(algo for algo, _, _, mia, *_ in mine if mia) \
+                == ["fedavg", "fedavg", "fedavg_dp"]
+            # the paired cells of a seed train on two shard lists: the clean
+            # one, which every algorithm's clean and Byzantine runs share,
+            # and one poisoned copy, which its poisoned runs share
+            by_list = {}
+            for algo, _, shards, mia, byzantine, _ in mine:
+                if not mia:
+                    by_list.setdefault(id(shards), []).append((algo, byzantine is not None))
+            assert sorted(map(sorted, by_list.values()), key=len) == [
+                [("fedavg", False), ("resfl", False)],
+                [("fedavg", False), ("fedavg", True), ("resfl", False), ("resfl", True)]]
+
+    def test_only_commands_that_train_on_shards_partition(self, tmp_path, capsys):
+        # 180 training samples cannot fill 40 shards; the MIA and the AIA
+        # train on no shards, so they run, and run fails on the partition
+        p = tmp_path / "many.cfg"
+        p.write_text(DEGENERATE.replace("local_iterations = 1\neta = 1e150",
+                                        "local_iterations = 2")
+                     .replace("num_clients = 2", "num_clients = 40"))
+        for kind in ("mia", "aia"):
+            assert main(["attack", "--config", str(p), "--kind", kind,
+                         "--out", str(tmp_path / kind)]) == 0, kind
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "run")]) == 1
+        assert "could not produce non-empty shards" in capsys.readouterr().err
 
 
 class TestSweepAndReport:
