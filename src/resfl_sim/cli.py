@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -61,7 +62,8 @@ def shards_by_seed(cfg: ExperimentConfig, train):
 def write_summary(seeds, out: Path) -> None:
     """Write ``summary`` from ``out``'s ``metrics.csv``: per algorithm, the
     mean over ``seeds`` of each (algo, seed) cell's last row, so a cell
-    that stopped early counts with its last round. Raises, writing
+    that stopped early counts with its last round. The file is strict
+    JSON: a mean that is not finite is written as null. Raises, writing
     nothing, when no cell of ``seeds`` has a row."""
     rows = read_metrics(out / "metrics.csv")
     last = {(r["algo"], r["seed"]): r for r in rows}  # rows are in round order
@@ -71,14 +73,14 @@ def write_summary(seeds, out: Path) -> None:
         if not ran:
             continue
         finals = [last[algo, s] for s in ran]
-        summary[algo] = {col: float(np.mean([r[col] for r in finals]))
-                         for col in SCALAR_COLUMNS}
+        means = {col: float(np.mean([r[col] for r in finals])) for col in SCALAR_COLUMNS}
+        summary[algo] = {col: m if math.isfinite(m) else None for col, m in means.items()}
         summary[algo]["seeds"] = ran
     if not summary:
         raise ValueError(f"{out / 'metrics.csv'} has no rows of seeds "
                          f"{', '.join(map(str, seeds))}")
-    (out / "summary").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
-                                 encoding="utf-8")
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+    (out / "summary").write_text(text + "\n", encoding="utf-8")
 
 
 def cmd_run(cfg: ExperimentConfig, seeds, out: Path) -> None:

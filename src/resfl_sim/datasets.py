@@ -104,12 +104,11 @@ def partition(dataset: Dataset, num_clients: int, beta: float, seed: int) -> lis
     """Non-IID split: per-group client proportions ~ Dirichlet(beta).
 
     Every sample lands on exactly one client; a shard holds its rows
-    group by group, in dataset order within a group. Empty shards
-    trigger a resample, up to PARTITION_TRIES draws in all.
+    group by group, in dataset order within a group, so one client gets
+    every row, in input order if the input is sorted by group. Empty
+    shards trigger a resample, up to PARTITION_TRIES draws in all.
     ``num_clients`` >= 1 and ``beta`` > 0 are checked at config load.
     """
-    if num_clients == 1:
-        return [dataset]
     rng = np.random.default_rng([int(seed), 0xD17])
     for _ in range(PARTITION_TRIES):
         rows: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
@@ -135,10 +134,9 @@ def poison(shard: Dataset, target_group: int, rate: float, seed: int,
     class count; a shard need not hold every class. Samples of the
     favorable class (``FAVORABLE_CLASS``) are cloned preferentially so
     the flips consistently push the target group toward unfavorable
-    labels. ``rate`` in [0, 1] is checked at config load.
+    labels. Raises ValueError if the shard has no target-group sample,
+    even at rate 0. ``rate`` in [0, 1] is checked at config load.
     """
-    if rate == 0.0:
-        return shard
     pool = np.flatnonzero(shard.s == target_group)
     if not len(pool):
         raise ValueError(f"shard has no samples of group {target_group}")
@@ -148,10 +146,7 @@ def poison(shard: Dataset, target_group: int, rate: float, seed: int,
     rng = np.random.default_rng([int(seed), 0xB1A5])
     n_inject = int(round(rate * len(shard)))
     clones = shard[favored[rng.integers(0, len(favored), size=n_inject)]]
-    # one scalar draw per clone, in clone order: one array draw would
-    # consume the stream differently and change every clone's label
-    wrong = np.array([(label + 1 + rng.integers(0, num_classes - 1)) % num_classes
-                      for label in clones.y], dtype=int)
+    wrong = (clones.y + 1 + rng.integers(0, num_classes - 1, size=n_inject)) % num_classes
     return Dataset(np.concatenate([shard.X, clones.X]),
                    np.concatenate([shard.y, wrong]),
                    np.concatenate([shard.s, clones.s]))

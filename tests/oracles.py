@@ -9,7 +9,9 @@ names the three parameter segments. ``reference_step`` is
 the local SGD step written as two passes and a functional update.
 ``data_config`` builds the checked config a test draws data from, and
 ``reference_generate_dataset`` draws the synthetic dataset one row at a
-time, the draw order ``datasets.generate_dataset`` must keep. The
+time, the draw order ``datasets.generate_dataset`` must keep, and
+``reference_poison`` draws each poisoning clone's wrong label on its
+own, the stream use ``datasets.poison`` must keep. The
 ``reference_*`` fairness metrics reduce per-group counts one group or
 one pair of groups at a time, as the worst-pair definitions read.
 """
@@ -24,7 +26,7 @@ import numpy as np
 from resfl_sim.adversarial import PROB_FLOOR, softmax
 from resfl_sim.config import ExperimentConfig
 from resfl_sim.datasets import Dataset, _signal_directions
-from resfl_sim.metrics import DI_CAP
+from resfl_sim.metrics import DI_CAP, FAVORABLE_CLASS
 from resfl_sim.network import ParameterSet
 
 
@@ -213,6 +215,24 @@ def reference_generate_dataset(cfg: ExperimentConfig, seed: int) -> Dataset:
     X += signal
     X[:, np.arange(codes.shape[1])] += codes[s]
     return Dataset(X, (y + flip_shift) % cfg.num_classes, s)
+
+
+def reference_poison(shard: Dataset, target_group: int, rate: float, seed: int,
+                     num_classes: int) -> Dataset:
+    """``datasets.poison`` with one scalar draw per clone's wrong label,
+    in clone order. The package must give the same bits."""
+    pool = np.flatnonzero(shard.s == target_group)
+    favored = pool[shard.y[pool] == FAVORABLE_CLASS]
+    if not len(favored):
+        favored = pool
+    rng = np.random.default_rng([int(seed), 0xB1A5])
+    n_inject = int(round(rate * len(shard)))
+    clones = shard[favored[rng.integers(0, len(favored), size=n_inject)]]
+    wrong = np.array([(label + 1 + rng.integers(0, num_classes - 1)) % num_classes
+                      for label in clones.y], dtype=int)
+    return Dataset(np.concatenate([shard.X, clones.X]),
+                   np.concatenate([shard.y, wrong]),
+                   np.concatenate([shard.s, clones.s]))
 
 
 # The fairness references take one (tp, fp, tn, fn) tuple per group that

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from resfl_sim.adversarial import composite_gradients
-from resfl_sim.attacks import byzantine_clients, byzantine_run, mia_pools, mia_run, \
-    mia_threshold, poisoned_shards, poisoning_run
-from resfl_sim.cli import main as cli_main
+from resfl_sim.attacks import byzantine_clients, byzantine_run, mia_config, mia_pools, \
+    mia_run, mia_threshold, poisoned_shards, poisoning_run
+from resfl_sim.cli import build_data as cli_build_data, main as cli_main
 from resfl_sim.config import ExperimentConfig
-from resfl_sim.datasets import generate_dataset, partition
+from resfl_sim.datasets import partition
 from oracles import logits_for, segment_view
 from resfl_sim.evidential import evidence_batch, evidential_terms_batch
 from resfl_sim.fairness import aggregation_weight, group_uncertainties, ufm, \
@@ -47,14 +47,8 @@ def report(criterion: int, ok: bool, detail: str = ""):
 
 
 def build_data(cfg: ExperimentConfig, seed: int):
-    """Train/test split sharing one signal draw (25% held-out per group)."""
-    full = replace(cfg, samples_per_group=tuple(
-        int(n * 1.25) for n in cfg.samples_per_group))
-    data = generate_dataset(full, seed=seed)
-    members = [np.flatnonzero(data.s == g) for g in range(cfg.num_groups)]
-    train = np.concatenate([m[:n] for m, n in zip(members, cfg.samples_per_group)])
-    test = np.concatenate([m[n:] for m, n in zip(members, cfg.samples_per_group)])
-    return data[train], data[test]
+    """The CLI's train/test split of ``cfg``'s data drawn with ``seed``."""
+    return cli_build_data(replace(cfg, seeds=(seed,)))
 
 
 def fed_config(algo: str, **overrides) -> ExperimentConfig:
@@ -235,11 +229,9 @@ class TestCriterion7Membership:
         for seed in SEEDS:
             # 30 members, 30 test non-members, and a 400-sample shadow pool
             members, nonmembers, shadow_members, shadow_nonmembers = mia_pools(
-                replace(PAPER, mia_overfit_size=30), *disparity_data(seed), seed)
-            # the shadow and both targets: one 1-client config, DP or not
-            cfg = replace(PAPER, num_clients=1, rounds=1, local_iterations=3000,
-                          batch_size=32, eta=0.1, eta_phi=0.1, lambda1=0.1,
-                          lambda_adv=0.0, dp_epsilon=0.1, dp_clip=1.0, server_lr=1.0)
+                PAPER, *disparity_data(seed), seed)
+            # the shadow and both targets: the CLI's 1-client config, DP or not
+            cfg = mia_config(PAPER)
             target, _ = run_experiment(cfg, "fedavg", seed, [members], None)
             dp_target, _ = run_experiment(cfg, "fedavg_dp", seed, [members], None)
             shadow, _ = run_experiment(cfg, "fedavg", seed, [shadow_members], None)

@@ -2,7 +2,6 @@
 
 import csv
 import json
-import math
 import warnings
 from dataclasses import replace
 
@@ -15,6 +14,7 @@ from resfl_sim.cli import main
 from resfl_sim.config import load_config
 from resfl_sim.datasets import partition
 from resfl_sim.federation import apply_dp, initial_params, run_experiment
+from resfl_sim.metrics import SCALAR_COLUMNS
 
 TINY = """\
 [experiment]
@@ -216,7 +216,7 @@ class TestRun:
         assert rounds == {"0"}
         summary = json.loads((out / "summary").read_text())
         assert set(summary) == {"fedavg", "resfl"}
-        assert math.isnan(summary["resfl"]["ufm_mean"])
+        assert summary["resfl"]["ufm_mean"] is None
         assert 0.0 <= summary["resfl"]["accuracy"] <= 1.0
 
     def test_round_after_a_huge_finite_update_is_recorded_frozen(self, tmp_path):
@@ -306,6 +306,22 @@ class TestRun:
             == [["nan"] * 8] * 2
         sweep = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
         assert sweep[1].split(",")[-2:] == ["nan", "nan"]
+
+    @pytest.mark.parametrize("eta", ["1e150", "1e300"])
+    def test_degenerate_summary_is_strict_json(self, tmp_path, eta):
+        # the fedavg and resfl models have no prediction, so each of their
+        # means is undefined and written as null: JSON has no NaN
+        cfg = tmp_path / "degenerate.cfg"
+        cfg.write_text(DEGENERATE.replace("eta = 1e150", f"eta = {eta}"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"summary holds {constant}, which JSON does not allow")
+
+        summary = json.loads((tmp_path / "summary").read_text(), parse_constant=reject)
+        for algo in ("fedavg", "resfl"):
+            assert all(summary[algo][col] is None for col in SCALAR_COLUMNS), algo
+        assert 0.0 <= summary["fedavg_dp"]["accuracy"] <= 1.0
 
     def test_algorithms_of_a_seed_share_one_shard_list(self, cfg_path, tmp_path,
                                                        monkeypatch):
@@ -556,6 +572,6 @@ class TestSweepAndReport:
         assert summary["resfl"]["seeds"] == [1, 2]
         assert summary["resfl"]["accuracy"] == pytest.approx(0.65, abs=1e-12)
         assert summary["resfl"]["eod"] == pytest.approx(0.25, abs=1e-12)
-        assert math.isnan(summary["resfl"]["ufm_mean"])
+        assert summary["resfl"]["ufm_mean"] is None
         # report trains nothing, so it writes no config
         assert not (out / "config.cfg").exists()

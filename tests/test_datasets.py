@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import reference_generate_dataset, data_config
+from oracles import data_config, reference_generate_dataset, reference_poison
 from resfl_sim.datasets import (
     PARTITION_TRIES,
     generate_dataset,
@@ -154,7 +154,14 @@ class TestPartition:
 
     def test_single_client_gets_everything(self):
         shards = partition(self.data, 1, beta=0.5, seed=0)
-        assert len(shards) == 1 and len(shards[0]) == len(self.data)
+        assert len(shards) == 1 and same_rows(shards[0], self.data)
+
+    def test_single_client_gets_a_shuffled_input_group_by_group(self):
+        shuffled = self.data[np.random.default_rng(3).permutation(len(self.data))]
+        shards = partition(shuffled, 1, beta=0.5, seed=0)
+        assert len(shards) == 1
+        # within a group, rows keep their input order
+        assert same_rows(shards[0], shuffled[np.argsort(shuffled.s, kind="stable")])
 
     def test_union_and_disjointness(self):
         shards = partition(self.data, 5, beta=0.5, seed=0)
@@ -251,7 +258,21 @@ class TestPoison:
         assert len(a) == len(b)
         assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
 
-    def test_missing_target_group_raises(self):
+    @pytest.mark.parametrize("rate", [0.0, 0.1])
+    def test_missing_target_group_raises(self, rate):
         pure = self.shard[self.shard.s == 0]
         with pytest.raises(ValueError):
-            poison(pure, target_group=3, rate=0.1, seed=0, num_classes=2)
+            poison(pure, target_group=3, rate=rate, seed=0, num_classes=2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
+    @pytest.mark.parametrize("rate", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("num_classes", [2, 3, 5])
+    def test_bitwise_equal_to_per_clone_reference(self, num_classes, rate, seed):
+        cfg = data_config(num_classes=num_classes, samples_per_group=(25, 25, 25, 25))
+        shard = generate_dataset(cfg, seed=seed)
+        got = poison(shard, 2, rate, seed=seed, num_classes=num_classes)
+        ref = reference_poison(shard, 2, rate, seed=seed, num_classes=num_classes)
+        assert len(got) == len(shard) + round(rate * len(shard))
+        assert np.array_equal(got.X, ref.X)
+        assert np.array_equal(got.y, ref.y)
+        assert np.array_equal(got.s, ref.s)
