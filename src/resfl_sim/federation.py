@@ -189,33 +189,26 @@ def apply_dp(delta: np.ndarray, clip: float, noise_scale: float,
         delta += noise_scale * clip * rng.standard_normal(delta.shape)
 
 
-def _nan_if_undefined(metric, conf) -> float:
-    try:
-        return metric(conf)
-    except ValueError:
-        return float("nan")
-
-
 def _evaluate(params: ParameterSet, eval_samples):
     """Accuracy, per-group accuracies, DI deviation, delta EOP, EOD and the
-    variance of group uncertainty (``RoundRecord``'s order), NaN without
-    samples. A model whose evidence is not finite on some sample has no
-    prediction (argmax would read NaN as class 0), so all of them are NaN."""
+    variance of group uncertainty (``RoundRecord``'s order), each NaN where
+    undefined: all of them, G accuracies among them, without samples and
+    for a model whose evidence is not finite on some sample, which has no
+    prediction (argmax would read NaN as class 0)."""
     nan = float("nan")
+    undefined = nan, (nan,) * params.spec.num_groups, nan, nan, nan, nan
     if eval_samples is None:
-        return nan, (), nan, nan, nan, nan
+        return undefined
     alpha = model_evidence(params, eval_samples.X)
     if not np.isfinite(alpha).all():
-        return nan, (nan,) * params.spec.num_groups, nan, nan, nan, nan
+        return undefined
     preds = np.argmax(alpha, axis=1)
     acc, acc_g = accuracy_by_group(preds, eval_samples.y, eval_samples.s,
                                    params.spec.num_groups)
     conf = confusion_by_group(preds, eval_samples.y, eval_samples.s)
-    dd = _nan_if_undefined(di_deviation, conf)
-    de = _nan_if_undefined(delta_eop, conf)
-    eo = _nan_if_undefined(eod, conf)
     us = group_uncertainties(alpha.sum(axis=1), eval_samples.s, params.spec.num_groups)
-    return acc, tuple(acc_g), dd, de, eo, uncertainty_variance(us)
+    return (acc, tuple(acc_g), di_deviation(conf), delta_eop(conf), eod(conf),
+            uncertainty_variance(us))
 
 
 def run_experiment(config: ExperimentConfig, algorithm: str, seed: int, shards,

@@ -31,30 +31,32 @@ def confusion_by_group(predictions: np.ndarray, labels: np.ndarray,
 def di_deviation(conf: np.ndarray) -> float:
     """|1 - DI| with the higher-rate group as denominator, worst pair:
     1 - min/max of the predicted-positive rates. DI_CAP when no group
-    predicts the favorable class at all."""
+    predicts the favorable class; NaN when undefined, below 2 groups."""
     if len(conf) < 2:
-        raise ValueError("need at least 2 groups")
+        return float("nan")
     rates = (conf[:, 0] + conf[:, 1]) / conf.sum(axis=1)
     hi = rates.max()
     return DI_CAP if hi == 0.0 else float(1.0 - rates.min() / hi)
 
 
 def delta_eop(conf: np.ndarray) -> float:
-    """Max pairwise TPR gap; groups without positives are excluded."""
+    """Max pairwise TPR gap over the groups with positives; NaN when
+    undefined, below 2 such groups."""
     pos = conf[:, 0] + conf[:, 3]
     tpr = conf[pos > 0, 0] / pos[pos > 0]
     if len(tpr) < 2:
-        raise ValueError("need at least 2 groups with positive examples")
+        return float("nan")
     return float(tpr.max() - tpr.min())
 
 
 def eod(conf: np.ndarray) -> float:
-    """Max over group pairs of |dTPR| + |dFPR|."""
+    """Max over the pairs of groups with positives and negatives of
+    |dTPR| + |dFPR|; NaN when undefined, below 2 such groups."""
     tp, fp, tn, fn = conf.T
     pos, neg = tp + fn, fp + tn
     usable = (pos > 0) & (neg > 0)
     if np.count_nonzero(usable) < 2:
-        raise ValueError("need at least 2 groups with both positives and negatives")
+        return float("nan")
     tpr, fpr = tp[usable] / pos[usable], fp[usable] / neg[usable]
     return float((np.abs(tpr[:, None] - tpr) + np.abs(fpr[:, None] - fpr)).max())
 
@@ -70,19 +72,23 @@ def accuracy_by_group(predictions: np.ndarray, labels: np.ndarray, groups: np.nd
     return float(hit.mean()), per_group
 
 
-# the per-round columns ``summary`` averages, in CSV column order
+# the per-round columns ``summary`` averages, in CSV order; acc_g* follow accuracy
 SCALAR_COLUMNS = ("accuracy", "di_dev", "delta_eop", "eod", "ufm_mean", "unc_var")
 
 
 def read_metrics(path) -> list[dict]:
     """The rows of a ``write_metrics`` CSV as dicts keyed by column:
     ``algo`` text, ``seed`` and ``round`` ints, and every other column the
-    exact float it was written from."""
+    exact float it was written from. A line whose field count differs
+    from the header's raises ValueError naming the file and line."""
     with open(path, encoding="utf-8") as f:
         header = f.readline().strip().split(",")
-        rows = [dict(zip(header, line.strip().split(","))) for line in f]
+        lines = [line.strip().split(",") for line in f]
+    for lineno, row in enumerate(lines, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path} line {lineno}: {len(row)} fields, not {len(header)}")
     return [{k: v if k == "algo" else int(v) if k in ("seed", "round") else float(v)
-             for k, v in r.items()} for r in rows]
+             for k, v in zip(header, row)} for row in lines]
 
 
 def write_metrics(cells, path, num_groups: int) -> None:
@@ -90,16 +96,16 @@ def write_metrics(cells, path, num_groups: int) -> None:
     ``RoundRecord``, sorted by (algo, seed) with each cell's records in
     round order. Each float is written as its shortest round-trip text,
     so the file holds the exact values; trailing newline."""
-    group_cols = ",".join(f"acc_g{i + 1}" for i in range(num_groups))
-    header = "algo,seed,round,accuracy," + (group_cols + "," if group_cols else "") \
-        + "di_dev,delta_eop,eod,ufm_mean,unc_var"
+    first, *rest = SCALAR_COLUMNS
+    header = ["algo", "seed", "round", first,
+              *(f"acc_g{i + 1}" for i in range(num_groups)), *rest]
     try:
         with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(header + "\n")
+            f.write(",".join(header) + "\n")
             for algo, seed, records in sorted(cells, key=lambda c: c[:2]):
                 for r in records:
-                    vals = [r.accuracy, *r.acc_by_group, r.di_dev, r.delta_eop,
-                            r.eod, r.ufm_mean, r.unc_var]
+                    vals = [getattr(r, first), *r.acc_by_group,
+                            *(getattr(r, col) for col in rest)]
                     f.write(f"{algo},{seed},{r.round},"
                             + ",".join(repr(float(v)) for v in vals) + "\n")
     except OSError as exc:

@@ -236,14 +236,16 @@ def reference_poison(shard: Dataset, target_group: int, rate: float, seed: int,
 
 
 # The fairness references take one (tp, fp, tn, fn) tuple per group that
-# has samples, and raise ValueError where the package does.
+# has samples, and return NaN where the metric is undefined, as the
+# package does.
 
 def reference_di_deviation(counts) -> float:
     """Max over group pairs of |1 - lo/hi| of the predicted-positive
-    rates; DI_CAP when no group predicts the favorable class."""
+    rates; DI_CAP when no group predicts the favorable class, NaN below 2
+    groups."""
     rates = [(tp + fp) / (tp + fp + tn + fn) for tp, fp, tn, fn in counts]
     if len(rates) < 2:
-        raise ValueError("need at least 2 groups")
+        return float("nan")
     if max(rates) == 0.0:
         return DI_CAP
     worst = 0.0
@@ -255,20 +257,20 @@ def reference_di_deviation(counts) -> float:
 
 
 def reference_delta_eop(counts) -> float:
-    """Max TPR gap over the groups with positives."""
+    """Max TPR gap over the groups with positives; NaN below 2 of them."""
     tprs = [tp / (tp + fn) for tp, fp, tn, fn in counts if tp + fn > 0]
     if len(tprs) < 2:
-        raise ValueError("need at least 2 groups with positive examples")
+        return float("nan")
     return max(tprs) - min(tprs)
 
 
 def reference_eod(counts) -> float:
     """Max over pairs of groups with positives and negatives of
-    |dTPR| + |dFPR|."""
+    |dTPR| + |dFPR|; NaN below 2 of them."""
     rates = [(tp / (tp + fn), fp / (fp + tn))
              for tp, fp, tn, fn in counts if tp + fn > 0 and fp + tn > 0]
     if len(rates) < 2:
-        raise ValueError("need at least 2 groups with both positives and negatives")
+        return float("nan")
     worst = 0.0
     for (tpr_a, fpr_a), (tpr_b, fpr_b) in itertools.combinations(rates, 2):
         worst = max(worst, abs(tpr_a - tpr_b) + abs(fpr_a - fpr_b))

@@ -8,11 +8,11 @@ import pytest
 from resfl_sim import attacks
 from resfl_sim.adversarial import local_train_step
 from resfl_sim.attacks import (
-    LAMBDA1,
     _best_threshold,
     aia_run,
     byzantine_clients,
     byzantine_run,
+    mia_config,
     mia_pools,
     mia_run,
     mia_threshold,
@@ -34,17 +34,12 @@ def small_dataset(seed=0, per_group=40, **kw):
                             seed=seed)
 
 
-def one_client_config(steps, batch_size, eta) -> ExperimentConfig:
-    """A 1-client, 1-round plain evidential SGD cell (no adversary), the
-    shape of the MIA models."""
-    return replace(SMALL, num_clients=1, rounds=1, local_iterations=steps,
-                   batch_size=batch_size, eta=eta, lambda1=LAMBDA1, lambda_adv=0.0,
-                   server_lr=1.0)
-
-
 def train_one_client(samples, steps, batch_size, eta, seed):
-    params, _ = run_experiment(one_client_config(steps, batch_size, eta), "fedavg", seed,
-                               [samples], None)
+    """A 1-client, 1-round plain evidential SGD cell (no adversary), the
+    shape of the MIA models, with ``eta`` for both heads."""
+    cfg = replace(mia_config(SMALL), local_iterations=steps, batch_size=batch_size,
+                  eta=eta, eta_phi=None)
+    params, _ = run_experiment(cfg, "fedavg", seed, [samples], None)
     return params
 
 

@@ -557,6 +557,27 @@ class TestSweepAndReport:
         assert "no rows of seeds 9" in capsys.readouterr().err
         assert (out / "summary").read_bytes() == original
 
+    @pytest.mark.parametrize("damage", ["extra field", "truncated row", "blank line"])
+    def test_report_of_a_malformed_row_fails_and_keeps_summary(self, cfg_path, tmp_path,
+                                                               capsys, damage):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        original = (out / "summary").read_bytes()
+        csv_path = out / "metrics.csv"
+        lines = csv_path.read_text().splitlines()
+        bad_line = len(lines)  # the last row, line numbers counting from 1
+        if damage == "extra field":
+            lines[-1] += ",0.5"
+        elif damage == "truncated row":
+            lines[-1] = lines[-1].rsplit(",", 1)[0]
+        else:
+            lines.append("")
+            bad_line += 1
+        csv_path.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert f"{csv_path} line {bad_line}:" in capsys.readouterr().err
+        assert (out / "summary").read_bytes() == original
+
     def test_report_keeps_a_cell_that_stopped_early(self, cfg_path, tmp_path):
         out = tmp_path / "out"
         out.mkdir()

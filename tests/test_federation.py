@@ -425,7 +425,9 @@ class TestRunExperiment:
         assert np.all(np.isfinite(params.flat))
         _, no_eval = run(cfg, shards, None)
         assert [r.round for r in no_eval] == [r.round for r in recs]
-        assert math.isnan(no_eval[-1].accuracy) and no_eval[-1].acc_by_group == ()
+        assert math.isnan(no_eval[-1].accuracy)
+        assert len(no_eval[-1].acc_by_group) == NET.num_groups
+        assert all(math.isnan(a) for a in no_eval[-1].acc_by_group)
 
     def test_partial_drop_leaves_the_dropped_rows_and_aggregates_the_rest(
             self, monkeypatch):

@@ -1,11 +1,15 @@
 """Fairness/utility metrics and the deterministic CSV writer."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_delta_eop, reference_di_deviation, reference_eod
+from oracles import data_config, reference_delta_eop, reference_di_deviation, \
+    reference_eod
+from resfl_sim.datasets import generate_dataset
 from resfl_sim.metrics import (
     DI_CAP,
     FAVORABLE_CLASS,
@@ -17,7 +21,7 @@ from resfl_sim.metrics import (
     read_metrics,
     write_metrics,
 )
-from resfl_sim.federation import RoundRecord
+from resfl_sim.federation import RoundRecord, run_experiment
 
 
 def conf(*groups):
@@ -67,8 +71,7 @@ class TestConfusion:
     def test_no_samples_empty_table(self):
         c = confusion_by_group(*[np.array([], dtype=int)] * 3)
         assert c.shape == (0, 4)
-        with pytest.raises(ValueError):
-            di_deviation(c)
+        assert np.isnan(di_deviation(c))
 
     def test_only_the_favorable_class_is_positive(self):
         # with three classes, any non-favorable prediction of a
@@ -96,9 +99,8 @@ class TestDiDeviation:
     def test_one_sided_zero_rate(self):
         assert di_deviation(conf((5, 0, 0, 0), (0, 0, 5, 5))) == pytest.approx(1.0)
 
-    def test_single_group_rejected(self):
-        with pytest.raises(ValueError):
-            di_deviation(conf((1, 1, 1, 1)))
+    def test_single_group_undefined(self):
+        assert np.isnan(di_deviation(conf((1, 1, 1, 1))))
 
 
 class TestEopAndEod:
@@ -109,8 +111,7 @@ class TestEopAndEod:
     def test_delta_eop_skips_positive_free_groups(self):
         c = conf((4, 0, 5, 1), (0, 2, 3, 0), (1, 0, 5, 1))
         assert delta_eop(c) == pytest.approx(0.3)
-        with pytest.raises(ValueError):
-            delta_eop(conf((4, 0, 5, 1), (0, 2, 3, 0)))
+        assert np.isnan(delta_eop(conf((4, 0, 5, 1), (0, 2, 3, 0))))
 
     def test_eod_hand_value(self):
         # dTPR = 0.2, dFPR = 0.1 -> 0.3
@@ -158,21 +159,16 @@ class TestAgainstPairwiseReference:
     @settings(max_examples=500, deadline=None)
     def test_metrics_equal_the_reference(self, counts):
         """confusion_by_group and the three metrics give exactly the
-        reference's values, or raise ValueError where it does."""
+        reference's values, NaN where it does."""
         c = confusion_by_group(*samples_from_counts(counts))
         table = [g for g in counts if any(g)]
         np.testing.assert_array_equal(c, conf(*table))
         for metric, reference in ((di_deviation, reference_di_deviation),
                                   (delta_eop, reference_delta_eop),
                                   (eod, reference_eod)):
-            try:
-                expect = reference(table)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    metric(c)
-            else:
-                got = metric(c)
-                assert type(got) is float and got == expect
+            got, expect = metric(c), reference(table)
+            assert type(got) is float
+            assert got == expect or (math.isnan(got) and math.isnan(expect))
 
 
 class TestAccuracyByGroup:
@@ -240,3 +236,18 @@ class TestWriteMetrics:
     def test_unwritable_path_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             write_metrics(self.cells(), tmp_path / "missing" / "m.csv", num_groups=2)
+
+    def test_cell_without_eval_samples_reads_back_at_full_width(self, tmp_path):
+        # a cell trained without eval samples records one NaN accuracy
+        # per group, so its rows are as wide as the header
+        cfg = data_config(input_dim=4, samples_per_group=(10,) * 4, num_clients=1,
+                          rounds=2, local_iterations=1, hidden_dims=(4,))
+        data = generate_dataset(cfg, seed=0)
+        _, records = run_experiment(cfg, "fedavg", 0, [data], None)
+        path = tmp_path / "m.csv"
+        write_metrics([("fedavg", 0, records)], path, num_groups=4)
+        header, *lines = path.read_text().splitlines()
+        assert all(len(line.split(",")) == len(header.split(",")) for line in lines)
+        rows = read_metrics(path)
+        assert all(math.isnan(r[f"acc_g{g + 1}"]) for r in rows for g in range(4))
+        assert [r["round"] for r in rows] == [0, 1]
