@@ -5,11 +5,10 @@
     resfl-sim attack --config PATH [--kind NAME] [--out DIR] [--seed S]
     resfl-sim report --config PATH [--out DIR] [--seed S]
 
-Exit codes: 0 success, 1 runtime failure, 2 usage/config error. The
-RESFL_SIM_OUT environment variable overrides the default output
-directory. A successful run, sweep or attack writes ``config.cfg``, the
-effective config, which ``--seed`` and ``--kind`` select from but do not
-change. All outputs are deterministic given config + seeds.
+Exit codes: 0 success, 1 runtime failure, 2 usage/config error. A
+successful run, sweep or attack writes ``config.cfg``, the effective
+config, which ``--seed`` and ``--kind`` select from but do not change.
+All outputs are deterministic given config + seeds.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -213,7 +211,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         seeds = cfg.seeds if args.seed is None else (args.seed,)
-        out = Path(args.out or os.environ.get("RESFL_SIM_OUT") or cfg.out_dir)
+        out = Path(args.out or cfg.out_dir)
         if args.command == "report":
             return cmd_report(cfg, seeds, out)  # reads out, so creates nothing
         out.mkdir(parents=True, exist_ok=True)

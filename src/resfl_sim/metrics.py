@@ -79,16 +79,26 @@ SCALAR_COLUMNS = ("accuracy", "di_dev", "delta_eop", "eod", "ufm_mean", "unc_var
 def read_metrics(path) -> list[dict]:
     """The rows of a ``write_metrics`` CSV as dicts keyed by column:
     ``algo`` text, ``seed`` and ``round`` ints, and every other column the
-    exact float it was written from. A line whose field count differs
-    from the header's raises ValueError naming the file and line."""
+    exact float it was written from. A header without one of ``algo``,
+    ``seed``, ``round`` and ``SCALAR_COLUMNS``, a line whose field count
+    differs from the header's and a value that does not parse each raise
+    ValueError naming the file and line."""
     with open(path, encoding="utf-8") as f:
         header = f.readline().strip().split(",")
         lines = [line.strip().split(",") for line in f]
+    missing = [k for k in ("algo", "seed", "round", *SCALAR_COLUMNS) if k not in header]
+    if missing:
+        raise ValueError(f"{path} line 1: no column {', '.join(missing)}")
+    rows = []
     for lineno, row in enumerate(lines, start=2):
         if len(row) != len(header):
             raise ValueError(f"{path} line {lineno}: {len(row)} fields, not {len(header)}")
-    return [{k: v if k == "algo" else int(v) if k in ("seed", "round") else float(v)
-             for k, v in zip(header, row)} for row in lines]
+        try:
+            rows.append({k: v if k == "algo" else int(v) if k in ("seed", "round")
+                         else float(v) for k, v in zip(header, row)})
+        except ValueError as exc:
+            raise ValueError(f"{path} line {lineno}: {exc}") from None
+    return rows
 
 
 def write_metrics(cells, path, num_groups: int) -> None:

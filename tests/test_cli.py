@@ -111,11 +111,13 @@ INVALID = {
     # dp_epsilon = inf adds no DP noise to a run reported as DP
     "eta = inf": ("eta = 0.01", "eta = inf"),
     "dp_epsilon = inf": ("eta = 0.01", "eta = 0.01\ndp_epsilon = inf"),
+    "lambda1_grid = 0.1 (unknown key)": ("[attack]",
+                                         "[sweep]\nlambda1_grid = 0.1\n\n[attack]"),
 }
 
 
-# the NumPy-only CI step's tiny config (every algorithm, the default
-# network), made degenerate by one local step of size 1e150
+# a small config that trains every algorithm on the default network,
+# made degenerate by one local step of size 1e150
 DEGENERATE = """\
 [experiment]
 seeds = 1
@@ -186,17 +188,20 @@ class TestRun:
         assert single_rows[0] == full_rows[0]
         assert single_rows[1:] == [r for r in full_rows[1:] if r.split(",")[1] == "2"]
 
-    def test_rerun_from_the_written_config_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("command, outputs", [
+        ("run", ["metrics.csv", "summary"]), ("sweep", ["sweep.csv"]),
+        ("attack", ["attacks.csv"])], ids=["run", "sweep", "attack"])
+    def test_rerun_from_the_written_config_byte_identical(self, tmp_path, command, outputs):
         # the data are drawn from the first seed and a group mean that a
         # 6-digit echo would round, so both must reach config.cfg exactly
         cfg = tmp_path / "means.cfg"
         cfg.write_text(TINY.replace("attr_leak = 0.5", "attr_leak = 0.5\n"
                                     "group_means = 0,0; -0.1234567,0; 0,0; 0,0"))
         first, second = tmp_path / "first", tmp_path / "second"
-        assert main(["run", "--config", str(cfg), "--out", str(first), "--seed", "2"]) == 0
-        assert main(["run", "--config", str(first / "config.cfg"), "--out", str(second),
+        assert main([command, "--config", str(cfg), "--out", str(first), "--seed", "2"]) == 0
+        assert main([command, "--config", str(first / "config.cfg"), "--out", str(second),
                      "--seed", "2"]) == 0
-        for name in ("metrics.csv", "summary", "config.cfg"):
+        for name in (*outputs, "config.cfg"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_early_stop_kept_in_summary(self, tmp_path):
@@ -261,9 +266,9 @@ class TestRun:
                             float(np.mean([ufms[4], *ufms[6:]]))]
 
     def test_metrics_csv_holds_each_records_values_exactly(self, tmp_path):
-        # the NumPy-only CI step's tiny config; fedavg_dp's unc_var is
-        # about 1e-13, which six decimals would write as 0
-        cfg_path = tmp_path / "ci.cfg"
+        # DEGENERATE with a sane step; fedavg_dp's unc_var is about 1e-13,
+        # which six decimals would write as 0
+        cfg_path = tmp_path / "small.cfg"
         cfg_path.write_text(DEGENERATE.replace("local_iterations = 1\neta = 1e150",
                                                "local_iterations = 2"))
         out = tmp_path / "out"
@@ -334,12 +339,6 @@ class TestRun:
         monkeypatch.setattr(cli, "run_experiment", recording)
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
         assert {seed: len(ids) for seed, ids in shard_lists.items()} == {1: 1, 2: 1}
-
-    def test_env_var_out_dir(self, cfg_path, tmp_path, monkeypatch):
-        env_out = tmp_path / "env_out"
-        monkeypatch.setenv("RESFL_SIM_OUT", str(env_out))
-        assert main(["run", "--config", str(cfg_path)]) == 0
-        assert (env_out / "metrics.csv").exists()
 
 
 class TestExitCodes:
@@ -461,17 +460,22 @@ class TestAttack:
 
     def test_aia_and_sweep_skip_an_empty_group(self, tmp_path):
         # group 1 has no samples, so no probe batch: the AIA infers among
-        # the other three groups, in attack and in sweep alike
+        # the other three groups, in attack and in sweep alike, and every
+        # other attack runs beside it
         p = tmp_path / "gap.cfg"
         p.write_text(TINY.replace("samples_per_group = 30, 30, 30, 30",
                                   "samples_per_group = 60, 0, 40, 30"))
-        for command in (["attack", "--kind", "aia"], ["sweep"]):
-            out = tmp_path / command[0]
-            assert main([*command, "--config", str(p), "--out", str(out),
+        for command in ("attack", "sweep"):
+            assert main([command, "--config", str(p), "--out", str(tmp_path / command),
                          "--seed", "1"]) == 0, command
-        aia = (tmp_path / "attack" / "attacks.csv").read_text().splitlines()[1]
-        assert aia.split(",")[:3] == ["aia", "init", "1"]
-        assert 0.0 <= float(aia.split(",")[3]) <= 1.0
+        rows = [row.split(",") for row in
+                (tmp_path / "attack" / "attacks.csv").read_text().splitlines()[1:]]
+        assert [row[:2] for row in rows] == [
+            ["mia", "overfit"], ["mia", "fedavg_dp"], ["aia", "init"],
+            ["byzantine", "fedavg"], ["byzantine", "resfl"],
+            ["poisoning", "fedavg"], ["poisoning", "resfl"]]
+        assert {row[2] for row in rows} == {"1"}
+        assert 0.0 <= float(rows[2][3]) <= 1.0  # the AIA's score
 
     def test_each_listed_cell_trains_once_on_the_configured_network(
             self, cfg_path, tmp_path, monkeypatch):
@@ -557,7 +561,8 @@ class TestSweepAndReport:
         assert "no rows of seeds 9" in capsys.readouterr().err
         assert (out / "summary").read_bytes() == original
 
-    @pytest.mark.parametrize("damage", ["extra field", "truncated row", "blank line"])
+    @pytest.mark.parametrize("damage", ["extra field", "truncated row", "blank line",
+                                        "missing column", "non-numeric value"])
     def test_report_of_a_malformed_row_fails_and_keeps_summary(self, cfg_path, tmp_path,
                                                                capsys, damage):
         out = tmp_path / "out"
@@ -570,9 +575,14 @@ class TestSweepAndReport:
             lines[-1] += ",0.5"
         elif damage == "truncated row":
             lines[-1] = lines[-1].rsplit(",", 1)[0]
-        else:
+        elif damage == "blank line":
             lines.append("")
             bad_line += 1
+        elif damage == "missing column":  # unc_var, from the header and every row
+            lines = [line.rsplit(",", 1)[0] for line in lines]
+            bad_line = 1
+        else:
+            lines[-1] = lines[-1].rsplit(",", 1)[0] + ",x"
         csv_path.write_text("\n".join(lines) + "\n")
         assert main(["report", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert f"{csv_path} line {bad_line}:" in capsys.readouterr().err
